@@ -4,7 +4,8 @@ Commands: wordlen, hamdiff, verdict, depth-profile, qh, export-graph.
 Group specs are JSON files (see groups.parse_group_spec); lamplighter specs
 are {"lamps": <group spec>, "base": <group spec>}.  Outputs are deterministic
 functions of the spec.  Exit codes: 0 success, 2 usage error, 3 resource cap,
-4 verification failure.
+4 verification failure (an emitted answer failed its re-check), 5 internal
+error (a consistency assertion inside the program failed).
 """
 
 from __future__ import annotations
@@ -17,14 +18,10 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from . import graphs, groups, hamiltonian, wreath
-from .errors import ResourceCapError
+from .errors import ResourceCapError, VerificationError
 
 
 class UsageError(Exception):
-    pass
-
-
-class VerificationError(Exception):
     pass
 
 
@@ -348,9 +345,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except (VerificationError, AssertionError) as exc:
+    except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 4
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

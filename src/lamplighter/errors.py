@@ -7,3 +7,7 @@ class ResourceCapError(RuntimeError):
 
 class BoundExceededError(RuntimeError):
     """The brute-force oracle found no walk within its length budget."""
+
+
+class VerificationError(RuntimeError):
+    """An emitted answer failed its independent re-check."""

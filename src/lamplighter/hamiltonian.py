@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .errors import ResourceCapError
+from .errors import ResourceCapError, VerificationError
 from .graphs import FiniteGraph, cayley_ball, finite_cayley_graph, power_graph
 from .groups import (
     AbelianModel,
@@ -898,21 +898,26 @@ def verify_qh_certificate(model: GroupModel, cert: QhCertificate) -> None:
     step may be any word of length at most 3 (the enlarged set S u S^2 u S^3).
     """
     max_step = 3 if cert.strategy == "cube" else 1
+
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise VerificationError(f"qh certificate: {what}")
+
     for wit in cert.witnesses:
         elems = {model.parse_payload(s) for s in wit.elements}
-        assert model.identity_payload() in elems
-        assert len(elems) == wit.set_size
+        check(model.identity_payload() in elems, "witness set misses the identity")
+        check(len(elems) == wit.set_size, "witness set size mismatch")
         ball = cayley_ball(model, wit.n)
-        assert set(ball.elements) <= elems, "witness set misses the ball"
+        check(set(ball.elements) <= elems, "witness set misses the ball")
         for endpoint, walk in wit.walks.items():
             payloads = [model.parse_payload(s) for s in walk]
-            assert payloads[0] == model.identity_payload()
-            assert payloads[-1] == model.parse_payload(endpoint)
+            check(payloads[0] == model.identity_payload(), "walk does not start at e")
+            check(payloads[-1] == model.parse_payload(endpoint), "walk ends off its endpoint")
             for a, b in zip(payloads, payloads[1:]):
                 step = model.mul_payload(model.inv_payload(a), b)
-                assert 1 <= model.length_payload(step) <= max_step, "bad walk step"
-            assert elems <= set(payloads), "walk does not cover the set"
-            assert len(payloads) <= wit.set_size + cert.M, "bound violated"
+                check(1 <= model.length_payload(step) <= max_step, "bad walk step")
+            check(elems <= set(payloads), "walk does not cover the set")
+            check(len(payloads) <= wit.set_size + cert.M, "bound violated")
 
 
 def _as_free_tree(model: GroupModel) -> Optional[FreeModel]:

@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .errors import BoundExceededError, ResourceCapError
+from .errors import BoundExceededError, ResourceCapError, VerificationError
 from .graphs import FiniteGraph, finite_cayley_graph
 from .groups import FreeModel, FreeProductModel, Payload
 
@@ -472,10 +472,15 @@ def ts_free_product(
 ) -> int:
     """Exact TS(start -> end; required) in Cay(H*K, S_H u S_K).
 
-    Recursion over the tree of factor copies: each copy contributes a finite
-    TSP whose station weights are the closed-excursion costs of its nonempty
-    petals; the copy holding the endpoint takes one final open excursion.
+    Normalises the input and translates it by start^-1, then evaluates
+    ts_free_product_normal.
     """
+    _start, end_l, req_l = _localise(model, start, end, required)
+    return ts_free_product_normal(model, end_l, req_l)
+
+
+def _localise(model: FreeProductModel, start: Payload, end: Payload, required: Sequence[Payload]):
+    """(start, start^-1 end, {start^-1 r}), all in normal form."""
     if not isinstance(model, FreeProductModel):
         raise ValueError("ts_free_product needs a free product model")
     start = model.normalize_payload(start)
@@ -484,9 +489,26 @@ def ts_free_product(
     req_l = frozenset(
         model.mul_payload(inv, model.normalize_payload(r)) for r in required
     )
-    caches = _model_caches(model)
-    memo = caches.setdefault("ts_fp_memo", {})
-    return _ts_fp(model, 0, end_l, req_l, memo)
+    return start, end_l, req_l
+
+
+def ts_free_product_normal(
+    model: FreeProductModel, end: Payload, required: FrozenSet[Payload]
+) -> int:
+    """Exact TS(e -> end; required) for normal-form payloads.
+
+    Recursion over the tree of factor copies: each copy contributes a finite
+    TSP whose station weights are the closed-excursion costs of its nonempty
+    petals; the copy holding the endpoint takes one final open excursion.
+    The root is evaluated but not memoised (a root key rarely recurs); the
+    sub-excursions are memoised in the model's ts_fp_memo.
+    """
+    if not isinstance(model, FreeProductModel):
+        raise ValueError("ts_free_product needs a free product model")
+    if not required and not end:
+        return 0
+    memo = _model_caches(model).setdefault("ts_fp_memo", {})
+    return _ts_fp_copy(model, 0, end, required, memo)
 
 
 def ts_free_product_walk(
@@ -497,14 +519,12 @@ def ts_free_product_walk(
 ) -> Tuple[int, List[Payload]]:
     """As ts_free_product, but also reconstructs one optimal walk (as group
     elements).  The walk length certifies the recursion's value."""
-    start = model.normalize_payload(start)
-    inv = model.inv_payload(start)
-    end_l = model.mul_payload(inv, model.normalize_payload(end))
-    req_l = frozenset(
-        model.mul_payload(inv, model.normalize_payload(r)) for r in required
-    )
+    start, end_l, req_l = _localise(model, start, end, required)
     cost, local = _walk_fp(model, 0, end_l, req_l)
-    assert cost == len(local) - 1
+    if cost != len(local) - 1:
+        raise VerificationError(
+            f"free-product walk has {len(local) - 1} edges but costs {cost}"
+        )
     return cost, [model.mul_payload(start, p) for p in local]
 
 
@@ -572,7 +592,8 @@ def _walk_fp(model: FreeProductModel, factor: int, end: Payload, required: Froze
         else:
             walk.append(vp)
     if dive_walk:
-        assert walk[-1] == dive_walk[0], "dive must start at the end station"
+        if walk[-1] != dive_walk[0]:
+            raise VerificationError("dive must start at the end station")
         walk.extend(dive_walk[1:])
     cost = sol.length + total
     return cost, walk
@@ -582,10 +603,14 @@ def _ts_fp(model: FreeProductModel, factor: int, end: Payload, required: FrozenS
     if not required and not end:
         return 0
     key = (factor, end, required)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    val = memo.get(key)
+    if val is None:
+        val = memo[key] = _ts_fp_copy(model, factor, end, required, memo)
+    return val
 
+
+def _ts_fp_copy(model: FreeProductModel, factor: int, end: Payload, required: FrozenSet[Payload], memo) -> int:
+    """TS from the identity of this `factor` copy; petals recurse via _ts_fp."""
     table = model.factors[factor].table
     ident = table.identity
     in_copy: Set[int] = set()
@@ -622,7 +647,4 @@ def _ts_fp(model: FreeProductModel, factor: int, end: Payload, required: FrozenS
         total_weights += _ts_fp(model, other, dive, sub, memo)
         stations.add(end_idx)
 
-    edges = _factor_ts_edges(model, factor, end_idx, frozenset(stations))
-    val = edges + total_weights
-    memo[key] = val
-    return val
+    return _factor_ts_edges(model, factor, end_idx, frozenset(stations)) + total_weights

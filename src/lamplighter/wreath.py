@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .errors import ResourceCapError
+from .errors import ResourceCapError, VerificationError
 from .graphs import cayley_ball, cycle_graph, path_graph, product_graph
 from .groups import (
     AbelianModel,
@@ -65,8 +65,10 @@ class LamplighterModel:
         self.lamps = lamps
         self.base = base
         self._lamp_len: Dict[Payload, int] = {}
-        # pure memo keyed by (backend strategy, slack, position, support)
+        # pure memo keyed by (backend strategy, slack, position, support);
+        # the petal backend does not use it (see word_length)
         self._ts_cache: Dict[tuple, int] = {}
+        self._generator_states = self._build_generator_states()
 
     # -- states ------------------------------------------------------------
     def identity_state(self) -> WreathState:
@@ -113,6 +115,10 @@ class LamplighterModel:
 
     # -- generators and neighbors -------------------------------------------
     def generator_states(self) -> List[Tuple[str, WreathState]]:
+        """(label, state) for every generator; built once per model."""
+        return self._generator_states
+
+    def _build_generator_states(self) -> List[Tuple[str, WreathState]]:
         out = []
         e_b = self.base.identity_payload()
         for s in self.lamps.gens.elements:
@@ -146,14 +152,6 @@ class LamplighterModel:
         return out
 
 
-def wreath_multiply(model: LamplighterModel, g: WreathState, h: WreathState) -> WreathState:
-    return model.multiply(g, h)
-
-
-def neighbors(model: LamplighterModel, g: WreathState) -> List[WreathState]:
-    return model.neighbors(g)
-
-
 # ---------------------------------------------------------------------------
 # word length
 
@@ -175,6 +173,11 @@ def word_length(model: LamplighterModel, g: WreathState, backend: MetricBackend)
             model._lamp_len[v] = c
         cost += c
     support = frozenset(k for k, _v in lamps)
+    if backend.strategy == "petal":
+        # states hold normal-form payloads and the walk starts at the
+        # identity, so the recursion takes them as they are; it memoises its
+        # own sub-excursions, and a (position, support) key rarely recurs
+        return WordLength(cost + tsp.ts_free_product_normal(model.base, pos, support), backend.exact)
     key = (backend.strategy, backend.slack, pos, support)
     ts = model._ts_cache.get(key)
     if ts is None:
@@ -189,8 +192,6 @@ def _ts_term(model: LamplighterModel, pos: Payload, support: FrozenSet[Payload],
         return tsp.solve_exact(_finite_instance(model, pos, support)).length
     if backend.strategy == "tree":
         return tsp.ts_tree((), pos, sorted(support), base)
-    if backend.strategy == "petal":
-        return tsp.ts_free_product(base, (), pos, sorted(support))
     if backend.strategy == "box":
         return _box_ts(base, pos, support)
     if backend.strategy == "generic":
@@ -576,7 +577,11 @@ def depth_profile(
             rows.append(ProfileRow(model.state_str(g), L, 0, True))
             continue
         rep = depth(model, g, k_max, backend)
-        assert rep.word_length == L, "formula disagrees with BFS distance"
+        if rep.word_length != L:
+            raise VerificationError(
+                f"formula gives {rep.word_length} but BFS distance is {L} "
+                f"for {model.state_str(g)}"
+            )
         rows.append(ProfileRow(model.state_str(g), L, rep.depth, rep.depth_exact))
     rows.sort(key=lambda r: (r.word_length, r.element_id))
     return DepthProfile(radius, k_max, tuple(rows), complete)

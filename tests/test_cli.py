@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
@@ -207,3 +210,37 @@ class TestDeterminism:
         target = tmp_path / "graph.dot"
         rc, out, _ = run(["export-graph", "--cube", "2,2", "--out", str(target)])
         assert rc == 0 and out == "" and target.read_text().startswith("graph G")
+
+
+# Runs depth-profile twice in one process: as shipped, then with word_length
+# off by one.  Prints the optimisation level and both exit codes.
+OFF_BY_ONE_SCRIPT = """
+import os, sys
+from lamplighter import cli, wreath
+argv = ["depth-profile", "--group", sys.argv[1], "--radius", "2", "--kmax", "2",
+        "--out", os.devnull]
+rc_ok = cli.main(argv)
+exact = wreath.word_length
+wreath.word_length = lambda m, g, b: wreath.WordLength(exact(m, g, b).value + 1, True)
+print(sys.flags.optimize, rc_ok, cli.main(argv))
+"""
+
+
+class TestVerificationUnderOptimize:
+    def test_formula_check_survives_python_O(self, specs):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", OFF_BY_ONE_SCRIPT, specs["ll_line.json"]],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.stdout.split() == ["1", "0", "4"], proc.stderr
+        assert "verification failure: formula gives" in proc.stderr
+
+    def test_internal_error_exit_code(self, specs, monkeypatch):
+        def broken(*_args, **_kwargs):
+            raise AssertionError("broken invariant")
+
+        monkeypatch.setattr(cli.wreath, "depth_profile", broken)
+        rc, _, err = run(["depth-profile", "--group", specs["ll_line.json"], "--radius", "1"])
+        assert rc == 5 and "internal error: broken invariant" in err

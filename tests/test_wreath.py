@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lamplighter import graphs as Gr, groups as G, tsp as T, wreath as W
 
@@ -367,3 +367,106 @@ class TestDepthProfile:
         g = ll_fp82.state({((0, 3),): 1, (): 1}, ((0, 2),))
         s = ll_fp82.state_str(g)
         assert s == "a@e+a@b3;b2"
+
+
+# -- petal backend: normal-form entry vs public entry vs ball TSP ------------
+
+FREE_PRODUCTS = {"Z8*Z2": (8, 2), "Z3*Z4": (3, 4)}
+
+
+def _free_product(orders):
+    H, K = orders
+    return G.make_free_product(G.make_cyclic(H, [1]), G.make_cyclic(K, [1], letter="c"))
+
+
+@st.composite
+def fp_words(draw, orders, max_syllables=3, min_syllables=0):
+    """Normal-form word: alternating factors, no identity letters."""
+    f = draw(st.integers(0, 1))
+    word = []
+    for _ in range(draw(st.integers(min_syllables, max_syllables))):
+        word.append((f, draw(st.integers(1, orders[f] - 1))))
+        f = 1 - f
+    return tuple(word)
+
+
+@st.composite
+def petal_cases(draw, key):
+    """(orders, support, position, shift, letter-splitting seed)."""
+    orders = FREE_PRODUCTS[key]
+    support = draw(st.lists(fp_words(orders), min_size=1, max_size=5, unique=True))
+    pos = draw(fp_words(orders))
+    shift = draw(fp_words(orders, min_syllables=1))
+    return orders, support, pos, shift, draw(st.integers(0, 2**32))
+
+
+def _spell(model, word, rng):
+    """Letters for `word` that are not in normal form: each letter split in
+    two, with identity letters strewn in."""
+    out = []
+    for f, x in word:
+        table = model.factors[f].table
+        a = rng.randrange(table.order)
+        out += [(f, a), (f, table.mul[table.inv[a]][x])]
+        if rng.random() < 0.3:
+            out.append((rng.randrange(2), 0))
+    return tuple(out)
+
+
+_BALLS = {}
+
+
+def _ball_ts(model, orders, pos, support):
+    """TS on a Cayley ball that holds every optimal walk: a walk never leaves
+    the factor copies met by the geodesics to its points, so it stays within
+    the longest point length plus the larger factor diameter."""
+    radius = max(model.length_payload(p) for p in support + [pos]) + max(orders) // 2
+    key = (orders, radius)
+    if key not in _BALLS:
+        _BALLS[key] = Gr.cayley_ball(model, radius)
+    ball = _BALLS[key]
+    inst = T.TspInstance(
+        ball.graph, ball.vertex_of(()), ball.vertex_of(pos),
+        frozenset(ball.vertex_of(p) for p in support),
+    )
+    return T.solve_exact(inst).length
+
+
+def _petal_ts(ll, support, pos):
+    """TS term of the petal word length (each Z/2 lamp costs one)."""
+    g = ll.state({p: 1 for p in support}, pos)
+    return W.word_length(ll, g, W.MetricBackend("petal", True)).value - len(support)
+
+
+class TestPetalNormalForm:
+    @pytest.mark.parametrize("key", sorted(FREE_PRODUCTS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_three_way_agreement(self, z2_lamps, key, data):
+        orders, support, pos, shift, seed = data.draw(petal_cases(key))
+        base = _free_product(orders)
+        ll = W.LamplighterModel(z2_lamps, base)
+        rng = random.Random(seed)
+        moved = [_spell(base, shift + p, rng) for p in support]
+        public = T.ts_free_product(
+            base, _spell(base, shift, rng), _spell(base, shift + pos, rng), moved
+        )
+        assert _petal_ts(ll, support, pos) == public == _ball_ts(base, orders, pos, support)
+
+    @pytest.fixture(scope="class")
+    def profiled(self, z2_lamps):
+        out = {}
+        for key, orders in FREE_PRODUCTS.items():
+            ll = W.LamplighterModel(z2_lamps, _free_product(orders))
+            W.depth_profile(ll, 6, 3)
+            assert ll.base._tsp_caches["ts_fp_memo"]
+            out[key] = ll
+        return out
+
+    @pytest.mark.parametrize("key", sorted(FREE_PRODUCTS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_memo_filled_by_profile(self, z2_lamps, profiled, key, data):
+        orders, support, pos, _shift, _seed = data.draw(petal_cases(key))
+        fresh = W.LamplighterModel(z2_lamps, _free_product(orders))
+        assert _petal_ts(fresh, support, pos) == _petal_ts(profiled[key], support, pos)
