@@ -13,9 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import ResourceCapError, VerificationError
 from .graphs import FiniteGraph, cayley_ball, finite_cayley_graph, power_graph
@@ -30,6 +28,11 @@ from .groups import (
     group_spec_of,
 )
 from . import tsp
+
+# numpy is imported by the DP kernels that use it, so grid and cube walks
+# (backtracking only) run without loading it
+if TYPE_CHECKING:
+    import numpy as np
 
 _DP_CAP = 24
 _BACKTRACK_CAP = 40
@@ -47,6 +50,8 @@ def _mask_layers(n: int) -> List[np.ndarray]:
     """Subset masks of {0..n-1} grouped by popcount (shared across DP runs)."""
     layers = _layer_cache.get(n)
     if layers is None:
+        import numpy as np
+
         masks = np.arange(1 << n, dtype=np.int64)
         pop = np.zeros(1 << n, dtype=np.int8)
         for j in range(n):
@@ -60,6 +65,8 @@ def _mask_layers(n: int) -> List[np.ndarray]:
 def _ends_dp(g: FiniteGraph, start: int) -> np.ndarray:
     """dp[mask] = bitmask of vertices where a Hamiltonian path of the induced
     visited set `mask` starting at `start` can end.  Layered over popcount."""
+    import numpy as np
+
     n = g.n
     adj_mask = np.array(
         [sum(1 << v for v in g.adj[u]) for u in range(n)], dtype=np.int64
@@ -91,7 +98,8 @@ def _dp_path(g: FiniteGraph, dp: np.ndarray, start: int, end: int) -> Tuple[int,
     while mask != (1 << start) or last != start:
         pm = mask ^ (1 << last)
         cand = int(dp[pm]) & sum(1 << v for v in g.adj[last])
-        assert cand, "reconstruction failed"
+        if not cand:
+            raise VerificationError("reconstruction failed")
         prev = (cand & -cand).bit_length() - 1
         rev.append(prev)
         mask, last = pm, prev
@@ -183,110 +191,157 @@ def hamiltonian_difference_detail(model: FiniteModel) -> Tuple[int, int, int, Li
 # spanning walks with few repeats (grids and small graphs)
 
 
+@dataclass(frozen=True)
+class _GraphBits:
+    """Bitset view of a graph shared by every spanning-walk search on it:
+    per-vertex adjacency masks and the bipartition side of each vertex
+    (None when the graph has an odd cycle)."""
+
+    g: FiniteGraph
+    adjm: Tuple[int, ...]
+    side: Optional[Tuple[int, ...]]
+
+
+def _graph_bits(g: FiniteGraph) -> _GraphBits:
+    adjm = tuple(sum(1 << v for v in nbrs) for nbrs in g.adj)
+    parts = g.bipartition()
+    side = None
+    if parts is not None:
+        side = tuple(int(v in parts[1]) for v in range(g.n))
+    return _GraphBits(g, adjm, side)
+
+
 def spanning_walk_min_repeats(
     g: FiniteGraph, s: int, t: int, max_repeats: int
 ) -> Optional[Tuple[int, ...]]:
     """Spanning walk s..t revisiting at most max_repeats vertex slots, with the
     fewest repeats possible; None if none exists within the budget.
 
-    Budget 0 is a plain Hamiltonian-path search.  Pruning: walks that strand
-    more unvisited components than the remaining repeat budget can bridge are
-    cut, which keeps grid instances fast.
+    Budget 0 is a plain Hamiltonian-path search.  Raises ResourceCapError
+    when a search gives up, so None always means "no such walk".
     """
-    n = g.n
+    bits = _graph_bits(g)
     for budget in range(max_repeats + 1):
-        found = _spanning_walk_exact_repeats(g, s, t, budget)
+        found = _spanning_walk_exact_repeats(bits, s, t, budget)
         if found is not None:
             return found
     return None
 
 
-def _bipartite_infeasible(g: FiniteGraph, s: int, t: int, budget: int) -> bool:
+def _bipartite_infeasible(bits: _GraphBits, s: int, t: int, budget: int) -> bool:
     """Parity prechecks: walks in bipartite graphs alternate sides, which
     forces both the total length parity and per-side coverage counts.
 
     Assumes exactly `budget` repeats; walks with fewer repeats are callers'
     smaller-budget iterations, so nothing feasible is lost."""
-    parts = g.bipartition()
-    if parts is None:
+    side = bits.side
+    if side is None:
         return False
-    side = [0] * g.n
-    for v in parts[1]:
-        side[v] = 1
-    slots = g.n + budget
+    n = bits.g.n
+    slots = n + budget
     if (slots - 1) % 2 != (side[s] ^ side[t]):
         return True
     c_start = (slots + 1) // 2
     c_other = slots // 2
-    need_start = sum(1 for v in range(g.n) if side[v] == side[s])
-    need_other = g.n - need_start
+    need_start = side.count(side[s])
+    need_other = n - need_start
     return c_start < need_start or c_other < need_other
 
 
-def _spanning_walk_exact_repeats(g: FiniteGraph, s: int, t: int, budget: int):
+def _spanning_walk_exact_repeats(
+    bits: _GraphBits, s: int, t: int, budget: int
+) -> Optional[Tuple[int, ...]]:
+    """Depth-first search for a spanning walk s..t of at most n + budget
+    vertex slots.  Fresh moves go first, fewest unvisited neighbours first
+    (ties by index), then moves back onto visited vertices while repeats
+    remain; the first walk found in this order is returned.
+
+    The unvisited set is an int mask.  A node is cut only when its subtree
+    holds no walk, so pruning never changes which walk is returned:
+    - more unvisited components than the remaining repeats can bridge;
+    - with no repeats left, a free vertex other than t that can be entered
+      but not left (fewer than two free neighbours, counting cur).
+    With no repeats left the parent's unvisited set was connected, so after
+    a fresh move only the removed vertex's neighbours need to stay joined.
+    """
+    g, adjm = bits.g, bits.adjm
     n = g.n
-    if _bipartite_infeasible(g, s, t, budget):
+    if _bipartite_infeasible(bits, s, t, budget):
         return None
-    visited = [False] * n
-    visited[s] = True
+    cap = _SEARCH_NODE_CAP
+    slots = n + budget
     walk = [s]
     nodes = 0
 
-    def components_exceed(limit: int) -> bool:
+    def flood(seed: int, within: int, goal: int) -> int:
+        # vertices of `within` reachable from the seed bit, stopping early
+        # once every bit of `goal` is reached
+        seen = frontier = seed
+        while frontier and goal & ~seen:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= adjm[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & within & ~seen
+            seen |= frontier
+        return seen
+
+    def components_exceed(unv: int, limit: int) -> bool:
         # bridging between unvisited components costs one repeat per jump
-        comp_seen = [False] * n
         comps = 0
-        for v in range(n):
-            if visited[v] or comp_seen[v]:
-                continue
+        while unv:
             comps += 1
             if comps > limit:
                 return True
-            stack = [v]
-            comp_seen[v] = True
-            while stack:
-                x = stack.pop()
-                for y in g.adj[x]:
-                    if not visited[y] and not comp_seen[y]:
-                        comp_seen[y] = True
-                        stack.append(y)
+            unv &= ~flood(unv & -unv, unv, unv)
         return False
 
-    def dfs(cur: int, unvisited: int, repeats: int) -> bool:
+    def dfs(cur: int, prev: int, unv: int, repeats: int, fresh: bool) -> bool:
         nonlocal nodes
         nodes += 1
-        if nodes > _SEARCH_NODE_CAP:
-            raise ResourceCapError("spanning-walk search node cap exceeded")
-        if unvisited == 0 and cur == t:
+        if nodes > cap:
+            raise ResourceCapError(
+                f"spanning-walk search node cap {cap} exceeded "
+                f"({s}->{t}, {budget} repeats, {unv.bit_count()} vertices unvisited)"
+            )
+        if not unv and cur == t:
             return True
-        remaining_slots = (n + budget) - len(walk)
-        if unvisited > remaining_slots or remaining_slots <= 0:
+        remaining_slots = slots - len(walk)
+        if unv.bit_count() > remaining_slots or remaining_slots <= 0:
             return False
-        if components_exceed(repeats + 1):
+        if fresh and not repeats:
+            # only cur's unvisited neighbours can have come apart
+            joined = adjm[cur] & unv
+            if joined & ~flood(joined & -joined, unv, joined):
+                return False
+        elif components_exceed(unv, repeats + 1):
             return False
-        fresh = [w for w in g.adj[cur] if not visited[w]]
-        fresh.sort(key=lambda w: (sum(1 for z in g.adj[w] if not visited[z]), w))
-        for w in fresh:
-            visited[w] = True
+        if not repeats and prev >= 0:
+            # prev is spent: its free neighbours lost a way in or out
+            open_ = unv | (1 << cur)
+            for x in g.adj[prev]:
+                if x != t and unv >> x & 1 and (adjm[x] & open_).bit_count() < 2:
+                    return False
+        fresh_moves = sorted(
+            ((adjm[w] & unv).bit_count(), w) for w in g.adj[cur] if unv >> w & 1
+        )
+        for _, w in fresh_moves:
             walk.append(w)
-            if dfs(w, unvisited - 1, repeats):
+            if dfs(w, cur, unv ^ (1 << w), repeats, True):
                 return True
             walk.pop()
-            visited[w] = False
-        if repeats > 0:
+        if repeats:
             for w in g.adj[cur]:
-                if visited[w]:
+                if not unv >> w & 1:
                     walk.append(w)
-                    if dfs(w, unvisited, repeats - 1):
+                    if dfs(w, cur, unv, repeats - 1, False):
                         return True
                     walk.pop()
         return False
 
-    try:
-        if dfs(s, n - 1, budget):
-            return tuple(walk)
-    except ResourceCapError:
-        return None
+    if dfs(s, -1, ((1 << n) - 1) ^ (1 << s), budget, False):
+        return tuple(walk)
     return None
 
 
@@ -320,14 +375,15 @@ def grid_spanning_path(
 
 
 def _large_grid_walk(g: FiniteGraph, s: int, t: int) -> Optional[Tuple[int, ...]]:
-    ham = _spanning_walk_exact_repeats(g, s, t, 0)
+    bits = _graph_bits(g)
+    ham = _spanning_walk_exact_repeats(bits, s, t, 0)
     if ham is not None:
         return ham
     for a, b, flip in ((s, t, False), (t, s, True)):
         for b2 in g.adj[b]:
             if b2 == a:
                 continue
-            ham = _spanning_walk_exact_repeats(g, a, b2, 0)
+            ham = _spanning_walk_exact_repeats(bits, a, b2, 0)
             if ham is not None:
                 walk = ham + (b,)
                 return tuple(reversed(walk)) if flip else walk
@@ -335,7 +391,7 @@ def _large_grid_walk(g: FiniteGraph, s: int, t: int) -> Optional[Tuple[int, ...]
     dist_s = g.distances_from(s)
     for a, b, dist_b, flip in ((s, t, dist_t, False), (t, s, dist_s, True)):
         for u in sorted(v for v in range(g.n) if dist_b[v] == 2):
-            ham = _spanning_walk_exact_repeats(g, a, u, 0)
+            ham = _spanning_walk_exact_repeats(bits, a, u, 0)
             if ham is not None:
                 mid = min(w for w in g.adj[u] if dist_b[w] == 1)
                 walk = ham + (mid, b)
@@ -345,7 +401,7 @@ def _large_grid_walk(g: FiniteGraph, s: int, t: int) -> Optional[Tuple[int, ...]
         for u2 in g.adj[t]:
             if u1 == u2:
                 continue
-            ham = _spanning_walk_exact_repeats(g, u1, u2, 0)
+            ham = _spanning_walk_exact_repeats(bits, u1, u2, 0)
             if ham is not None:
                 return (s,) + ham + (t,)
     return None
@@ -441,7 +497,8 @@ def cube3_hamiltonian_path(g: FiniteGraph, u: int, v: int) -> Tuple[int, ...]:
         raise ValueError("graph must be connected")
     tree = _bfs_tree(g, min(u, v))
     path = _ham3(tree, frozenset(range(g.n)), u, v)
-    assert sorted(path) == list(range(g.n))
+    if sorted(path) != list(range(g.n)):
+        raise VerificationError("cube3 path is not a permutation of the vertices")
     return tuple(path)
 
 
@@ -785,7 +842,8 @@ def _qh_abelian_box(model: AbelianModel, n_max: int, M: int) -> QhCertificate:
         box_coords = list(itertools.product(*[range(1, m + 1) for m in dims]))
         f_elements = [to_payload(c) for c in box_coords]
         f_set = set(f_elements)
-        assert set(ball.elements) <= f_set, "ball not contained in witness box"
+        if not set(ball.elements) <= f_set:
+            raise VerificationError("ball not contained in witness box")
         walks: Dict[str, Tuple[str, ...]] = {}
         max_excess = 0
         for coord in box_coords:
@@ -815,9 +873,12 @@ def _check_group_walk(model: GroupModel, payloads: Sequence[Payload], cover: Set
     gens = set(model.gens.elements)
     for a, b in zip(payloads, payloads[1:]):
         step = model.mul_payload(model.inv_payload(a), b)
-        assert step in gens, "walk step is not a generator"
-    assert cover <= set(payloads), "walk does not cover the witness set"
-    assert payloads[0] == model.identity_payload()
+        if step not in gens:
+            raise VerificationError("walk step is not a generator")
+    if not cover <= set(payloads):
+        raise VerificationError("walk does not cover the witness set")
+    if payloads[0] != model.identity_payload():
+        raise VerificationError("walk does not start at the identity")
 
 
 def _qh_ball_exact(model: GroupModel, n_max: int, M: int) -> QhCertificate:

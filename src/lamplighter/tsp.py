@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from .errors import BoundExceededError, ResourceCapError, VerificationError
 from .graphs import FiniteGraph, finite_cayley_graph
 from .groups import FreeModel, FreeProductModel, Payload
@@ -174,6 +172,10 @@ def _held_karp_python(k: int, D_start: Sequence[int], D: Sequence[Sequence[int]]
 
 
 def _held_karp_numpy(k: int, D_start, D):
+    # numpy is imported where it is used, so commands that never reach a
+    # k >= _NUMPY_THRESHOLD kernel do not load it
+    import numpy as np
+
     size = 1 << k
     Dm = np.array(D, dtype=np.int64)
     dp = np.full((size, k), _INF, dtype=np.int64)

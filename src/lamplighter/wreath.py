@@ -340,21 +340,30 @@ def depth(model: LamplighterModel, g: WreathState, k_max: int, backend: MetricBa
     _require_exact(backend)
     L = word_length(model, g, backend).value
     seen: Set[WreathState] = {g}
-    frontier: List[Tuple[WreathState, Tuple[str, ...]]] = [(g, ())]
+    # words are parent links (parent_link, label), flattened only on return
+    frontier: List[Tuple[WreathState, Optional[tuple]]] = [(g, None)]
     gen_list = model.generator_states()
     for n in range(1, k_max + 1):
-        nxt: List[Tuple[WreathState, Tuple[str, ...]]] = []
-        for state, word in frontier:
+        nxt: List[Tuple[WreathState, Optional[tuple]]] = []
+        for state, link in frontier:
             for label, gen_state in gen_list:
                 h = model.multiply(state, gen_state)
                 if h in seen:
                     continue
                 seen.add(h)
                 if word_length(model, h, backend).value > L:
-                    return DepthReport(g, L, n - 1, True, word + (label,))
-                nxt.append((h, word + (label,)))
+                    return DepthReport(g, L, n - 1, True, _unlink((link, label)))
+                nxt.append((h, (link, label)))
         frontier = nxt
     return DepthReport(g, L, k_max, False)
+
+
+def _unlink(link: Optional[tuple]) -> Tuple[str, ...]:
+    labels: List[str] = []
+    while link is not None:
+        link, label = link
+        labels.append(label)
+    return tuple(reversed(labels))
 
 
 def retreat_depth(

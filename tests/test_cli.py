@@ -35,6 +35,7 @@ def specs(tmp_path_factory):
     put("c4c.json", {"variant": "cyclic", "n": 4, "gens": [1], "letter": "c"})
     put("z.json", {"variant": "abelian", "rank": 1, "moduli": [], "gens": [[1]]})
     put("z12.json", {"variant": "abelian", "rank": 1, "moduli": [], "gens": [[1], [2]]})
+    put("z2.json", {"variant": "abelian", "rank": 2, "moduli": [], "gens": [[1, 0], [0, 1]]})
     put(
         "ll_line.json",
         {
@@ -166,6 +167,14 @@ class TestQh:
              "--strategy", "ball-exact", "--verify"]
         )
         assert rc == 0 and json.loads(out)["kind"] == "qh_certificate"
+
+    def test_walk_search_cap_exits_3(self, specs, monkeypatch):
+        # a spanning-walk search that gives up is a cap, not "no walk"
+        monkeypatch.setattr(cli.hamiltonian, "_SEARCH_NODE_CAP", 5)
+        rc, out, err = run(
+            ["qh", "--group", specs["z2.json"], "--nmax", "1", "--strategy", "abelian-box"]
+        )
+        assert rc == 3 and out == "" and "node cap 5" in err
 
     def test_refutation_table(self, specs):
         rc, out, _ = run(["qh", "--group", specs["z.json"], "--nmax", "4"])

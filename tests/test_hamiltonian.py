@@ -1,11 +1,30 @@
 """Hamiltonicity: deciders, the Hamiltonian difference, spanning walks,
 cubes of graphs, Nash-Williams bases, quasi-Hamiltonian certificates."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
 
 from lamplighter import graphs as Gr, groups as G, hamiltonian as H, tsp as T
+from lamplighter.errors import ResourceCapError, VerificationError
+
+
+def _random_connected(rng, n):
+    edges = [(i, rng.randrange(i)) for i in range(1, n)]
+    for _ in range(rng.randint(0, n)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v))
+    return Gr.from_edges(n, edges)
+
+
+def _is_spanning_walk(g, walk, s, t):
+    return (
+        walk[0] == s and walk[-1] == t
+        and set(walk) == set(range(g.n))
+        and all(b in g.adj[a] for a, b in zip(walk, walk[1:]))
+    )
 
 
 class TestHamiltonianPath:
@@ -34,6 +53,66 @@ class TestHamiltonianPath:
         if p is not None:
             assert sorted(p) == list(range(g.n))
             assert all(b in g.adj[a] for a, b in zip(p, p[1:]))
+
+    def test_search_cap_raises_instead_of_none(self, monkeypatch):
+        # 26 vertices: past the DP, so the backtracking search decides
+        g = Gr.cube_graph([2, 13])
+        assert H.hamiltonian_path(g, 0, 1) is not None
+        monkeypatch.setattr(H, "_SEARCH_NODE_CAP", 5)
+        with pytest.raises(ResourceCapError, match="node cap 5"):
+            H.hamiltonian_path(g, 0, 1)
+
+    def test_corrupt_ends_dp_fails_verification(self):
+        g = Gr.cycle_graph(5)
+        dp = H._ends_dp(g, 0)
+        assert H._dp_path(g, dp, 0, 1) == (0, 4, 3, 2, 1)
+        bad = dp.copy()
+        bad[((1 << g.n) - 1) ^ (1 << 1)] = 0
+        with pytest.raises(VerificationError, match="reconstruction failed"):
+            H._dp_path(g, bad, 0, 1)
+
+
+class TestSpanningSearch:
+    """The bitset search against independent oracles: the ends-DP for
+    Hamiltonian paths, the exact TSP for walks with repeats."""
+
+    def test_hamiltonian_matches_ends_dp(self):
+        rng = random.Random(314)
+        for _ in range(150):
+            g = _random_connected(rng, rng.randint(2, 14))
+            bits = H._graph_bits(g)
+            full = (1 << g.n) - 1
+            for s in range(g.n):
+                ends = int(H._ends_dp(g, s)[full])
+                for t in range(g.n):
+                    walk = H._spanning_walk_exact_repeats(bits, s, t, 0)
+                    assert (walk is not None) == bool(ends >> t & 1), (g.adj, s, t)
+                    if walk is not None:
+                        assert len(walk) == g.n and _is_spanning_walk(g, walk, s, t)
+
+    def test_repeat_budgets_match_exact_tsp(self):
+        rng = random.Random(2718)
+        for _ in range(60):
+            g = _random_connected(rng, rng.randint(2, 10))
+            bits = H._graph_bits(g)
+            for s in range(g.n):
+                lengths = T.solve_all_ends(g, s, set(range(g.n)))
+                for t in range(g.n):
+                    opt = lengths[t] + 1  # vertex slots of a shortest walk
+                    for budget in (1, 2):
+                        walk = H._spanning_walk_exact_repeats(bits, s, t, budget)
+                        if opt > g.n + budget:
+                            assert walk is None
+                        elif opt == g.n + budget:
+                            assert walk is not None
+                        if walk is not None:
+                            assert opt <= len(walk) <= g.n + budget
+                            assert _is_spanning_walk(g, walk, s, t)
+                    best = H.spanning_walk_min_repeats(g, s, t, 2)
+                    if opt > g.n + 2:
+                        assert best is None
+                    else:
+                        assert len(best) == opt and _is_spanning_walk(g, best, s, t)
 
 
 class TestAnalyze:
@@ -111,6 +190,28 @@ class TestGridSpanning:
             assert {(i, j) for i in range(1, m1 + 1) for j in range(1, m2 + 1)} == set(w)
             for a, b in zip(w, w[1:]):
                 assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
+
+
+    def test_walks_frozen(self):
+        # determinism contract: every endpoint pair of the grids 2..5 x 2..5
+        # and 5x6 and of Cube(3,3,3), row-major endpoint order, one walk per
+        # line as "i,j i,j ...".  A change of search order or pruning that
+        # picks a different walk changes this digest.
+        digest = hashlib.sha256()
+        shapes = [(a, b) for a in range(2, 6) for b in range(2, 6)]
+        for dims in shapes + [(5, 6), (3, 3, 3)]:
+            points = list(itertools.product(*[range(1, m + 1) for m in dims]))
+            for s in points:
+                for t in points:
+                    if len(dims) == 2:
+                        walk = H.grid_spanning_path(dims[0], dims[1], s, t)
+                    else:
+                        walk = H.cube_spanning_path(dims, s, t)
+                    line = " ".join(",".join(map(str, p)) for p in walk) + "\n"
+                    digest.update(line.encode())
+        assert digest.hexdigest() == (
+            "b8e1be342cfc6eb4bec9b9ee4394d1885941bf2a81280eef41ef4cffdf08faf1"
+        )
 
 
 class TestCubeSpanning:

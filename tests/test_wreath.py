@@ -180,6 +180,14 @@ class TestDeadEnds:
             depths.append(rep.depth)
         assert depths == [2, 4]
 
+    def test_ct_witness_words(self, ll_tree):
+        # the first word (BFS order) whose product leaves the sphere
+        be = W.auto_backend(ll_tree)
+        rep = W.depth(ll_tree, W.cleary_taback_witness(ll_tree, 1), 5, be)
+        assert rep.witness == ("B:t", "B:t", "A:a")
+        rep = W.depth(ll_tree, W.cleary_taback_witness(ll_tree, 2), 7, be)
+        assert rep.witness == ("B:t", "B:t", "B:t", "A:a", "B:t")
+
     def test_depth_monotone_in_kmax(self, ll_tree):
         be = W.auto_backend(ll_tree)
         w = W.cleary_taback_witness(ll_tree, 2)
