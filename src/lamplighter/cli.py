@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--out", help="write output to this path instead of stdout")
-        sp.add_argument("--seed", type=int, default=0, help="seed for sampled scans")
         sp.add_argument("--verify", action="store_true", help="re-check emitted claims")
 
     sp = sub.add_parser("wordlen", help="word length of a lamplighter element")

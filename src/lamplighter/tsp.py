@@ -8,11 +8,17 @@ so the solver works in the shortest-path metric closure of the required set
 
 Since every required vertex is serviced exactly once, the service weights add
 a constant to every feasible walk; they never change which walk is optimal.
+
+Every exact TS value except the tree closed form comes from one pure-Python
+Held-Karp kernel, reached through one setup that enforces MAX_REQUIRED:
+solve_exact, solve_all_ends and the finite factor TSPs of the free-product
+recursion all go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import BoundExceededError, ResourceCapError, VerificationError
@@ -20,7 +26,6 @@ from .graphs import FiniteGraph, finite_cayley_graph
 from .groups import FreeModel, FreeProductModel, Payload
 
 MAX_REQUIRED = 22
-_NUMPY_THRESHOLD = 11
 _INF = 1 << 40
 
 
@@ -53,13 +58,18 @@ class TspSolution:
 
 def validate_solution(inst: TspInstance, sol: TspSolution) -> None:
     walk = sol.walk
-    assert walk[0] == inst.start and walk[-1] == inst.end
+    if walk[0] != inst.start or walk[-1] != inst.end:
+        raise VerificationError(f"walk runs {walk[0]} -> {walk[-1]}, not {inst.start} -> {inst.end}")
     for u, v in zip(walk, walk[1:]):
-        assert v in inst.graph.adj[u], f"non-edge {u}-{v} in walk"
-    assert inst.required <= set(walk), "walk misses required vertices"
-    assert sol.length == len(walk) - 1 + sum(
-        inst.service_weight.get(r, 0) for r in inst.required
-    )
+        if v not in inst.graph.adj[u]:
+            raise VerificationError(f"non-edge {u}-{v} in walk")
+    if not inst.required <= set(walk):
+        raise VerificationError("walk misses required vertices")
+    bonus = sum(inst.service_weight.get(r, 0) for r in inst.required)
+    if sol.length != len(walk) - 1 + bonus:
+        raise VerificationError(
+            f"walk has {len(walk) - 1} edges and service {bonus} but length {sol.length}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -71,38 +81,17 @@ def solve_exact(inst: TspInstance) -> TspSolution:
     g = inst.graph
     if not g.is_connected():
         raise ValueError("solve_exact requires a connected graph")
-    reqs = sorted(inst.required)
-    if len(reqs) > MAX_REQUIRED:
-        raise ResourceCapError(
-            f"required set of size {len(reqs)} exceeds cap {MAX_REQUIRED}"
-        )
     bonus = sum(inst.service_weight.get(r, 0) for r in inst.required)
-    interesting = reqs + [inst.start]
-    dist = {v: g.distances_from(v) for v in set(interesting)}
-
-    others = [r for r in reqs if r != inst.start]
+    others, dist, dp = _held_karp_closure(g, inst.start, inst.required)
     if not others:
         walk = _lex_shortest_path(g, inst.start, inst.end, dist.get(inst.end))
         return TspSolution(len(walk) - 1 + bonus, tuple(walk))
 
+    # others is sorted, so the smallest index breaks ties by smallest vertex
     k = len(others)
-    D_start = [dist[inst.start][r] for r in others]
-    D = [[dist[others[i]][others[j]] for j in range(k)] for i in range(k)]
-    D_end = [dist[r][inst.end] for r in others]
-
-    if k >= _NUMPY_THRESHOLD:
-        dp = _held_karp_numpy(k, D_start, D)
-    else:
-        dp = _held_karp_python(k, D_start, D)
-
-    full = (1 << k) - 1
-    best = None
-    for i in range(k):
-        total = dp[full][i] + D_end[i]
-        if best is None or (total, others[i]) < (best[0], others[best[1]]):
-            best = (total, i)
-    total, last = int(best[0]), best[1]
-    order = _reconstruct_order(dp, D_start, D, k, last, others)
+    full = ((1 << k) - 1) * k
+    total, last = min((dp[full + i] + dist[others[i]][inst.end], i) for i in range(k))
+    order = _reconstruct_order(dp, dist, inst.start, others, last)
     stations = [inst.start] + [others[i] for i in order] + [inst.end]
     walk: List[int] = [inst.start]
     for a, b in zip(stations, stations[1:]):
@@ -122,96 +111,75 @@ def solve_all_ends(
     """TS(start -> v; required) for every vertex v, in one DP sweep."""
     weights = service_weight or {}
     bonus = sum(weights.get(r, 0) for r in required)
+    others, dist, dp = _held_karp_closure(graph, start, required)
+    if not others:
+        return [dist[start][v] + bonus for v in range(graph.n)]
+    k = len(others)
+    full = ((1 << k) - 1) * k
+    last = [(dp[full + i], dist[r]) for i, r in enumerate(others)]
+    return [min(d + to[v] for d, to in last) + bonus for v in range(graph.n)]
+
+
+def _held_karp_closure(graph: FiniteGraph, start: int, required):
+    """(others, dist, dp): the required vertices other than start (sorted),
+    BFS distances from each of them and from start, and the Held-Karp table
+    over the metric closure of others (None when others is empty)."""
     reqs = sorted(required)
     if len(reqs) > MAX_REQUIRED:
         raise ResourceCapError(
             f"required set of size {len(reqs)} exceeds cap {MAX_REQUIRED}"
         )
     others = [r for r in reqs if r != start]
-    dist = {v: graph.distances_from(v) for v in set(others + [start])}
+    dist = {v: graph.distances_from(v) for v in set(others) | {start}}
     if not others:
-        return [dist[start][v] + bonus for v in range(graph.n)]
-    k = len(others)
+        return others, dist, None
     D_start = [dist[start][r] for r in others]
-    D = [[dist[others[i]][others[j]] for j in range(k)] for i in range(k)]
-    if k >= _NUMPY_THRESHOLD:
-        dp = _held_karp_numpy(k, D_start, D)
-    else:
-        dp = _held_karp_python(k, D_start, D)
-    full = (1 << k) - 1
-    out = []
-    for v in range(graph.n):
-        out.append(int(min(dp[full][i] + dist[others[i]][v] for i in range(k))) + bonus)
-    return out
+    D = [[dist[a][b] for b in others] for a in others]
+    return others, dist, _held_karp(len(others), D_start, D)
 
 
-def _held_karp_python(k: int, D_start: Sequence[int], D: Sequence[Sequence[int]]):
-    size = 1 << k
-    dp = [[_INF] * k for _ in range(size)]
-    for i in range(k):
-        dp[1 << i][i] = D_start[i]
-    for mask in range(size):
-        row = dp[mask]
-        for i in range(k):
-            base = row[i]
-            if base >= _INF:
-                continue
-            Di = D[i]
-            rest = ~mask & (size - 1)
-            j = 0
-            m = rest
-            while m:
-                if m & 1:
-                    nm = mask | (1 << j)
-                    cand = base + Di[j]
-                    if cand < dp[nm][j]:
-                        dp[nm][j] = cand
-                j += 1
-                m >>= 1
+def _held_karp(k: int, D_start: Sequence[int], D: Sequence[Sequence[int]]) -> List[int]:
+    """Flat table dp[mask * k + j]: the shortest walk from start through the
+    stations of mask that ends at station j, for j in mask (_INF otherwise).
+
+    Each entry is written once, as min over i of dp[mask ^ bit j, i] + D[i][j].
+    Rows are taken in increasing order, and a finished row is copied once to
+    fill the entries it precedes.  It is _INF off its members, so the minimum
+    runs over the whole row and a column of D without selecting members.
+    """
+    dp = [_INF] * (k << k)
+    for j in range(k):
+        dp[(k << j) + j] = D_start[j]
+    # (bit of j, offset from row mask to entry (mask | bit, j), column j of D)
+    steps = [(1 << j, (k << j) + j, col) for j, col in enumerate(map(list, zip(*D)))]
+    for mask in range(1, (1 << k) - 1):
+        base = mask * k
+        row = dp[base:base + k]
+        for bit, off, col in steps:
+            if not mask & bit:
+                dp[base + off] = min(map(add, row, col))
     return dp
 
 
-def _held_karp_numpy(k: int, D_start, D):
-    # numpy is imported where it is used, so commands that never reach a
-    # k >= _NUMPY_THRESHOLD kernel do not load it
-    import numpy as np
-
-    size = 1 << k
-    Dm = np.array(D, dtype=np.int64)
-    dp = np.full((size, k), _INF, dtype=np.int64)
-    for i in range(k):
-        dp[1 << i][i] = D_start[i]
-    bits = [1 << j for j in range(k)]
-    for mask in range(size):
-        row = dp[mask]
-        if row.min() >= _INF:
-            continue
-        cand = (row[:, None] + Dm).min(axis=0)
-        for j in range(k):
-            if not mask & bits[j]:
-                nm = mask | bits[j]
-                if cand[j] < dp[nm][j]:
-                    dp[nm][j] = cand[j]
-    return dp
-
-
-def _reconstruct_order(dp, D_start, D, k, last, others) -> List[int]:
+def _reconstruct_order(dp, dist, start, others, last) -> List[int]:
     """Backwards predecessor walk; ties resolved by smallest station vertex."""
-    full = (1 << k) - 1
+    k = len(others)
     order = [last]
-    mask, i = full, last
+    mask, i = (1 << k) - 1, last
     while mask != (1 << i):
         pm = mask ^ (1 << i)
-        best_j = None
-        for j in range(k):
-            if pm & (1 << j) and dp[pm][j] + D[j][i] == dp[mask][i]:
-                if best_j is None or others[j] < others[best_j]:
-                    best_j = j
-        if best_j is None:  # numerical impossibility guard
-            raise AssertionError("DP reconstruction failed")
-        mask, i = pm, best_j
+        want, v = dp[mask * k + i], others[i]
+        # others is sorted, so the first match is the smallest station
+        j = next(
+            (j for j in range(k) if pm >> j & 1 and dp[pm * k + j] + dist[others[j]][v] == want),
+            None,
+        )
+        if j is None:
+            raise VerificationError(f"Held-Karp table has no predecessor for station {others[i]}")
+        mask, i = pm, j
         order.append(i)
-    assert dp[mask][i] == D_start[i]
+    if dp[mask * k + i] != dist[start][others[i]]:
+        raise VerificationError(f"Held-Karp table does not start at {start}")
     order.reverse()
     return order
 
@@ -335,84 +303,13 @@ def ts_tree_walk(u: Payload, v: Payload, H: Sequence[Payload], model: FreeModel)
 
     visit(())
     expected = 2 * len(hull - {rel_v[:i] for i in range(1, len(rel_v) + 1)}) + len(rel_v)
-    assert len(out) - 1 == expected, "tree tour length mismatch"
+    if len(out) - 1 != expected:
+        raise VerificationError(f"tree tour has {len(out) - 1} edges, formula gives {expected}")
     return len(out) - 1, [model.mul_payload(u, p) for p in out]
 
 
 # ---------------------------------------------------------------------------
-# free products: petals and the exact recursion
-
-
-@dataclass(frozen=True)
-class Petal:
-    attachment: Payload
-    support: Tuple[Payload, ...]
-
-
-@dataclass(frozen=True)
-class PetalDecomposition:
-    factor: int
-    copy_elements: Tuple[Payload, ...]
-    petals: Tuple[Petal, ...]
-
-
-def petal_decomposition(
-    model: FreeProductModel,
-    copy_anchor: Payload,
-    support: Sequence[Payload],
-    factor: int = 0,
-) -> PetalDecomposition:
-    """Partition induced by the `factor` copy containing copy_anchor.
-
-    Petal P_i carries the attachment vertex v_i and the support elements lying
-    in P_i (v_i itself included when in the support).  P_0 contains the
-    identity side; for cyclic factors the rest follow the cyclic order.
-    """
-    anchor = model.normalize_payload(copy_anchor)
-    table = model.factors[factor].table
-    base = anchor[:-1] if anchor and anchor[-1][0] == factor else anchor
-    coset = [
-        model.mul_payload(base, ((factor, x),)) if x != table.identity else base
-        for x in range(table.order)
-    ]
-    v0 = min(coset, key=lambda p: (model.length_payload(p), p))
-    ordered = _order_copy(model, factor, base, coset, v0)
-    support = [model.normalize_payload(s) for s in support]
-    buckets: Dict[Payload, List[Payload]] = {v: [] for v in ordered}
-    for s in support:
-        buckets[_petal_of(model, factor, coset, s)].append(s)
-    petals = tuple(
-        Petal(v, tuple(sorted(buckets[v]))) for v in ordered
-    )
-    return PetalDecomposition(factor, tuple(ordered), petals)
-
-
-def _order_copy(model, factor, base, coset, v0) -> List[Payload]:
-    graph_is_cycle = finite_factor_graph(model, factor).is_cycle_graph()
-    if graph_is_cycle:
-        s = model.factors[factor].gens.elements[0]
-        ordered = [v0]
-        cur = v0
-        for _ in range(len(coset) - 1):
-            cur = model.mul_payload(cur, ((factor, s),))
-            ordered.append(cur)
-        return ordered
-    rest = sorted((p for p in coset if p != v0), key=lambda p: (model.length_payload(p), p))
-    return [v0] + rest
-
-
-def _petal_of(model: FreeProductModel, factor: int, coset: Sequence[Payload], y: Payload) -> Payload:
-    other = 1 - factor
-    for v in coset:
-        if y == v:
-            return v
-        rel = model.mul_payload(model.inv_payload(v), y)
-        if rel and rel[0][0] == other:
-            return v
-    raise AssertionError("support element not routed to any petal")
-
-
-# -- exact TS via recursion over the tree of factor copies -----------------
+# free products: the exact recursion over the tree of factor copies
 
 
 def finite_factor_graph(model: FreeProductModel, factor: int) -> FiniteGraph:
@@ -431,39 +328,19 @@ def _model_caches(model) -> dict:
     return caches
 
 
-def _factor_dist_matrix(model: FreeProductModel, factor: int) -> List[List[int]]:
-    caches = _model_caches(model)
-    key = ("factor_dist", factor)
-    if key not in caches:
-        caches[key] = finite_factor_graph(model, factor).all_distances()
-    return caches[key]
-
-
 def _factor_ts_edges(
     model: FreeProductModel, factor: int, end: int, stations: FrozenSet[int]
 ) -> int:
     """Edge-minimal walk on the finite factor Cayley graph from the identity
-    to `end` visiting `stations`; memoized per model."""
+    to `end` visiting `stations`; one solve_all_ends row per stations set,
+    memoized per model."""
     caches = _model_caches(model)
-    key = ("factor_ts", factor, end, stations)
-    hit = caches.get(key)
-    if hit is not None:
-        return hit
-    graph = finite_factor_graph(model, factor)
-    dist = _factor_dist_matrix(model, factor)
-    e = model.factors[factor].table.identity
-    others = sorted(s for s in stations if s != e)
-    if not others:
-        val = dist[e][end]
-    else:
-        k = len(others)
-        D_start = [dist[e][r] for r in others]
-        D = [[dist[others[i]][others[j]] for j in range(k)] for i in range(k)]
-        dp = _held_karp_python(k, D_start, D)
-        full = (1 << k) - 1
-        val = min(dp[full][i] + dist[others[i]][end] for i in range(k))
-    caches[key] = val
-    return val
+    key = ("factor_ts", factor, stations)
+    row = caches.get(key)
+    if row is None:
+        e = model.factors[factor].table.identity
+        row = caches[key] = solve_all_ends(finite_factor_graph(model, factor), e, stations)
+    return row[end]
 
 
 def ts_free_product(
@@ -537,11 +414,16 @@ def _attach(model: FreeProductModel, factor: int, station: int, sub: List[Payloa
     return [model.mul_payload(((factor, station),), p) for p in sub]
 
 
-def _walk_fp(model: FreeProductModel, factor: int, end: Payload, required: FrozenSet[Payload]):
-    table = model.factors[factor].table
-    ident = table.identity
-    if not required and not end:
-        return 0, [()]
+def _split(model: FreeProductModel, factor: int, end: Payload, required: FrozenSet[Payload]):
+    """Route `required` and `end` through the `factor` copy at the identity.
+
+    Returns (ident, in_copy, beyond, end_idx, dive): the required elements of
+    the copy, the rest of each required element that lies beyond the copy
+    grouped by the copy element it leaves from, the copy element where the
+    walk leaves for `end`, and the rest of `end` beyond it (None when `end`
+    lies in the copy).
+    """
+    ident = model.factors[factor].table.identity
     in_copy: Set[int] = set()
     beyond: Dict[int, Set[Payload]] = {}
     for r in required:
@@ -554,51 +436,48 @@ def _walk_fp(model: FreeProductModel, factor: int, end: Payload, required: Froze
         else:
             beyond.setdefault(ident, set()).add(r)
     if not end:
-        end_idx, dive = ident, None
-    elif len(end) == 1 and end[0][0] == factor:
-        end_idx, dive = end[0][1], None
-    elif end[0][0] == factor:
-        end_idx, dive = end[0][1], end[1:]
-    else:
-        end_idx, dive = ident, end
+        return ident, in_copy, beyond, ident, None
+    if len(end) == 1 and end[0][0] == factor:
+        return ident, in_copy, beyond, end[0][1], None
+    if end[0][0] == factor:
+        return ident, in_copy, beyond, end[0][1], end[1:]
+    return ident, in_copy, beyond, ident, end
 
+
+def _walk_fp(model: FreeProductModel, factor: int, end: Payload, required: FrozenSet[Payload]):
+    if not required and not end:
+        return 0, [()]
+    ident, stations, beyond, end_idx, dive = _split(model, factor, end, required)
     other = 1 - factor
-    excursions: Dict[int, Tuple[int, List[Payload]]] = {}
-    stations: Set[int] = set(in_copy)
+    excursions: Dict[int, List[Payload]] = {}
     total = 0
     for s, sub in beyond.items():
         if s == end_idx and dive is not None:
             continue
         c, w = _walk_fp(model, other, (), frozenset(sub))
-        excursions[s] = (c, _attach(model, factor, s, w))
+        excursions[s] = _attach(model, factor, s, w)
         stations.add(s)
         total += c
     dive_walk: List[Payload] = []
     if dive is not None:
-        sub = frozenset(beyond.get(end_idx, set()))
-        c, w = _walk_fp(model, other, dive, sub)
+        c, w = _walk_fp(model, other, dive, frozenset(beyond.get(end_idx, ())))
         dive_walk = _attach(model, factor, end_idx, w)
         stations.add(end_idx)
         total += c
 
     graph = finite_factor_graph(model, factor)
-    inst = TspInstance(graph, ident, end_idx, frozenset(stations))
-    sol = solve_exact(inst)
+    sol = solve_exact(TspInstance(graph, ident, end_idx, frozenset(stations)))
     walk: List[Payload] = []
-    done: Set[int] = set()
     for v in sol.walk:
-        vp: Payload = ((factor, v),) if v != ident else ()
-        if v in excursions and v not in done:
-            done.add(v)
-            walk.extend(excursions[v][1])  # starts and ends at vp
+        if v in excursions:
+            walk.extend(excursions.pop(v))  # starts and ends at v
         else:
-            walk.append(vp)
+            walk.append(((factor, v),) if v != ident else ())
     if dive_walk:
         if walk[-1] != dive_walk[0]:
             raise VerificationError("dive must start at the end station")
         walk.extend(dive_walk[1:])
-    cost = sol.length + total
-    return cost, walk
+    return sol.length + total, walk
 
 
 def _ts_fp(model: FreeProductModel, factor: int, end: Payload, required: FrozenSet[Payload], memo) -> int:
@@ -613,40 +492,15 @@ def _ts_fp(model: FreeProductModel, factor: int, end: Payload, required: FrozenS
 
 def _ts_fp_copy(model: FreeProductModel, factor: int, end: Payload, required: FrozenSet[Payload], memo) -> int:
     """TS from the identity of this `factor` copy; petals recurse via _ts_fp."""
-    table = model.factors[factor].table
-    ident = table.identity
-    in_copy: Set[int] = set()
-    beyond: Dict[int, Set[Payload]] = {}
-    for r in required:
-        if not r:
-            in_copy.add(ident)
-        elif len(r) == 1 and r[0][0] == factor:
-            in_copy.add(r[0][1])
-        elif r[0][0] == factor:
-            beyond.setdefault(r[0][1], set()).add(r[1:])
-        else:
-            beyond.setdefault(ident, set()).add(r)
-
-    if not end:
-        end_idx, dive = ident, None
-    elif len(end) == 1 and end[0][0] == factor:
-        end_idx, dive = end[0][1], None
-    elif end[0][0] == factor:
-        end_idx, dive = end[0][1], end[1:]
-    else:
-        end_idx, dive = ident, end
-
+    _ident, stations, beyond, end_idx, dive = _split(model, factor, end, required)
     other = 1 - factor
-    total_weights = 0
-    stations: Set[int] = set(in_copy)
+    total = 0
     for s, sub in beyond.items():
         if s == end_idx and dive is not None:
             continue
-        total_weights += _ts_fp(model, other, (), frozenset(sub), memo)
+        total += _ts_fp(model, other, (), frozenset(sub), memo)
         stations.add(s)
     if dive is not None:
-        sub = frozenset(beyond.get(end_idx, set()))
-        total_weights += _ts_fp(model, other, dive, sub, memo)
+        total += _ts_fp(model, other, dive, frozenset(beyond.get(end_idx, ())), memo)
         stations.add(end_idx)
-
-    return _factor_ts_edges(model, factor, end_idx, frozenset(stations)) + total_weights
+    return _factor_ts_edges(model, factor, end_idx, frozenset(stations)) + total

@@ -54,7 +54,16 @@ def specs(tmp_path_factory):
             },
         },
     )
+    put(
+        "ll_z16.json",
+        {
+            "lamps": {"variant": "cyclic", "n": 2, "gens": [1], "letter": "a"},
+            "base": {"variant": "cyclic", "n": 16, "gens": [1]},
+        },
+    )
     put("elem.json", {"lamps": [[[-1], 1], [[1], 1]], "position": [0]})
+    put("elem_z16_two.json", {"lamps": [[2, 1], [4, 1]], "position": 0})
+    put("elem_z16_14.json", {"lamps": [[v, 1] for v in range(1, 15)], "position": 3})
     put("elem_id.json", {"lamps": [], "position": [0]})
     return files
 
@@ -235,16 +244,61 @@ print(sys.flags.optimize, rc_ok, cli.main(argv))
 """
 
 
+# Runs wordlen on a finite base twice in one process: as shipped, then with
+# every shortest-path leg of the TS walk skipping its second vertex.  Prints
+# the optimisation level and both exit codes.
+SKIPPED_VERTEX_SCRIPT = """
+import os, sys
+from lamplighter import cli, tsp
+argv = ["wordlen", "--group", sys.argv[1], "--element", sys.argv[2],
+        "--backend", "finite", "--out", os.devnull]
+rc_ok = cli.main(argv)
+lex = tsp._lex_shortest_path
+def skipping(g, a, b, dist_b):
+    path = lex(g, a, b, dist_b)
+    return path[:1] + path[2:] if len(path) > 2 else path
+tsp._lex_shortest_path = skipping
+print(sys.flags.optimize, rc_ok, cli.main(argv))
+"""
+
+# Prints whether numpy is loaded after each command.
+NO_NUMPY_SCRIPT = """
+import os, sys
+from lamplighter import cli
+print(cli.main(["hamdiff", "--cyclic-range", "16:16", "--out", os.devnull]), "numpy" in sys.modules)
+print(cli.main(["wordlen", "--group", sys.argv[1], "--element", sys.argv[2],
+                "--backend", "finite", "--verify", "--out", os.devnull]), "numpy" in sys.modules)
+"""
+
+
+def _run_script(script, *args, optimize=False):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestNumpyFree:
+    def test_tsp_commands_do_not_load_numpy(self, specs):
+        proc = _run_script(NO_NUMPY_SCRIPT, specs["ll_z16.json"], specs["elem_z16_14.json"])
+        assert proc.stdout.split() == ["0", "False", "0", "False"], proc.stderr
+
+
 class TestVerificationUnderOptimize:
     def test_formula_check_survives_python_O(self, specs):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", OFF_BY_ONE_SCRIPT, specs["ll_line.json"]],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _run_script(OFF_BY_ONE_SCRIPT, specs["ll_line.json"], optimize=True)
         assert proc.stdout.split() == ["1", "0", "4"], proc.stderr
         assert "verification failure: formula gives" in proc.stderr
+
+    def test_tsp_walk_check_survives_python_O(self, specs):
+        proc = _run_script(
+            SKIPPED_VERTEX_SCRIPT, specs["ll_z16.json"], specs["elem_z16_two.json"], optimize=True
+        )
+        assert proc.stdout.split() == ["1", "0", "4"], proc.stderr
+        assert "verification failure: non-edge" in proc.stderr
 
     def test_internal_error_exit_code(self, specs, monkeypatch):
         def broken(*_args, **_kwargs):

@@ -1,5 +1,6 @@
 """Exact TSP solvers: Held-Karp, oracle, tree closed form, petal recursion."""
 
+import hashlib
 import random
 
 import pytest
@@ -49,19 +50,49 @@ class TestSolveExact:
         b = T.solve_exact(inst(octagon, 0, 4, range(8)))
         assert a == b
 
-    def test_numpy_path_agrees_with_python(self):
-        g = Gr.cube_graph([4, 4])
-        req = set(range(12))
-        lo = T._held_karp_python
-        hi = T._held_karp_numpy
-        others = sorted(req - {0})
-        dist = {v: g.distances_from(v) for v in set(others) | {0}}
-        k = len(others)
-        Ds = [dist[0][r] for r in others]
-        D = [[dist[others[i]][others[j]] for j in range(k)] for i in range(k)]
-        a, b = lo(k, Ds, D), hi(k, Ds, D)
-        full = (1 << k) - 1
-        assert [a[full][i] for i in range(k)] == [int(b[full][i]) for i in range(k)]
+    def test_all_ends_matches_solve_exact(self):
+        # required sets of 1-14 vertices, on both sides of k = 11
+        rng = random.Random(20261018)
+        for trial in range(40):
+            size = 1 + trial % 14
+            n = rng.randint(max(2, size), size + 2)
+            edges = {(i, rng.randrange(i)) for i in range(1, n)}
+            for _ in range(rng.randint(0, n)):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v:
+                    edges.add((max(u, v), min(u, v)))
+            g = Gr.from_edges(n, list(edges))
+            s = rng.randrange(n)
+            req = set(rng.sample(range(n), size))
+            ends = T.solve_all_ends(g, s, req)
+            assert ends == [T.solve_exact(inst(g, s, v, req)).length for v in range(n)]
+
+    def test_all_ends_frozen(self):
+        # per-end values of the former NumPy kernel (k = 12 and k = 15)
+        grid = Gr.cube_graph([4, 4])
+        assert T.solve_all_ends(grid, 0, set(range(13))) == [
+            14, 13, 14, 13, 13, 14, 13, 14, 14, 13, 14, 13, 13, 14, 15, 14
+        ]
+        z16 = Gr.finite_cayley_graph(G.make_cyclic(16, [1]))
+        assert T.solve_all_ends(z16, 0, set(range(16))) == [
+            16, 15, 16, 17, 18, 19, 20, 21, 22, 21, 20, 19, 18, 17, 16, 15
+        ]
+
+
+    def test_walks_frozen(self):
+        # sha256 of these walks under the two-kernel solver this one
+        # replaced: the determinism contract covers walks, not only lengths
+        digest = hashlib.sha256()
+        rng = random.Random(5)
+        for dims in ([4, 4], [3, 5], [2, 2, 3]):
+            g = Gr.cube_graph(dims)
+            for _ in range(6):
+                req = rng.sample(range(g.n), rng.randint(2, 9))
+                s, t = rng.randrange(g.n), rng.randrange(g.n)
+                digest.update(repr(T.solve_exact(inst(g, s, t, req)).walk).encode())
+        assert digest.hexdigest() == (
+            "5b8e5fd6bfae7748ea847a623e312603d4a33872d2a5fde17ff8b7aaf7420608"
+        )
 
 
 class TestOracle:
@@ -178,30 +209,6 @@ class TestTreeFormula:
         assert cost == val and walk[0] == () and walk[-1] == (1,)
         for h in H:
             assert f2.normalize_payload(h) in walk
-
-
-class TestPetals:
-    def test_support_in_octagon(self, fp82):
-        dec = T.petal_decomposition(fp82, (), [((0, 2),), ()])
-        for petal in dec.petals:
-            assert all(s == petal.attachment for s in petal.support)
-
-    def test_prefix_routing(self, fp82):
-        dec = T.petal_decomposition(fp82, (), [((0, 1), (1, 1), (0, 2))])
-        hit = [p for p in dec.petals if p.support]
-        assert len(hit) == 1 and hit[0].attachment == ((0, 1),)
-
-    def test_eight_petals_cyclic_order(self, fp82):
-        dec = T.petal_decomposition(fp82, (), [])
-        assert len(dec.petals) == 8
-        assert dec.petals[0].attachment == ()
-        assert dec.petals[4].attachment == ((0, 4),)  # furthermost vertex
-
-    def test_far_copy_anchor(self, fp82):
-        anchor = ((1, 1), (0, 3))  # c b3: in the octagon c.H
-        dec = T.petal_decomposition(fp82, anchor, [()])
-        assert dec.petals[0].attachment == ((1, 1),)
-        assert dec.petals[0].support == ((),)
 
 
 class TestFreeProductTs:
