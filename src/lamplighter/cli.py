@@ -92,10 +92,9 @@ def cmd_wordlen(args) -> int:
     element_spec = _load_json(args.element)
     g = _element_from_spec(model, element_spec)
     backend = wreath.backend_by_name(model, args.backend)
-    wl = wreath.word_length(model, g, backend)
+    wl, walk = wreath.word_length_and_walk(model, g, backend)
     lamps, pos = g
     support = sorted(k for k, _ in lamps)
-    walk = wreath.ts_walk(model, pos, support, backend)
     lines = []
     if wl.exact:
         lines.append(f"{wl.value} exact")
@@ -105,6 +104,11 @@ def cmd_wordlen(args) -> int:
     lines.append(f"ts-walk: {names}")
     if args.verify:
         _verify_base_walk(model.base, walk, set(support), pos)
+        cost = wreath.lamp_cost(model, g)
+        if wl.value != cost + len(walk) - 1:
+            raise VerificationError(
+                f"value {wl.value} is not lamp cost {cost} plus {len(walk) - 1} walk edges"
+            )
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -3,7 +3,7 @@ product graphs, and grid/cube graphs.
 
 Graphs are immutable adjacency lists with optional vertex labels.  All
 constructors return connected, loop-free, symmetric graphs; `validate`
-asserts that on any instance.
+checks that on any instance and raises VerificationError otherwise.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ResourceCapError
+from .errors import ResourceCapError, VerificationError
 from .groups import GroupModel, Payload
 
 DEFAULT_BALL_CAP = 200_000
@@ -36,12 +36,16 @@ class FiniteGraph:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(self.n)))
 
     def validate(self) -> None:
-        assert len(self.adj) == self.n
+        if len(self.adj) != self.n:
+            raise VerificationError(f"{len(self.adj)} adjacency rows for {self.n} vertices")
         for u, nbrs in enumerate(self.adj):
-            assert list(nbrs) == sorted(set(nbrs)), "unsorted or duplicate neighbors"
-            assert u not in nbrs, "self-loop"
+            if list(nbrs) != sorted(set(nbrs)):
+                raise VerificationError("unsorted or duplicate neighbors")
+            if u in nbrs:
+                raise VerificationError("self-loop")
             for v in nbrs:
-                assert 0 <= v < self.n and u in self.adj[v], "asymmetric adjacency"
+                if not (0 <= v < self.n and u in self.adj[v]):
+                    raise VerificationError("asymmetric adjacency")
 
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adj) // 2

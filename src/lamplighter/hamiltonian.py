@@ -10,6 +10,7 @@ meet (hamiltonian_difference, qh certificates).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -407,7 +408,9 @@ def _large_grid_walk(g: FiniteGraph, s: int, t: int) -> Optional[Tuple[int, ...]
     return None
 
 
+@functools.lru_cache(maxsize=None)
 def _grid_graph(m1: int, m2: int) -> FiniteGraph:
+    """Cube(m1, m2), built once per shape (FiniteGraph is immutable)."""
     from .graphs import cube_graph
 
     return cube_graph([m1, m2])

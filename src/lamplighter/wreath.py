@@ -9,6 +9,7 @@ A wreath state is (lamps, position): lamps is a sorted tuple of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -64,7 +65,8 @@ class LamplighterModel:
     def __init__(self, lamps: GroupModel, base: GroupModel):
         self.lamps = lamps
         self.base = base
-        self._lamp_len: Dict[Payload, int] = {}
+        self._lamp_len = functools.lru_cache(maxsize=None)(lamps.length_payload)
+        self._base_str = functools.lru_cache(maxsize=None)(base.payload_str)
         # pure memo keyed by (backend strategy, slack, position, support);
         # the petal backend does not use it (see word_length)
         self._ts_cache: Dict[tuple, int] = {}
@@ -86,10 +88,10 @@ class LamplighterModel:
 
     def state_str(self, g: WreathState) -> str:
         lamps, pos = g
-        body = "+".join(
-            f"{self.lamps.payload_str(v)}@{self.base.payload_str(k)}" for k, v in lamps
-        )
-        return f"{body or '-'};{self.base.payload_str(pos)}"
+        names = self._base_str
+        lamp_str = self.lamps.payload_str
+        body = "+".join(f"{lamp_str(v)}@{names(k)}" for k, v in lamps)
+        return f"{body or '-'};{names(pos)}"
 
     # -- group law ----------------------------------------------------------
     def multiply(self, g: WreathState, h: WreathState) -> WreathState:
@@ -165,13 +167,7 @@ class WordLength:
 def word_length(model: LamplighterModel, g: WreathState, backend: MetricBackend) -> WordLength:
     """Lamp cost plus TS(e_B -> position; supp f) under the chosen backend."""
     lamps, pos = g
-    cost = 0
-    for _k, v in lamps:
-        c = model._lamp_len.get(v)
-        if c is None:
-            c = model.lamps.length_payload(v)
-            model._lamp_len[v] = c
-        cost += c
+    cost = lamp_cost(model, g)
     support = frozenset(k for k, _v in lamps)
     if backend.strategy == "petal":
         # states hold normal-form payloads and the walk starts at the
@@ -181,22 +177,34 @@ def word_length(model: LamplighterModel, g: WreathState, backend: MetricBackend)
     key = (backend.strategy, backend.slack, pos, support)
     ts = model._ts_cache.get(key)
     if ts is None:
-        ts = _ts_term(model, pos, support, backend)
+        if backend.strategy == "tree":
+            ts = tsp.ts_tree((), pos, sorted(support), model.base)
+        else:
+            ts = _solve_walk(model, pos, support, backend)[0]
         model._ts_cache[key] = ts
     return WordLength(cost + ts, backend.exact)
 
 
-def _ts_term(model: LamplighterModel, pos: Payload, support: FrozenSet[Payload], backend: MetricBackend) -> int:
-    base = model.base
-    if backend.strategy == "finite":
-        return tsp.solve_exact(_finite_instance(model, pos, support)).length
-    if backend.strategy == "tree":
-        return tsp.ts_tree((), pos, sorted(support), base)
-    if backend.strategy == "box":
-        return _box_ts(base, pos, support)
-    if backend.strategy == "generic":
-        return _generic_ball_ts(base, pos, support, backend.slack)
-    raise ValueError(f"unknown backend {backend.strategy!r}")
+def lamp_cost(model: LamplighterModel, g: WreathState) -> int:
+    """Sum of the lamp-group lengths of g's lamp values."""
+    lengths = model._lamp_len
+    return sum(lengths(v) for _k, v in g[0])
+
+
+def word_length_and_walk(
+    model: LamplighterModel, g: WreathState, backend: MetricBackend
+) -> Tuple[WordLength, List[Payload]]:
+    """word_length(g) and a TS walk for it (see ts_walk).
+
+    The finite, box and generic backends take both from one TSP solve; tree
+    and petal compute the value and the walk by their two separate routines.
+    """
+    lamps, pos = g
+    if backend.strategy in ("tree", "petal"):
+        walk = ts_walk(model, pos, [k for k, _v in lamps], backend)
+        return word_length(model, g, backend), walk
+    ts, walk = _solve_walk(model, pos, frozenset(k for k, _v in lamps), backend)
+    return WordLength(lamp_cost(model, g) + ts, backend.exact), walk
 
 
 def _finite_instance(model: LamplighterModel, pos: Payload, support: FrozenSet[Payload]) -> tsp.TspInstance:
@@ -256,11 +264,6 @@ def _box_instance(base: AbelianModel, pos: Payload, support: FrozenSet[Payload])
     return inst, payload_of
 
 
-def _box_ts(base: AbelianModel, pos: Payload, support: FrozenSet[Payload]) -> int:
-    inst, _ = _box_instance(base, pos, support)
-    return tsp.solve_exact(inst).length
-
-
 def ts_walk(model: LamplighterModel, pos: Payload, support: Sequence[Payload], backend: MetricBackend) -> List[Payload]:
     """A TS-optimal (or, for generic, ball-optimal) base walk e -> pos
     covering the support, as group payloads."""
@@ -270,12 +273,25 @@ def ts_walk(model: LamplighterModel, pos: Payload, support: Sequence[Payload], b
         return tsp.ts_tree_walk((), pos, support, base)[1]
     if backend.strategy == "petal":
         return tsp.ts_free_product_walk(base, (), pos, support)[1]
+    return _solve_walk(model, pos, frozenset(support), backend)[1]
+
+
+def _solve_walk(
+    model: LamplighterModel, pos: Payload, support: FrozenSet[Payload], backend: MetricBackend
+) -> Tuple[int, List[Payload]]:
+    """(TS length, walk as payloads) from one exact TSP solve on the finite
+    Cayley graph, the bounding box, or (generic, an upper bound) a
+    slack-padded ball."""
+    base = model.base
     if backend.strategy == "finite":
-        inst = _finite_instance(model, pos, frozenset(support))
-        return list(tsp.solve_exact(inst).walk)
+        sol = tsp.solve_exact(_finite_instance(model, pos, support))
+        return sol.length, list(sol.walk)
     if backend.strategy == "box":
-        inst, payload_of = _box_instance(base, pos, frozenset(support))
-        return [payload_of[v] for v in tsp.solve_exact(inst).walk]
+        inst, payload_of = _box_instance(base, pos, support)
+        sol = tsp.solve_exact(inst)
+        return sol.length, [payload_of[v] for v in sol.walk]
+    if backend.strategy != "generic":
+        raise ValueError(f"unknown backend {backend.strategy!r}")
     ball = cayley_ball(base, _generic_radius(base, pos, support, backend.slack))
     inst = tsp.TspInstance(
         ball.graph,
@@ -283,26 +299,14 @@ def ts_walk(model: LamplighterModel, pos: Payload, support: Sequence[Payload], b
         ball.vertex_of(pos),
         frozenset(ball.vertex_of(p) for p in support),
     )
-    return [ball.element_of(v) for v in tsp.solve_exact(inst).walk]
+    sol = tsp.solve_exact(inst)
+    return sol.length, [ball.element_of(v) for v in sol.walk]
 
 
 def _generic_radius(base: GroupModel, pos: Payload, support, slack: int) -> int:
     return max(
         [base.length_payload(pos)] + [base.length_payload(p) for p in support]
     ) + slack
-
-
-def _generic_ball_ts(base: GroupModel, pos: Payload, support: FrozenSet[Payload], slack: int) -> int:
-    """Upper bound: exact TSP restricted to a slack-padded ball."""
-    radius = _generic_radius(base, pos, support, slack)
-    ball = cayley_ball(base, radius)
-    inst = tsp.TspInstance(
-        ball.graph,
-        ball.vertex_of(base.identity_payload()),
-        ball.vertex_of(pos),
-        frozenset(ball.vertex_of(p) for p in support),
-    )
-    return tsp.solve_exact(inst).length
 
 
 # ---------------------------------------------------------------------------
@@ -536,25 +540,64 @@ def enumerate_ball(
 
     Returns (distances, complete).  When the cap is hit, either raises or,
     with partial_ok, stops after the last fully enumerated shell."""
+    dist, complete, _stuck = _ball_shells(model, radius, cap, partial_ok)
+    return dist, complete
+
+
+def _ball_shells(
+    model: LamplighterModel, radius: int, cap: Optional[int], partial_ok: bool
+) -> Tuple[Dict[WreathState, int], bool, Set[WreathState]]:
+    """enumerate_ball plus the stuck elements: those of a shell d - 1 with no
+    neighbour in shell d.  When the cap drops shell d, the elements found
+    stuck while expanding into it are dropped too, so the stuck set lies
+    below the last shell of a capped ball."""
     cap = _frontier_cap() if cap is None else cap
     e = model.identity_state()
     dist: Dict[WreathState, int] = {e: 0}
+    stuck: Set[WreathState] = set()
     frontier = [e]
     for d in range(1, radius + 1):
         nxt = []
+        shell_stuck = []
         for g in frontier:
+            up = False
             for h in model.neighbors(g):
-                if h not in dist:
+                dh = dist.get(h)
+                if dh is None:
                     dist[h] = d
                     nxt.append(h)
+                    up = True
+                elif dh == d:
+                    up = True
+            if not up:
+                shell_stuck.append(g)
         if len(dist) > cap:
             if not partial_ok:
                 raise ResourceCapError(f"wreath ball cap {cap} exceeded")
             for h in nxt:
                 del dist[h]
-            return dist, False
+            return dist, False, stuck
+        stuck.update(shell_stuck)
         frontier = nxt
-    return dist, True
+    return dist, True, stuck
+
+
+def _leaves_ball(model: LamplighterModel, g: WreathState, dist: Dict[WreathState, int]) -> bool:
+    """True iff some neighbour of g is not in dist; the cheap base moves are
+    tried before building every neighbour."""
+    lamps, pos = g
+    mul = model.base.mul_payload
+    for s in model.base.gens.elements:
+        if (lamps, mul(pos, s)) not in dist:
+            return True
+    return any(h not in dist for h in model.neighbors(g))
+
+
+def _check_formula(model: LamplighterModel, g: WreathState, formula: int, L: int) -> None:
+    if formula != L:
+        raise VerificationError(
+            f"formula gives {formula} but BFS distance is {L} for {model.state_str(g)}"
+        )
 
 
 def depth_profile(
@@ -567,30 +610,31 @@ def depth_profile(
 ) -> DepthProfile:
     """Depth of every element of word length <= radius.
 
-    Elements with a strictly longer neighbor inside the enumerated ball are
-    depth 0 by table lookup; only dead-end candidates trigger a search.
+    Depth 0 comes by table lookup on every shell.  Below the last shell, an
+    element is depth 0 unless the enumeration found it stuck (no neighbour
+    one shell further out).  Every shell up to the last one is complete,
+    also after a cap cut, so a neighbour of a last-shell element that is not
+    in the ball is one longer: with k_max >= 1 such an element is depth 0.
+    Only the rest trigger a depth search.  The word-length formula is
+    checked against the BFS distance on every last-shell and every searched
+    element.
     """
     backend = backend or auto_backend(model)
     _require_exact(backend)
-    dist, complete = enumerate_ball(model, radius, cap=cap, partial_ok=partial_ok)
+    dist, complete, stuck = _ball_shells(model, radius, cap, partial_ok)
     reached = max(dist.values(), default=0)
     rows: List[ProfileRow] = []
     for g, L in dist.items():
-        fast_zero = False
         if L < reached:
-            for h in model.neighbors(g):
-                if dist.get(h, -1) > L:
-                    fast_zero = True
-                    break
-        if fast_zero:
+            if g not in stuck:
+                rows.append(ProfileRow(model.state_str(g), L, 0, True))
+                continue
+        elif k_max >= 1 and _leaves_ball(model, g, dist):
+            _check_formula(model, g, word_length(model, g, backend).value, L)
             rows.append(ProfileRow(model.state_str(g), L, 0, True))
             continue
         rep = depth(model, g, k_max, backend)
-        if rep.word_length != L:
-            raise VerificationError(
-                f"formula gives {rep.word_length} but BFS distance is {L} "
-                f"for {model.state_str(g)}"
-            )
+        _check_formula(model, g, rep.word_length, L)
         rows.append(ProfileRow(model.state_str(g), L, rep.depth, rep.depth_exact))
     rows.sort(key=lambda r: (r.word_length, r.element_id))
     return DepthProfile(radius, k_max, tuple(rows), complete)

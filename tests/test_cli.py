@@ -61,7 +61,24 @@ def specs(tmp_path_factory):
             "base": {"variant": "cyclic", "n": 16, "gens": [1]},
         },
     )
+    put(
+        "ll_tree.json",
+        {
+            "lamps": {"variant": "cyclic", "n": 2, "gens": [1], "letter": "a"},
+            "base": {"variant": "free", "rank": 1},
+        },
+    )
+    put(
+        "ll_z12.json",
+        {
+            "lamps": {"variant": "cyclic", "n": 2, "gens": [1], "letter": "a"},
+            "base": {"variant": "abelian", "rank": 1, "moduli": [], "gens": [[1], [2]]},
+        },
+    )
     put("elem.json", {"lamps": [[[-1], 1], [[1], 1]], "position": [0]})
+    put("elem_tree.json", {"lamps": [[[-1], 1], [[1, 1], 1]], "position": [1]})
+    put("elem_fp82.json", {"lamps": [[[[0, 3]], 1], [[], 1], [[[1, 1], [0, 2]], 1]],
+                           "position": [[0, 5]]})
     put("elem_z16_two.json", {"lamps": [[2, 1], [4, 1]], "position": 0})
     put("elem_z16_14.json", {"lamps": [[v, 1] for v in range(1, 15)], "position": 3})
     put("elem_id.json", {"lamps": [], "position": [0]})
@@ -98,6 +115,51 @@ class TestWordlen:
         elem.write_text('{"lamps": [[[1, 1], 1]], "position": [0, 0]}')
         rc, out, _ = run(["wordlen", "--group", str(king), "--element", str(elem)])
         assert rc == 0 and out.splitlines()[0] == "<= 3 upper-bound"
+
+
+# (lamplighter spec, element, backend) for one wordlen query per backend
+WORDLEN_CASES = [
+    ("ll_z16.json", "elem_z16_two.json", "finite"),
+    ("ll_line.json", "elem.json", "box"),
+    ("ll_z12.json", "elem.json", "generic"),
+    ("ll_tree.json", "elem_tree.json", "tree"),
+    ("ll_fp82.json", "elem_fp82.json", "petal"),
+]
+
+
+class TestWordlenSolve:
+    # finite, box and generic take the value and the walk from one solve
+    @pytest.mark.parametrize("group, element, backend", WORDLEN_CASES[:3])
+    def test_one_tsp_solve_per_query(self, specs, monkeypatch, group, element, backend):
+        calls = []
+        solve = cli.wreath.tsp.solve_exact
+
+        def counting(inst):
+            calls.append(inst)
+            return solve(inst)
+
+        monkeypatch.setattr(cli.wreath.tsp, "solve_exact", counting)
+        rc, _, err = run(["wordlen", "--group", specs[group], "--element", specs[element],
+                          "--backend", backend, "--verify"])
+        assert rc == 0, err
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("group, element, backend", WORDLEN_CASES)
+    def test_verify_checks_value_against_walk(self, specs, monkeypatch, group, element, backend):
+        argv = ["wordlen", "--group", specs[group], "--element", specs[element],
+                "--backend", backend, "--verify"]
+        rc, _, err = run(argv)
+        assert rc == 0, err
+        exact = cli.wreath.word_length_and_walk
+
+        def off_by_one(model, g, be):
+            wl, walk = exact(model, g, be)
+            return cli.wreath.WordLength(wl.value + 1, wl.exact), walk
+
+        monkeypatch.setattr(cli.wreath, "word_length_and_walk", off_by_one)
+        assert run(argv[:-1])[0] == 0  # without --verify the value goes unchecked
+        rc, _, err = run(argv)
+        assert rc == 4 and "walk edges" in err
 
 
 class TestHamdiff:

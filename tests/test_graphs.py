@@ -1,9 +1,13 @@
 """Graph kernel: Cayley balls, power/product/cube constructions."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from lamplighter import graphs as Gr, groups as G
-from lamplighter.errors import ResourceCapError
+from lamplighter.errors import ResourceCapError, VerificationError
 
 
 class TestCayleyBall:
@@ -110,6 +114,43 @@ class TestProducts:
         ):
             g.validate()
             assert g.is_connected()
+
+    @pytest.mark.parametrize(
+        "n, adj, message",
+        [
+            (2, ((1,), (0,), ()), "3 adjacency rows for 2 vertices"),
+            (3, ((2, 1), (0,), (0,)), "unsorted or duplicate neighbors"),
+            (2, ((0, 1), (0,)), "self-loop"),
+            (2, ((1,), ()), "asymmetric adjacency"),
+            (2, ((5,), (0,)), "asymmetric adjacency"),
+        ],
+    )
+    def test_validate_raises(self, n, adj, message):
+        with pytest.raises(VerificationError, match=message):
+            Gr.FiniteGraph(n, adj).validate()
+
+    def test_validate_raises_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(Gr.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", ASYMMETRIC_SCRIPT],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert proc.stdout.split() == ["1", "raised"], proc.stderr
+
+
+# Validates a graph whose only edge is listed on one side; prints the
+# optimisation level and whether validate raised.
+ASYMMETRIC_SCRIPT = """
+import sys
+from lamplighter.errors import VerificationError
+from lamplighter.graphs import FiniteGraph
+try:
+    FiniteGraph(2, ((1,), ())).validate()
+    outcome = "passed"
+except VerificationError:
+    outcome = "raised"
+print(sys.flags.optimize, outcome)
+"""
 
 
 class TestExport:

@@ -179,6 +179,11 @@ class TestGridSpanning:
         with pytest.raises(ValueError):
             H.grid_spanning_path(1, 5, (1, 1), (1, 2))
 
+    def test_grid_graph_built_once_per_shape(self):
+        g = H._grid_graph(4, 3)
+        assert g is H._grid_graph(4, 3) and g == Gr.cube_graph([4, 3])
+        assert H._grid_graph(3, 4) == Gr.cube_graph([3, 4])
+
     def test_bound_and_validity_sample(self):
         rng = random.Random(2)
         for _ in range(25):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamplighter import graphs as Gr, groups as G, tsp as T, wreath as W
+from lamplighter.errors import VerificationError
 
 line_states = st.builds(
     lambda lamps, pos: (tuple(sorted(((k,), 1) for k in lamps)), (pos,)),
@@ -478,3 +479,91 @@ class TestPetalNormalForm:
         orders, support, pos, _shift, _seed = data.draw(petal_cases(key))
         fresh = W.LamplighterModel(z2_lamps, _free_product(orders))
         assert _petal_ts(fresh, support, pos) == _petal_ts(profiled[key], support, pos)
+
+
+# -- depth profile: lookup on every shell vs a search on every candidate -----
+
+
+def _searched_profile(model, radius, k_max, cap=None, partial_ok=False):
+    """The profile with one depth() search on every element that has no
+    longer neighbour inside the ball: every dead-end candidate below the last
+    shell and every element of the last shell."""
+    be = W.auto_backend(model)
+    dist, complete = W.enumerate_ball(model, radius, cap=cap, partial_ok=partial_ok)
+    reached = max(dist.values())
+    rows = []
+    for g, L in dist.items():
+        if L < reached and any(dist.get(h, -1) > L for h in model.neighbors(g)):
+            rows.append(W.ProfileRow(model.state_str(g), L, 0, True))
+            continue
+        rep = W.depth(model, g, k_max, be)
+        assert rep.word_length == L
+        rows.append(W.ProfileRow(model.state_str(g), L, rep.depth, rep.depth_exact))
+    rows.sort(key=lambda r: (r.word_length, r.element_id))
+    return W.DepthProfile(radius, k_max, tuple(rows), complete)
+
+
+def _model(key):
+    z2 = G.make_cyclic(2, [1], letter="a")
+    if key == "fp82":
+        return W.LamplighterModel(z2, _free_product((8, 2)))
+    if key == "tree":
+        return W.LamplighterModel(z2, G.make_free(1, "t"))
+    if key == "box_z2":
+        return W.LamplighterModel(z2, G.make_abelian(2, [], [[1, 0], [0, 1]]))
+    if key == "z3_wr_z4":
+        return W.LamplighterModel(G.make_cyclic(3, [1], letter="a"), G.make_cyclic(4, [1]))
+    raise KeyError(key)
+
+
+PROFILE_CASES = [
+    # (model, radius, k_max, cap)
+    ("fp82", 7, 5, None),
+    ("tree", 8, 6, None),
+    ("box_z2", 5, 3, None),
+    ("z3_wr_z4", 30, 4, None),  # finite: the ball saturates below radius 30
+    ("fp82", 8, 4, 500),  # capped: the partial shell is dropped
+    ("tree", 9, 5, 700),
+    ("fp82", 7, 0, None),  # k_max 0: last-shell rows stay lower bounds
+    ("z3_wr_z4", 30, 0, None),
+]
+
+
+class TestProfileLookup:
+    @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES)
+    def test_matches_search_on_every_candidate(self, key, radius, k_max, cap):
+        got = W.depth_profile(_model(key), radius, k_max, cap=cap, partial_ok=True)
+        want = _searched_profile(_model(key), radius, k_max, cap=cap, partial_ok=True)
+        assert got == want
+        assert got.complete == (cap is None)
+
+    @pytest.mark.parametrize("key, radius, k_max, cap", [c for c in PROFILE_CASES if c[2] >= 1])
+    def test_searches_only_dead_ends(self, monkeypatch, key, radius, k_max, cap):
+        # an element without a longer neighbour is a dead end, and with
+        # k_max >= 1 its search reports depth >= 1; no other element is searched
+        calls = []
+        search = W.depth
+
+        def counting(model, g, k, be):
+            calls.append(g)
+            return search(model, g, k, be)
+
+        monkeypatch.setattr(W, "depth", counting)
+        prof = W.depth_profile(_model(key), radius, k_max, cap=cap, partial_ok=True)
+        assert len(calls) == sum(1 for r in prof.rows if r.depth >= 1)
+
+    def test_last_shell_formula_check(self, monkeypatch):
+        # off by one on the last shell only: those rows are decided by
+        # lookup, yet the formula is still checked on every one of them
+        model = _model("fp82")
+        dist, _ = W.enumerate_ball(model, 5)
+        last = {g for g, L in dist.items() if L == 5}
+        exact = W.word_length
+
+        def off_on_last(m, g, be):
+            wl = exact(m, g, be)
+            return W.WordLength(wl.value + (g in last), wl.exact)
+
+        monkeypatch.setattr(W, "word_length", off_on_last)
+        with pytest.raises(VerificationError, match="formula gives 6 but BFS distance is 5"):
+            W.depth_profile(model, 5, 3)
