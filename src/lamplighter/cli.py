@@ -75,6 +75,16 @@ def _element_from_spec(model: wreath.LamplighterModel, spec: dict) -> wreath.Wre
         raise UsageError(f"malformed element spec: {exc}")
 
 
+def _backend(model: wreath.LamplighterModel, name: str, exact: bool = False) -> wreath.MetricBackend:
+    try:
+        backend = wreath.backend_by_name(model, name)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    if exact and not backend.exact:
+        raise UsageError("depth needs an exact backend; 'generic' is an upper bound")
+    return backend
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
@@ -91,7 +101,7 @@ def cmd_wordlen(args) -> int:
     model = _lamplighter_from_file(args.group)
     element_spec = _load_json(args.element)
     g = _element_from_spec(model, element_spec)
-    backend = wreath.backend_by_name(model, args.backend)
+    backend = _backend(model, args.backend)
     wl, walk = wreath.word_length_and_walk(model, g, backend)
     lamps, pos = g
     support = sorted(k for k, _ in lamps)
@@ -175,7 +185,7 @@ def cmd_verdict(args) -> int:
 
 def cmd_depth_profile(args) -> int:
     model = _lamplighter_from_file(args.group)
-    backend = wreath.backend_by_name(model, args.backend)
+    backend = _backend(model, args.backend, exact=True)
     profile = wreath.depth_profile(
         model, args.radius, args.kmax, backend=backend, cap=args.cap, partial_ok=True
     )
@@ -240,7 +250,10 @@ def _state_from_id(model: wreath.LamplighterModel, element_id: str) -> wreath.Wr
 
 def cmd_qh(args) -> int:
     model = _group_from_file(args.group)
-    result = hamiltonian.qh_certificate(model, args.nmax, M=args.M, strategy=args.strategy)
+    try:
+        result = hamiltonian.qh_certificate(model, args.nmax, M=args.M, strategy=args.strategy)
+    except ValueError as exc:  # a strategy that does not fit the group, or M too small
+        raise UsageError(str(exc))
     text = result.to_json() + "\n"
     if args.verify and isinstance(result, hamiltonian.QhCertificate):
         hamiltonian.verify_qh_certificate(model, result)

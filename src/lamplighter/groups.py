@@ -4,6 +4,8 @@ and free products of two finite groups, with canonical normal forms.
 Element payloads are plain hashable tuples/ints; `GroupElement` is a thin
 wrapper tying a payload to its model.  All models are immutable after
 construction and all operations are pure, so values can be shared freely.
+No other module sets attributes on a model: the word-length memos live on
+`wreath.LamplighterModel`.
 
 Payload encodings
 -----------------
@@ -237,11 +239,12 @@ class FiniteModel(GroupModel):
 
     def __init__(self, table: FiniteGroupTable, gen_indices: Sequence[int]):
         gens = _symmetrize_finite(table, gen_indices)
-        if not _finite_generates(table, gens):
+        dist = _bfs_lengths_finite(table, gens)
+        if len(dist) != table.order:
             raise ValueError(f"{sorted(set(gen_indices))} does not generate {table.name}")
         self.table = table
         self.gens = GeneratingSet(tuple(gens))
-        self._dist: Optional[Dict[int, int]] = None
+        self._dist = dist
 
     def identity_payload(self) -> int:
         return self.table.identity
@@ -258,8 +261,6 @@ class FiniteModel(GroupModel):
         return a
 
     def length_payload(self, a: int) -> int:
-        if self._dist is None:
-            self._dist = _bfs_lengths_finite(self.table, self.gens.elements)
         return self._dist[a]
 
     def payload_str(self, a: int) -> str:
@@ -284,21 +285,6 @@ def _symmetrize_finite(table: FiniteGroupTable, gen_indices: Sequence[int]) -> L
             if h not in seen:
                 seen.append(h)
     return seen
-
-
-def _finite_generates(table: FiniteGroupTable, gens: Sequence[int]) -> bool:
-    reached = {table.identity}
-    frontier = [table.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = table.mul[x][s]
-                if y not in reached:
-                    reached.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(reached) == table.order
 
 
 def _bfs_lengths_finite(table: FiniteGroupTable, gens: Sequence[int]) -> Dict[int, int]:
@@ -705,9 +691,15 @@ def make_free_product(H: FiniteModel, K: FiniteModel) -> FreeProductModel:
 
 
 def group_spec_of(model: GroupModel) -> dict:
-    """Canonical JSON spec describing a model (inverse of parse_group_spec
-    up to generator symmetrization)."""
+    """Canonical JSON spec describing a model; parse_group_spec rebuilds
+    every model it can build from it.  Finite tables that are not cyclic
+    tables get the descriptive "finite" variant, which does not parse."""
     if isinstance(model, FiniteModel):
+        table = model.table
+        letter = table.elem_names[1] if table.order > 1 else "b"
+        if table == cyclic_table(table.order, letter):
+            return {"variant": "cyclic", "n": table.order,
+                    "gens": list(model.gens.elements), "letter": letter}
         return {
             "variant": "finite",
             "name": model.table.name,
@@ -737,7 +729,7 @@ def parse_group_spec(spec: dict) -> GroupModel:
 
     {"variant":"cyclic","n":8,"gens":[1]}
     {"variant":"abelian","rank":2,"moduli":[],"gens":[[1,0],[0,1]]}
-    {"variant":"free","rank":2}
+    {"variant":"free","rank":2,"letters":"xy"}
     {"variant":"free_product","H":{...},"K":{...}}
     """
     variant = spec.get("variant")
@@ -746,7 +738,7 @@ def parse_group_spec(spec: dict) -> GroupModel:
     if variant == "abelian":
         return make_abelian(spec["rank"], spec.get("moduli", []), spec["gens"])
     if variant == "free":
-        return make_free(spec["rank"])
+        return make_free(spec["rank"], spec.get("letters", _LETTERS))
     if variant == "free_product":
         H = parse_group_spec(spec["H"])
         K = parse_group_spec(spec["K"])

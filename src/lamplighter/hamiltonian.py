@@ -176,8 +176,10 @@ def hamiltonian_difference_detail(model: FiniteModel) -> Tuple[int, int, int, Li
     table = model.table
     if table.order < 2:
         raise ValueError("Hamiltonian difference needs |G| >= 2")
-    if table.order > _DP_CAP:
-        raise ResourceCapError(f"group order {table.order} exceeds cap {_DP_CAP}")
+    if table.order > tsp.MAX_REQUIRED:
+        raise ResourceCapError(
+            f"group order {table.order} exceeds cap {tsp.MAX_REQUIRED} (tsp.MAX_REQUIRED)"
+        )
     graph = finite_cayley_graph(model)
     lengths = tsp.solve_all_ends(graph, table.identity, set(range(table.order)))
     closed = lengths[table.identity]
@@ -854,12 +856,11 @@ def _qh_abelian_box(model: AbelianModel, n_max: int, M: int) -> QhCertificate:
             payloads = [to_payload(c) for c in walk]
             _check_group_walk(model, payloads, f_set)
             excess = len(payloads) - len(f_elements)
+            endpoint = model.payload_str(to_payload(coord))
             if excess > M:
-                raise AssertionError("box walk exceeded claimed M")
+                raise ValueError(_excess_message(M, n, endpoint, excess))
             max_excess = max(max_excess, excess)
-            walks[model.payload_str(to_payload(coord))] = tuple(
-                model.payload_str(p) for p in payloads
-            )
+            walks[endpoint] = tuple(model.payload_str(p) for p in payloads)
         witnesses.append(
             QhWitness(
                 n,
@@ -870,6 +871,11 @@ def _qh_abelian_box(model: AbelianModel, n_max: int, M: int) -> QhCertificate:
             )
         )
     return QhCertificate("abelian-box", M, tuple(witnesses), group_spec_of(model))
+
+
+def _excess_message(M: int, n: int, endpoint, excess: int) -> str:
+    return (f"M = {M} is too small: at n = {n} the walk to endpoint {endpoint}"
+            f" needs |F| + {excess} vertices")
 
 
 def _check_group_walk(model: GroupModel, payloads: Sequence[Payload], cover: Set[Payload]):
@@ -898,9 +904,7 @@ def _qh_ball_exact(model: GroupModel, n_max: int, M: int) -> QhCertificate:
             vertex_len = sol.length + 1
             excess = vertex_len - g.n
             if excess > M:
-                raise AssertionError(
-                    f"exact TS exceeds |F|+{M} at endpoint {g.labels[x]} (n={n})"
-                )
+                raise ValueError(_excess_message(M, n, g.labels[x], excess))
             max_excess = max(max_excess, excess)
             walks[str(g.labels[x])] = tuple(str(g.labels[v]) for v in sol.walk)
         witnesses.append(
@@ -929,7 +933,7 @@ def _qh_cube(model: GroupModel, n_max: int, M: int) -> QhCertificate:
             excess = len(walk) - g.n
             max_excess = max(max_excess, excess)
             if excess > M:
-                raise AssertionError("cubed-ball walk exceeded claimed M")
+                raise ValueError(_excess_message(M, n, g.labels[x], excess))
             walks[str(g.labels[x])] = tuple(str(g.labels[v]) for v in walk)
         witnesses.append(
             QhWitness(n, g.n, tuple(str(l) for l in g.labels), walks, max_excess)

@@ -312,35 +312,25 @@ def ts_tree_walk(u: Payload, v: Payload, H: Sequence[Payload], model: FreeModel)
 # free products: the exact recursion over the tree of factor copies
 
 
-def finite_factor_graph(model: FreeProductModel, factor: int) -> FiniteGraph:
-    caches = _model_caches(model)
-    key = ("factor_graph", factor)
-    if key not in caches:
-        caches[key] = finite_cayley_graph(model.factors[factor])
-    return caches[key]
-
-
-def _model_caches(model) -> dict:
-    caches = getattr(model, "_tsp_caches", None)
-    if caches is None:
-        caches = {}
-        setattr(model, "_tsp_caches", caches)
-    return caches
-
-
 def _factor_ts_edges(
-    model: FreeProductModel, factor: int, end: int, stations: FrozenSet[int]
+    model: FreeProductModel, factor: int, end: int, stations: FrozenSet[int], memo
 ) -> int:
     """Edge-minimal walk on the finite factor Cayley graph from the identity
     to `end` visiting `stations`; one solve_all_ends row per stations set,
-    memoized per model."""
-    caches = _model_caches(model)
-    key = ("factor_ts", factor, stations)
-    row = caches.get(key)
+    kept in memo."""
+    key = (factor, stations)
+    row = memo.get(key)
     if row is None:
         e = model.factors[factor].table.identity
-        row = caches[key] = solve_all_ends(finite_factor_graph(model, factor), e, stations)
+        row = memo[key] = solve_all_ends(_factor_graph(model, factor, memo), e, stations)
     return row[end]
+
+
+def _factor_graph(model: FreeProductModel, factor: int, memo) -> FiniteGraph:
+    graph = memo.get(factor)
+    if graph is None:
+        graph = memo[factor] = finite_cayley_graph(model.factors[factor])
+    return graph
 
 
 def ts_free_product(
@@ -352,10 +342,10 @@ def ts_free_product(
     """Exact TS(start -> end; required) in Cay(H*K, S_H u S_K).
 
     Normalises the input and translates it by start^-1, then evaluates
-    ts_free_product_normal.
+    ts_free_product_normal with a fresh memo.
     """
     _start, end_l, req_l = _localise(model, start, end, required)
-    return ts_free_product_normal(model, end_l, req_l)
+    return ts_free_product_normal(model, end_l, req_l, {})
 
 
 def _localise(model: FreeProductModel, start: Payload, end: Payload, required: Sequence[Payload]):
@@ -372,21 +362,21 @@ def _localise(model: FreeProductModel, start: Payload, end: Payload, required: S
 
 
 def ts_free_product_normal(
-    model: FreeProductModel, end: Payload, required: FrozenSet[Payload]
+    model: FreeProductModel, end: Payload, required: FrozenSet[Payload], memo: dict
 ) -> int:
     """Exact TS(e -> end; required) for normal-form payloads.
 
     Recursion over the tree of factor copies: each copy contributes a finite
     TSP whose station weights are the closed-excursion costs of its nonempty
     petals; the copy holding the endpoint takes one final open excursion.
-    The root is evaluated but not memoised (a root key rarely recurs); the
-    sub-excursions are memoised in the model's ts_fp_memo.
+    The root is evaluated but not memoised (a root key rarely recurs).
+    memo is the caller's dict for this model; it keeps the sub-excursion
+    values, the factor TS rows and the factor Cayley graphs.
     """
     if not isinstance(model, FreeProductModel):
         raise ValueError("ts_free_product needs a free product model")
     if not required and not end:
         return 0
-    memo = _model_caches(model).setdefault("ts_fp_memo", {})
     return _ts_fp_copy(model, 0, end, required, memo)
 
 
@@ -399,7 +389,7 @@ def ts_free_product_walk(
     """As ts_free_product, but also reconstructs one optimal walk (as group
     elements).  The walk length certifies the recursion's value."""
     start, end_l, req_l = _localise(model, start, end, required)
-    cost, local = _walk_fp(model, 0, end_l, req_l)
+    cost, local = _walk_fp(model, 0, end_l, req_l, {})
     if cost != len(local) - 1:
         raise VerificationError(
             f"free-product walk has {len(local) - 1} edges but costs {cost}"
@@ -444,7 +434,7 @@ def _split(model: FreeProductModel, factor: int, end: Payload, required: FrozenS
     return ident, in_copy, beyond, ident, end
 
 
-def _walk_fp(model: FreeProductModel, factor: int, end: Payload, required: FrozenSet[Payload]):
+def _walk_fp(model: FreeProductModel, factor: int, end: Payload, required: FrozenSet[Payload], memo):
     if not required and not end:
         return 0, [()]
     ident, stations, beyond, end_idx, dive = _split(model, factor, end, required)
@@ -454,18 +444,18 @@ def _walk_fp(model: FreeProductModel, factor: int, end: Payload, required: Froze
     for s, sub in beyond.items():
         if s == end_idx and dive is not None:
             continue
-        c, w = _walk_fp(model, other, (), frozenset(sub))
+        c, w = _walk_fp(model, other, (), frozenset(sub), memo)
         excursions[s] = _attach(model, factor, s, w)
         stations.add(s)
         total += c
     dive_walk: List[Payload] = []
     if dive is not None:
-        c, w = _walk_fp(model, other, dive, frozenset(beyond.get(end_idx, ())))
+        c, w = _walk_fp(model, other, dive, frozenset(beyond.get(end_idx, ())), memo)
         dive_walk = _attach(model, factor, end_idx, w)
         stations.add(end_idx)
         total += c
 
-    graph = finite_factor_graph(model, factor)
+    graph = _factor_graph(model, factor, memo)
     sol = solve_exact(TspInstance(graph, ident, end_idx, frozenset(stations)))
     walk: List[Payload] = []
     for v in sol.walk:
@@ -503,4 +493,4 @@ def _ts_fp_copy(model: FreeProductModel, factor: int, end: Payload, required: Fr
     if dive is not None:
         total += _ts_fp(model, other, dive, frozenset(beyond.get(end_idx, ())), memo)
         stations.add(end_idx)
-    return _factor_ts_edges(model, factor, end_idx, frozenset(stations)) + total
+    return _factor_ts_edges(model, factor, end_idx, frozenset(stations), memo) + total

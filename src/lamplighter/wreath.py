@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import ResourceCapError, VerificationError
-from .graphs import cayley_ball, cycle_graph, path_graph, product_graph
+from .graphs import cayley_ball, cycle_graph, finite_cayley_graph, path_graph, product_graph
 from .groups import (
     AbelianModel,
     FiniteModel,
@@ -29,6 +29,8 @@ from . import hamiltonian, tsp
 
 WreathState = Tuple[Tuple[Tuple[Payload, Payload], ...], Payload]
 
+GENERIC_SLACK = 4  # generic backend: ball radius = longest point length + slack
+
 
 @dataclass(frozen=True)
 class MetricBackend:
@@ -36,7 +38,6 @@ class MetricBackend:
 
     strategy: str  # finite | tree | petal | box | generic
     exact: bool
-    slack: int = 4
 
 
 def auto_backend(model: "LamplighterModel") -> MetricBackend:
@@ -53,10 +54,16 @@ def auto_backend(model: "LamplighterModel") -> MetricBackend:
 
 
 def backend_by_name(model: "LamplighterModel", name: str) -> MetricBackend:
-    if name == "auto":
-        return auto_backend(model)
-    exact = name in ("finite", "tree", "petal", "box")
-    return MetricBackend(name, exact)
+    """The named backend.  A base has one exact backend, the one auto picks;
+    naming another exact backend raises ValueError."""
+    if name == "generic":
+        return MetricBackend(name, False)
+    auto = auto_backend(model)
+    if name in ("auto", auto.strategy):
+        return auto
+    raise ValueError(
+        f"backend {name!r} does not fit the {model.base.variant} base (auto picks {auto.strategy})"
+    )
 
 
 class LamplighterModel:
@@ -67,9 +74,11 @@ class LamplighterModel:
         self.base = base
         self._lamp_len = functools.lru_cache(maxsize=None)(lamps.length_payload)
         self._base_str = functools.lru_cache(maxsize=None)(base.payload_str)
-        # pure memo keyed by (backend strategy, slack, position, support);
-        # the petal backend does not use it (see word_length)
+        # every word-length memo: _ts_cache keyed by (backend strategy,
+        # position, support), and the petal recursion's own (see word_length)
         self._ts_cache: Dict[tuple, int] = {}
+        self._ts_fp_memo: dict = {}
+        self._finite_graph = finite_cayley_graph(base) if isinstance(base, FiniteModel) else None
         self._generator_states = self._build_generator_states()
 
     # -- states ------------------------------------------------------------
@@ -171,10 +180,11 @@ def word_length(model: LamplighterModel, g: WreathState, backend: MetricBackend)
     support = frozenset(k for k, _v in lamps)
     if backend.strategy == "petal":
         # states hold normal-form payloads and the walk starts at the
-        # identity, so the recursion takes them as they are; it memoises its
-        # own sub-excursions, and a (position, support) key rarely recurs
-        return WordLength(cost + tsp.ts_free_product_normal(model.base, pos, support), backend.exact)
-    key = (backend.strategy, backend.slack, pos, support)
+        # identity, so the recursion takes them as they are; _ts_fp_memo keeps
+        # its sub-excursions, and a (position, support) key rarely recurs
+        ts = tsp.ts_free_product_normal(model.base, pos, support, model._ts_fp_memo)
+        return WordLength(cost + ts, backend.exact)
+    key = (backend.strategy, pos, support)
     ts = model._ts_cache.get(key)
     if ts is None:
         if backend.strategy == "tree":
@@ -205,20 +215,6 @@ def word_length_and_walk(
         return word_length(model, g, backend), walk
     ts, walk = _solve_walk(model, pos, frozenset(k for k, _v in lamps), backend)
     return WordLength(lamp_cost(model, g) + ts, backend.exact), walk
-
-
-def _finite_instance(model: LamplighterModel, pos: Payload, support: FrozenSet[Payload]) -> tsp.TspInstance:
-    """Whole-Cayley-graph instance for finite bases (walks cannot leave it)."""
-    base = model.base
-    if not isinstance(base, FiniteModel):
-        raise ValueError("finite backend needs a finite base group")
-    graph = getattr(model, "_finite_graph", None)
-    if graph is None:
-        from .graphs import finite_cayley_graph
-
-        graph = finite_cayley_graph(base)
-        model._finite_graph = graph
-    return tsp.TspInstance(graph, base.table.identity, pos, frozenset(support))
 
 
 def _box_instance(base: AbelianModel, pos: Payload, support: FrozenSet[Payload]):
@@ -267,32 +263,33 @@ def _box_instance(base: AbelianModel, pos: Payload, support: FrozenSet[Payload])
 def ts_walk(model: LamplighterModel, pos: Payload, support: Sequence[Payload], backend: MetricBackend) -> List[Payload]:
     """A TS-optimal (or, for generic, ball-optimal) base walk e -> pos
     covering the support, as group payloads."""
-    base = model.base
-    support = [base.normalize_payload(p) for p in support]
-    if backend.strategy == "tree":
-        return tsp.ts_tree_walk((), pos, support, base)[1]
-    if backend.strategy == "petal":
-        return tsp.ts_free_product_walk(base, (), pos, support)[1]
-    return _solve_walk(model, pos, frozenset(support), backend)[1]
+    support = frozenset(model.base.normalize_payload(p) for p in support)
+    return _solve_walk(model, pos, support, backend)[1]
 
 
 def _solve_walk(
     model: LamplighterModel, pos: Payload, support: FrozenSet[Payload], backend: MetricBackend
 ) -> Tuple[int, List[Payload]]:
-    """(TS length, walk as payloads) from one exact TSP solve on the finite
-    Cayley graph, the bounding box, or (generic, an upper bound) a
-    slack-padded ball."""
-    base = model.base
-    if backend.strategy == "finite":
-        sol = tsp.solve_exact(_finite_instance(model, pos, support))
+    """(TS length, walk as payloads) under any backend: the tree or petal walk
+    routine, or one exact TSP solve on the finite Cayley graph, the bounding
+    box, or (generic, an upper bound) a slack-padded ball."""
+    base, strategy = model.base, backend.strategy
+    if strategy == "tree":
+        return tsp.ts_tree_walk((), pos, sorted(support), base)
+    if strategy == "petal":
+        return tsp.ts_free_product_walk(base, (), pos, support)
+    if strategy == "finite":
+        if model._finite_graph is None:
+            raise ValueError("finite backend needs a finite base group")
+        sol = tsp.solve_exact(tsp.TspInstance(model._finite_graph, base.table.identity, pos, support))
         return sol.length, list(sol.walk)
-    if backend.strategy == "box":
+    if strategy == "box":
         inst, payload_of = _box_instance(base, pos, support)
         sol = tsp.solve_exact(inst)
         return sol.length, [payload_of[v] for v in sol.walk]
-    if backend.strategy != "generic":
-        raise ValueError(f"unknown backend {backend.strategy!r}")
-    ball = cayley_ball(base, _generic_radius(base, pos, support, backend.slack))
+    if strategy != "generic":
+        raise ValueError(f"unknown backend {strategy!r}")
+    ball = cayley_ball(base, _generic_radius(base, pos, support))
     inst = tsp.TspInstance(
         ball.graph,
         ball.vertex_of(base.identity_payload()),
@@ -303,10 +300,10 @@ def _solve_walk(
     return sol.length, [ball.element_of(v) for v in sol.walk]
 
 
-def _generic_radius(base: GroupModel, pos: Payload, support, slack: int) -> int:
+def _generic_radius(base: GroupModel, pos: Payload, support) -> int:
     return max(
         [base.length_payload(pos)] + [base.length_payload(p) for p in support]
-    ) + slack
+    ) + GENERIC_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +466,6 @@ def classify_abelian_free_product(H: FiniteModel, K: FiniteModel) -> Tuple[str, 
     """Case label of the abelian free-product classification plus verdict
     (True = uniformly bounded).  Dispatch is by graph shape; it must agree
     with theorem_b_verdict on every abelian input."""
-    from .graphs import finite_cayley_graph
-
     for M in (H, K):
         if not M.table.is_abelian():
             raise ValueError("classification needs abelian factors")

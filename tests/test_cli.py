@@ -36,6 +36,14 @@ def specs(tmp_path_factory):
     put("z.json", {"variant": "abelian", "rank": 1, "moduli": [], "gens": [[1]]})
     put("z12.json", {"variant": "abelian", "rank": 1, "moduli": [], "gens": [[1], [2]]})
     put("z2.json", {"variant": "abelian", "rank": 2, "moduli": [], "gens": [[1, 0], [0, 1]]})
+    put("c6.json", {"variant": "cyclic", "n": 6, "gens": [1]})
+    put(
+        "ll_z2.json",
+        {
+            "lamps": {"variant": "cyclic", "n": 2, "gens": [1], "letter": "a"},
+            "base": {"variant": "abelian", "rank": 2, "moduli": [], "gens": [[1, 0], [0, 1]]},
+        },
+    )
     put(
         "ll_line.json",
         {
@@ -82,6 +90,7 @@ def specs(tmp_path_factory):
     put("elem_z16_two.json", {"lamps": [[2, 1], [4, 1]], "position": 0})
     put("elem_z16_14.json", {"lamps": [[v, 1] for v in range(1, 15)], "position": 3})
     put("elem_id.json", {"lamps": [], "position": [0]})
+    put("elem_z2.json", {"lamps": [[[1, 1], 1]], "position": [0, 0]})
     return files
 
 
@@ -184,6 +193,13 @@ class TestHamdiff:
         rc, _, err = run(["hamdiff", "--group", str(big)])
         assert rc == 3 and "resource cap" in err
 
+    def test_order_guard_is_the_tsp_cap(self):
+        # the guard names the group order, not the required set inside tsp
+        rc, out, err = run(["hamdiff", "--cyclic-range", "23:23"])
+        assert rc == 3 and out == ""
+        assert "group order 23 exceeds cap 22" in err and "required set" not in err
+        assert run(["hamdiff", "--cyclic-range", "22:22"])[0] == 0
+
 
 class TestVerdict:
     def test_section51(self, specs):
@@ -252,6 +268,39 @@ class TestQh:
         payload = json.loads(out)
         assert rc == 0 and payload["kind"] == "qh_refutation"
         assert [r[3] for r in payload["rows"]] == [1, 3, 5, 7]
+
+
+class TestUnfitRequests:
+    """A backend, strategy or M that does not fit the group is a usage error."""
+
+    @pytest.mark.parametrize("backend", ["tree", "petal", "finite"])
+    def test_wordlen_backend_off_its_base(self, specs, backend):
+        rc, out, err = run(["wordlen", "--group", specs["ll_z2.json"],
+                            "--element", specs["elem_z2.json"], "--backend", backend])
+        assert rc == 2 and out == ""
+        assert f"usage error: backend '{backend}' does not fit the abelian base" in err
+
+    def test_depth_profile_refuses_generic(self, specs):
+        rc, out, err = run(["depth-profile", "--group", specs["ll_z2.json"], "--radius", "2",
+                            "--backend", "generic"])
+        assert rc == 2 and out == "" and "exact backend" in err
+
+    @pytest.mark.parametrize("strategy", ["abelian-box", "refute"])
+    def test_qh_strategy_off_its_group(self, specs, strategy):
+        rc, out, err = run(["qh", "--group", specs["c6.json"], "--nmax", "1",
+                            "--strategy", strategy])
+        assert rc == 2 and out == "" and "usage error" in err
+
+    @pytest.mark.parametrize("group, strategy, endpoint", [
+        ("z12.json", "ball-exact", "0"),
+        ("z12.json", "cube", "0"),
+        ("z2.json", "abelian-box", "-1,0"),
+    ])
+    def test_qh_m_too_small(self, specs, group, strategy, endpoint):
+        rc, out, err = run(["qh", "--group", specs[group], "--nmax", "1", "--M", "0",
+                            "--strategy", strategy])
+        assert rc == 2 and out == ""
+        assert f"M = 0 is too small: at n = 1 the walk to endpoint {endpoint} " in err
 
 
 class TestExportGraph:

@@ -1,7 +1,9 @@
 """Group models: normal forms, group law, word lengths."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lamplighter import groups as G
 from lamplighter.groups import word_length_in_group as wl
@@ -113,6 +115,64 @@ class TestJsonSpecs:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             G.parse_group_spec({"variant": "braid"})
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.deferred(lambda: group_specs))
+    def test_emitted_spec_rebuilds_the_model(self, spec):
+        model = G.parse_group_spec(spec)
+        emitted = G.group_spec_of(model)
+        rebuilt = G.parse_group_spec(emitted)
+        assert G.group_spec_of(rebuilt) == emitted
+        _assert_same_model(model, rebuilt)
+
+
+def _assert_same_model(a, b):
+    assert type(a) is type(b) and a.gens == b.gens
+    if isinstance(a, G.FiniteModel):
+        assert a.table == b.table
+    elif isinstance(a, G.AbelianModel):
+        assert (a.rank, a.moduli) == (b.rank, b.moduli)
+    elif isinstance(a, G.FreeModel):
+        assert (a.rank, a.letters) == (b.rank, b.letters)
+    else:
+        for fa, fb in zip(a.factors, b.factors):
+            _assert_same_model(fa, fb)
+    assert [a.payload_str(s) for s in a.gens.elements] == [b.payload_str(s) for s in b.gens.elements]
+
+
+@st.composite
+def cyclic_specs(draw):
+    n = draw(st.integers(2, 12))
+    gens = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3))
+    if math.gcd(n, *gens) != 1:
+        gens.append(1)  # keep the set generating
+    return {"variant": "cyclic", "n": n, "gens": gens, "letter": draw(st.sampled_from("bcx"))}
+
+
+@st.composite
+def abelian_specs(draw):
+    rank = draw(st.integers(0, 2))
+    moduli = draw(st.lists(st.integers(2, 5), min_size=0 if rank else 1, max_size=2))
+    dim = rank + len(moduli)
+    units = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    extra = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), max_size=2))
+    gens = units + [v for v in extra if any(c % m for c, m in zip(v[rank:], moduli)) or any(v[:rank])]
+    return {"variant": "abelian", "rank": rank, "moduli": moduli, "gens": gens}
+
+
+@st.composite
+def free_specs(draw):
+    rank = draw(st.integers(1, 3))
+    letters = draw(st.sampled_from(["abcdefghijklmnopqrstuvwxyz", "xyz", "tuv"]))
+    return {"variant": "free", "rank": rank, "letters": letters}
+
+
+group_specs = st.one_of(
+    cyclic_specs(),
+    abelian_specs(),
+    free_specs(),
+    st.builds(lambda H, K: {"variant": "free_product", "H": H, "K": K}, cyclic_specs(), cyclic_specs()),
+)
 
 
 free_words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8).map(tuple)

@@ -468,7 +468,7 @@ class TestPetalNormalForm:
         for key, orders in FREE_PRODUCTS.items():
             ll = W.LamplighterModel(z2_lamps, _free_product(orders))
             W.depth_profile(ll, 6, 3)
-            assert ll.base._tsp_caches["ts_fp_memo"]
+            assert ll._ts_fp_memo
             out[key] = ll
         return out
 
@@ -479,6 +479,41 @@ class TestPetalNormalForm:
         orders, support, pos, _shift, _seed = data.draw(petal_cases(key))
         fresh = W.LamplighterModel(z2_lamps, _free_product(orders))
         assert _petal_ts(fresh, support, pos) == _petal_ts(profiled[key], support, pos)
+
+
+class TestMemoOwner:
+    """The lamplighter model owns every word-length memo; its group models
+    are never written to."""
+
+    @staticmethod
+    def _snapshot(model):
+        return [dict(vars(m)) for m in (model, *getattr(model, "factors", ()))]
+
+    @pytest.mark.parametrize("key", sorted(FREE_PRODUCTS))
+    def test_free_product_base_untouched(self, z2_lamps, key):
+        base = _free_product(FREE_PRODUCTS[key])
+        before = self._snapshot(base)
+        ll = W.LamplighterModel(z2_lamps, base)
+        petal = W.MetricBackend("petal", True)
+        g = ll.state({((0, 1),): 1, ((1, 1), (0, 2)): 1}, ((0, 1), (1, 1)))
+        assert W.word_length(ll, g, petal).value > 0
+        W.word_length_and_walk(ll, g, petal)
+        W.depth_profile(ll, 4, 2)
+        support = [((0, 1),), ((1, 1), (0, 2))]
+        assert T.ts_free_product(base, (), ((1, 1),), support) > 0
+        assert T.ts_free_product_walk(base, (), ((1, 1),), support)[0] > 0
+        assert ll._ts_fp_memo
+        assert self._snapshot(base) == before
+
+    def test_finite_and_lamp_models_untouched(self, z2_lamps):
+        base = G.make_cyclic(6, [1])
+        before = self._snapshot(base), self._snapshot(z2_lamps)
+        ll = W.LamplighterModel(z2_lamps, base)
+        W.depth_profile(ll, 4, 2)
+        g = ll.state({2: 1, 4: 1}, 1)
+        for backend in (W.auto_backend(ll), W.MetricBackend("generic", False)):
+            W.word_length_and_walk(ll, g, backend)  # generic reads base lengths
+        assert (self._snapshot(base), self._snapshot(z2_lamps)) == before
 
 
 # -- depth profile: lookup on every shell vs a search on every candidate -----
