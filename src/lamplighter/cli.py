@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -301,21 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--backend", default="auto",
                     choices=["auto", "finite", "tree", "petal", "box", "generic"])
     common(sp)
-    sp.set_defaults(func=cmd_wordlen)
 
     sp = sub.add_parser("hamdiff", help="Hamiltonian difference table")
     sp.add_argument("--group", action="append", help="finite group spec JSON (repeatable)")
     sp.add_argument("--cyclic-range", help="A:B adds cyclic groups Z/nZ, n in [A,B]")
     sp.add_argument("--format", default="csv", choices=["csv"])
     common(sp)
-    sp.set_defaults(func=cmd_hamdiff)
 
     sp = sub.add_parser("verdict", help="free-product depth dichotomy verdict")
     sp.add_argument("--H", required=True)
     sp.add_argument("--K", required=True)
     sp.add_argument("--format", default="json", choices=["json"])
     common(sp)
-    sp.set_defaults(func=cmd_verdict)
 
     sp = sub.add_parser("depth-profile", help="depth of every element in a ball")
     sp.add_argument("--group", required=True, help="lamplighter spec JSON")
@@ -326,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=int, help="state cap (default 2e6)")
     sp.add_argument("--format", default="csv", choices=["csv", "json"])
     common(sp)
-    sp.set_defaults(func=cmd_depth_profile)
 
     sp = sub.add_parser("qh", help="quasi-Hamiltonian certificate or refutation")
     sp.add_argument("--group", required=True)
@@ -335,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", default="auto",
                     choices=["auto", "abelian-box", "ball-exact", "cube", "refute"])
     common(sp)
-    sp.set_defaults(func=cmd_qh)
 
     sp = sub.add_parser("export-graph", help="DOT/adjacency export of a graph")
     sp.add_argument("--group")
@@ -343,18 +339,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cube", help="comma-separated dims, e.g. 4,3")
     sp.add_argument("--format", default="dot", choices=["dot", "adj"])
     common(sp)
-    sp.set_defaults(func=cmd_export_graph)
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # looked up by name on every call, so a replaced cmd_* takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

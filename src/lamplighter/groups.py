@@ -4,8 +4,8 @@ and free products of two finite groups, with canonical normal forms.
 Element payloads are plain hashable tuples/ints; `GroupElement` is a thin
 wrapper tying a payload to its model.  All models are immutable after
 construction and all operations are pure, so values can be shared freely.
-No other module sets attributes on a model: the word-length memos live on
-`wreath.LamplighterModel`.
+No other module sets attributes on a model: the word-length memos and the
+position tables (`PositionTable`) live on `wreath.LamplighterModel`.
 
 Payload encodings
 -----------------
@@ -684,6 +684,58 @@ class FreeProductModel(GroupModel):
 def make_free_product(H: FiniteModel, K: FiniteModel) -> FreeProductModel:
     """Free product of two nontrivial finite groups, gens = S_H u S_K."""
     return FreeProductModel(H, K)
+
+
+# ---------------------------------------------------------------------------
+# interned positions
+
+
+class PositionTable:
+    """Normal-form payloads of one group model hash-consed to dense ids.
+
+    The identity is id 0.  steps(i) is the row of ids of payload(i) * s for
+    the generators s in order, filled on first use.  Over a free product
+    every id also holds, per factor f, its route through the f copy at the
+    identity: routes[f][i] = (x, rest), the element x of that copy where
+    the word leaves it and the id of the rest of the word beyond x (0 when
+    the word ends in the copy).  For the factor of the first letter that is
+    the letter and the id of the suffix, interned recursively; for the other
+    factor it is (identity, i).  The model is only read.
+    """
+
+    def __init__(self, model: GroupModel):
+        self.model = model
+        self.payloads: List[Payload] = []
+        self.ids: Dict[Payload, int] = {}
+        self.rows: List[Optional[List[int]]] = []
+        self.routes: Tuple[List[Tuple[int, int]], ...] = ()
+        if isinstance(model, FreeProductModel):
+            self.routes = tuple([] for _f in model.factors)
+        self.intern(model.identity_payload())
+
+    def intern(self, p: Payload) -> int:
+        i = self.ids.get(p)
+        if i is None:
+            rest = self.intern(p[1:]) if self.routes and p else 0
+            i = self.ids[p] = len(self.payloads)
+            self.payloads.append(p)
+            self.rows.append(None)
+            for f, routes in enumerate(self.routes):
+                ident = self.model.factors[f].table.identity
+                if not p:
+                    routes.append((ident, 0))
+                elif p[0][0] == f:
+                    routes.append((p[0][1], rest))
+                else:
+                    routes.append((ident, i))
+        return i
+
+    def steps(self, i: int) -> List[int]:
+        row = self.rows[i]
+        if row is None:
+            p, mul = self.payloads[i], self.model.mul_payload
+            row = self.rows[i] = [self.intern(mul(p, s)) for s in self.model.gens.elements]
+        return row
 
 
 # ---------------------------------------------------------------------------

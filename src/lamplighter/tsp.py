@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import BoundExceededError, ResourceCapError, VerificationError
 from .graphs import FiniteGraph, finite_cayley_graph
-from .groups import FreeModel, FreeProductModel, Payload
+from .groups import FreeModel, FreeProductModel, Payload, PositionTable
 
 MAX_REQUIRED = 22
 _INF = 1 << 40
@@ -342,10 +342,10 @@ def ts_free_product(
     """Exact TS(start -> end; required) in Cay(H*K, S_H u S_K).
 
     Normalises the input and translates it by start^-1, then evaluates
-    ts_free_product_normal with a fresh memo.
+    ts_free_product_normal on a fresh position table and memo.
     """
     _start, end_l, req_l = _localise(model, start, end, required)
-    return ts_free_product_normal(model, end_l, req_l, {})
+    return ts_free_product_normal(PositionTable(model), end_l, req_l, {})
 
 
 def _localise(model: FreeProductModel, start: Payload, end: Payload, required: Sequence[Payload]):
@@ -362,22 +362,33 @@ def _localise(model: FreeProductModel, start: Payload, end: Payload, required: S
 
 
 def ts_free_product_normal(
-    model: FreeProductModel, end: Payload, required: FrozenSet[Payload], memo: dict
+    positions: PositionTable, end: Payload, required: FrozenSet[Payload], memo: dict
 ) -> int:
-    """Exact TS(e -> end; required) for normal-form payloads.
+    """Exact TS(e -> end; required) for normal-form payloads of the free
+    product `positions.model`: interns them into `positions` and runs
+    ts_free_product_ids."""
+    if not isinstance(positions.model, FreeProductModel):
+        raise ValueError("ts_free_product needs a free product model")
+    intern = positions.intern
+    return ts_free_product_ids(positions, intern(end), frozenset(map(intern, required)), memo)
+
+
+def ts_free_product_ids(
+    positions: PositionTable, end: int, required: FrozenSet[int], memo: dict
+) -> int:
+    """Exact TS(e -> end; required) for position ids of a free product.
 
     Recursion over the tree of factor copies: each copy contributes a finite
     TSP whose station weights are the closed-excursion costs of its nonempty
     petals; the copy holding the endpoint takes one final open excursion.
     The root is evaluated but not memoised (a root key rarely recurs).
-    memo is the caller's dict for this model; it keeps the sub-excursion
-    values, the factor TS rows and the factor Cayley graphs.
+    memo is the caller's dict for this position table; it keeps the
+    sub-excursion values keyed by (factor, end id, required ids), the factor
+    TS rows and the factor Cayley graphs.
     """
-    if not isinstance(model, FreeProductModel):
-        raise ValueError("ts_free_product needs a free product model")
     if not required and not end:
         return 0
-    return _ts_fp_copy(model, 0, end, required, memo)
+    return _ts_fp_copy(positions, 0, end, required, memo)
 
 
 def ts_free_product_walk(
@@ -389,7 +400,9 @@ def ts_free_product_walk(
     """As ts_free_product, but also reconstructs one optimal walk (as group
     elements).  The walk length certifies the recursion's value."""
     start, end_l, req_l = _localise(model, start, end, required)
-    cost, local = _walk_fp(model, 0, end_l, req_l, {})
+    positions = PositionTable(model)
+    intern = positions.intern
+    cost, local = _walk_fp(positions, 0, intern(end_l), frozenset(map(intern, req_l)), {})
     if cost != len(local) - 1:
         raise VerificationError(
             f"free-product walk has {len(local) - 1} edges but costs {cost}"
@@ -404,56 +417,47 @@ def _attach(model: FreeProductModel, factor: int, station: int, sub: List[Payloa
     return [model.mul_payload(((factor, station),), p) for p in sub]
 
 
-def _split(model: FreeProductModel, factor: int, end: Payload, required: FrozenSet[Payload]):
-    """Route `required` and `end` through the `factor` copy at the identity.
+def _split(positions: PositionTable, factor: int, end: int, required: FrozenSet[int]):
+    """Route the ids `required` and `end` through the `factor` copy at the
+    identity (see PositionTable.routes).
 
-    Returns (ident, in_copy, beyond, end_idx, dive): the required elements of
-    the copy, the rest of each required element that lies beyond the copy
-    grouped by the copy element it leaves from, the copy element where the
-    walk leaves for `end`, and the rest of `end` beyond it (None when `end`
-    lies in the copy).
+    Returns (in_copy, beyond, end_idx, dive): the required elements of the
+    copy, the ids of the rest of each required element that lies beyond the
+    copy grouped by the copy element it leaves from, the copy element where
+    the walk leaves for `end`, and the id of the rest of `end` beyond it (0
+    when `end` lies in the copy).
     """
-    ident = model.factors[factor].table.identity
+    routes = positions.routes[factor]
     in_copy: Set[int] = set()
-    beyond: Dict[int, Set[Payload]] = {}
+    beyond: Dict[int, Set[int]] = {}
     for r in required:
-        if not r:
-            in_copy.add(ident)
-        elif len(r) == 1 and r[0][0] == factor:
-            in_copy.add(r[0][1])
-        elif r[0][0] == factor:
-            beyond.setdefault(r[0][1], set()).add(r[1:])
+        x, rest = routes[r]
+        if rest:
+            beyond.setdefault(x, set()).add(rest)
         else:
-            beyond.setdefault(ident, set()).add(r)
-    if not end:
-        return ident, in_copy, beyond, ident, None
-    if len(end) == 1 and end[0][0] == factor:
-        return ident, in_copy, beyond, end[0][1], None
-    if end[0][0] == factor:
-        return ident, in_copy, beyond, end[0][1], end[1:]
-    return ident, in_copy, beyond, ident, end
+            in_copy.add(x)
+    return (in_copy, beyond, *routes[end])
 
 
-def _walk_fp(model: FreeProductModel, factor: int, end: Payload, required: FrozenSet[Payload], memo):
+def _walk_fp(positions: PositionTable, factor: int, end: int, required: FrozenSet[int], memo):
     if not required and not end:
         return 0, [()]
-    ident, stations, beyond, end_idx, dive = _split(model, factor, end, required)
+    model = positions.model
+    ident = model.factors[factor].table.identity
+    stations, beyond, end_idx, dive = _split(positions, factor, end, required)
     other = 1 - factor
-    excursions: Dict[int, List[Payload]] = {}
     total = 0
-    for s, sub in beyond.items():
-        if s == end_idx and dive is not None:
-            continue
-        c, w = _walk_fp(model, other, (), frozenset(sub), memo)
-        excursions[s] = _attach(model, factor, s, w)
-        stations.add(s)
-        total += c
     dive_walk: List[Payload] = []
-    if dive is not None:
-        c, w = _walk_fp(model, other, dive, frozenset(beyond.get(end_idx, ())), memo)
+    if dive:
+        total, w = _walk_fp(positions, other, dive, frozenset(beyond.pop(end_idx, ())), memo)
         dive_walk = _attach(model, factor, end_idx, w)
         stations.add(end_idx)
+    excursions: Dict[int, List[Payload]] = {}
+    for s, sub in beyond.items():
+        c, w = _walk_fp(positions, other, 0, frozenset(sub), memo)
+        excursions[s] = _attach(model, factor, s, w)
         total += c
+    stations.update(beyond)
 
     graph = _factor_graph(model, factor, memo)
     sol = solve_exact(TspInstance(graph, ident, end_idx, frozenset(stations)))
@@ -470,27 +474,25 @@ def _walk_fp(model: FreeProductModel, factor: int, end: Payload, required: Froze
     return sol.length + total, walk
 
 
-def _ts_fp(model: FreeProductModel, factor: int, end: Payload, required: FrozenSet[Payload], memo) -> int:
+def _ts_fp(positions: PositionTable, factor: int, end: int, required: FrozenSet[int], memo) -> int:
     if not required and not end:
         return 0
     key = (factor, end, required)
     val = memo.get(key)
     if val is None:
-        val = memo[key] = _ts_fp_copy(model, factor, end, required, memo)
+        val = memo[key] = _ts_fp_copy(positions, factor, end, required, memo)
     return val
 
 
-def _ts_fp_copy(model: FreeProductModel, factor: int, end: Payload, required: FrozenSet[Payload], memo) -> int:
+def _ts_fp_copy(positions: PositionTable, factor: int, end: int, required: FrozenSet[int], memo) -> int:
     """TS from the identity of this `factor` copy; petals recurse via _ts_fp."""
-    _ident, stations, beyond, end_idx, dive = _split(model, factor, end, required)
+    stations, beyond, end_idx, dive = _split(positions, factor, end, required)
     other = 1 - factor
     total = 0
-    for s, sub in beyond.items():
-        if s == end_idx and dive is not None:
-            continue
-        total += _ts_fp(model, other, (), frozenset(sub), memo)
-        stations.add(s)
-    if dive is not None:
-        total += _ts_fp(model, other, dive, frozenset(beyond.get(end_idx, ())), memo)
+    if dive:
+        total = _ts_fp(positions, other, dive, frozenset(beyond.pop(end_idx, ())), memo)
         stations.add(end_idx)
-    return _factor_ts_edges(model, factor, end_idx, frozenset(stations), memo) + total
+    for sub in beyond.values():
+        total += _ts_fp(positions, other, 0, frozenset(sub), memo)
+    stations.update(beyond)
+    return _factor_ts_edges(positions.model, factor, end_idx, frozenset(stations), memo) + total

@@ -5,10 +5,13 @@ verdicts.
 
 A wreath state is (lamps, position): lamps is a sorted tuple of
 (base payload, lamp payload) pairs storing only non-identity lamp values.
+Ball enumeration and depth profiles run on interned states instead: one int
+`config id << 32 | position id` (see LamplighterModel._encode).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import os
@@ -24,12 +27,15 @@ from .groups import (
     FreeProductModel,
     GroupModel,
     Payload,
+    PositionTable,
 )
 from . import hamiltonian, tsp
 
 WreathState = Tuple[Tuple[Tuple[Payload, Payload], ...], Payload]
 
 GENERIC_SLACK = 4  # generic backend: ball radius = longest point length + slack
+
+_POS_MASK = (1 << 32) - 1  # an interned state is config id << 32 | position id
 
 
 @dataclass(frozen=True)
@@ -75,11 +81,18 @@ class LamplighterModel:
         self._lamp_len = functools.lru_cache(maxsize=None)(lamps.length_payload)
         self._base_str = functools.lru_cache(maxsize=None)(base.payload_str)
         # every word-length memo: _ts_cache keyed by (backend strategy,
-        # position, support), and the petal recursion's own (see word_length)
+        # position, support), and the petal recursion's own, keyed by ids of
+        # _positions (see word_length)
         self._ts_cache: Dict[tuple, int] = {}
         self._ts_fp_memo: dict = {}
         self._finite_graph = finite_cayley_graph(base) if isinstance(base, FiniteModel) else None
         self._generator_states = self._build_generator_states()
+        # the intern tables of the states met (see _encode): base positions,
+        # and lamp configurations as tuples of (position id, lamp payload)
+        # sorted by id; configuration 0 is all lamps off
+        self._positions = PositionTable(base)
+        self._configs: List[tuple] = [()]
+        self._config_ids: Dict[tuple, int] = {(): 0}
 
     # -- states ------------------------------------------------------------
     def identity_state(self) -> WreathState:
@@ -97,10 +110,55 @@ class LamplighterModel:
 
     def state_str(self, g: WreathState) -> str:
         lamps, pos = g
+        return f"{self._lamps_str(lamps)};{self._base_str(pos)}"
+
+    def _lamps_str(self, lamps) -> str:
         names = self._base_str
         lamp_str = self.lamps.payload_str
-        body = "+".join(f"{lamp_str(v)}@{names(k)}" for k, v in lamps)
-        return f"{body or '-'};{names(pos)}"
+        return "+".join(f"{lamp_str(v)}@{names(k)}" for k, v in lamps) or "-"
+
+    # -- interned states ----------------------------------------------------
+    def _encode(self, g: WreathState) -> int:
+        """The interned state of g: config id << 32 | position id."""
+        lamps, pos = g
+        intern = self._positions.intern
+        return self._config_id(tuple(sorted((intern(k), v) for k, v in lamps))) << 32 | intern(pos)
+
+    def _config_id(self, config: tuple) -> int:
+        c = self._config_ids.get(config)
+        if c is None:
+            c = self._config_ids[config] = len(self._configs)
+            self._configs.append(config)
+        return c
+
+    def _decode(self, s: int) -> WreathState:
+        payloads = self._positions.payloads
+        lamps = sorted((payloads[k], v) for k, v in self._configs[s >> 32])
+        return tuple(lamps), payloads[s & _POS_MASK]
+
+    def _lamp_configs(self, s: int) -> List[tuple]:
+        """The lamp configuration of s times each lamp generator, as tuples;
+        nothing is interned."""
+        config, p = self._configs[s >> 32], s & _POS_MASK
+        i = bisect.bisect_left(config, (p,))
+        lit = i < len(config) and config[i][0] == p
+        e_a = self.lamps.identity_payload()
+        cur = config[i][1] if lit else e_a
+        before, after = config[:i], config[i + lit:]
+        out = []
+        for a in self.lamps.gens.elements:
+            v = self.lamps.mul_payload(cur, a)
+            out.append(before + after if v == e_a else before + ((p, v),) + after)
+        return out
+
+    def _steps(self, s: int) -> List[int]:
+        """The interned neighbours of s: lamp generators first, then base
+        generators."""
+        p = s & _POS_MASK
+        out = [self._config_id(config) << 32 | p for config in self._lamp_configs(s)]
+        config_bits = s ^ p
+        out += [config_bits | q for q in self._positions.steps(p)]
+        return out
 
     # -- group law ----------------------------------------------------------
     def multiply(self, g: WreathState, h: WreathState) -> WreathState:
@@ -139,28 +197,10 @@ class LamplighterModel:
         return out
 
     def neighbors(self, g: WreathState) -> List[WreathState]:
-        lamps, pos = g
-        out: List[WreathState] = []
-        seen = set()
-        e_a = self.lamps.identity_payload()
-        cur = dict(lamps)
-        for s in self.lamps.gens.elements:
-            v = self.lamps.mul_payload(cur.get(pos, e_a), s)
-            items = dict(cur)
-            if v == e_a:
-                items.pop(pos, None)
-            else:
-                items[pos] = v
-            st = (tuple(sorted(items.items())), pos)
-            if st not in seen:
-                seen.add(st)
-                out.append(st)
-        for s in self.base.gens.elements:
-            st = (lamps, self.base.mul_payload(pos, s))
-            if st not in seen:
-                seen.add(st)
-                out.append(st)
-        return out
+        """g times each generator, lamp generators first (generating sets
+        hold no repeats and no identity, so these are distinct); the states
+        are interned on the way."""
+        return [self._decode(t) for t in self._steps(self._encode(g))]
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +220,9 @@ def word_length(model: LamplighterModel, g: WreathState, backend: MetricBackend)
     support = frozenset(k for k, _v in lamps)
     if backend.strategy == "petal":
         # states hold normal-form payloads and the walk starts at the
-        # identity, so the recursion takes them as they are; _ts_fp_memo keeps
-        # its sub-excursions, and a (position, support) key rarely recurs
-        ts = tsp.ts_free_product_normal(model.base, pos, support, model._ts_fp_memo)
+        # identity, so the recursion interns them as they are; _ts_fp_memo
+        # keeps its sub-excursions, and a (position, support) key rarely recurs
+        ts = tsp.ts_free_product_normal(model._positions, pos, support, model._ts_fp_memo)
         return WordLength(cost + ts, backend.exact)
     key = (backend.strategy, pos, support)
     ts = model._ts_cache.get(key)
@@ -536,60 +576,86 @@ def enumerate_ball(
     Returns (distances, complete).  When the cap is hit, either raises or,
     with partial_ok, stops after the last fully enumerated shell."""
     dist, complete, _stuck = _ball_shells(model, radius, cap, partial_ok)
-    return dist, complete
+    return {model._decode(s): d for s, d in dist.items()}, complete
 
 
 def _ball_shells(
     model: LamplighterModel, radius: int, cap: Optional[int], partial_ok: bool
-) -> Tuple[Dict[WreathState, int], bool, Set[WreathState]]:
-    """enumerate_ball plus the stuck elements: those of a shell d - 1 with no
-    neighbour in shell d.  When the cap drops shell d, the elements found
-    stuck while expanding into it are dropped too, so the stuck set lies
-    below the last shell of a capped ball."""
+) -> Tuple[Dict[int, int], bool, Set[int]]:
+    """enumerate_ball on interned states, plus the stuck elements: those of a
+    shell d - 1 with no neighbour in shell d.
+
+    The enumeration stops as soon as it holds more than `cap` states, so it
+    builds at most cap plus one element's neighbours.  It then drops the
+    partial shell d and the elements found stuck while expanding into it, so
+    the stuck set lies below the last shell of a capped ball."""
     cap = _frontier_cap() if cap is None else cap
-    e = model.identity_state()
-    dist: Dict[WreathState, int] = {e: 0}
-    stuck: Set[WreathState] = set()
+    e = model._encode(model.identity_state())
+    dist: Dict[int, int] = {e: 0}
+    stuck: Set[int] = set()
     frontier = [e]
+    steps = model._steps
     for d in range(1, radius + 1):
         nxt = []
         shell_stuck = []
-        for g in frontier:
+        for s in frontier:
             up = False
-            for h in model.neighbors(g):
-                dh = dist.get(h)
-                if dh is None:
-                    dist[h] = d
-                    nxt.append(h)
+            for t in steps(s):
+                dt = dist.get(t)
+                if dt is None:
+                    dist[t] = d
+                    nxt.append(t)
                     up = True
-                elif dh == d:
+                elif dt == d:
                     up = True
             if not up:
-                shell_stuck.append(g)
-        if len(dist) > cap:
-            if not partial_ok:
-                raise ResourceCapError(f"wreath ball cap {cap} exceeded")
-            for h in nxt:
-                del dist[h]
-            return dist, False, stuck
+                shell_stuck.append(s)
+            if len(dist) > cap:
+                if not partial_ok:
+                    raise ResourceCapError(
+                        f"wreath ball cap (LAMPLIGHTER_CAP or --cap) {cap} exceeded "
+                        f"in shell {d}; shells 0..{d - 1} are complete"
+                    )
+                for t in nxt:
+                    del dist[t]
+                return dist, False, stuck
         stuck.update(shell_stuck)
         frontier = nxt
     return dist, True, stuck
 
 
-def _leaves_ball(model: LamplighterModel, g: WreathState, dist: Dict[WreathState, int]) -> bool:
-    """True iff some neighbour of g is not in dist; the cheap base moves are
-    tried before building every neighbour."""
-    lamps, pos = g
-    mul = model.base.mul_payload
-    for s in model.base.gens.elements:
-        if (lamps, mul(pos, s)) not in dist:
+def _leaves_ball(model: LamplighterModel, s: int, dist: Dict[int, int]) -> bool:
+    """True iff some neighbour of the interned state s is not in dist.  The
+    cheap base moves are tried first; a lamp move whose configuration was
+    never interned leaves the ball, so lamp moves intern nothing."""
+    p = s & _POS_MASK
+    config_bits = s ^ p
+    for q in model._positions.steps(p):
+        if config_bits | q not in dist:
             return True
-    return any(h not in dist for h in model.neighbors(g))
+    ids = model._config_ids
+    for config in model._lamp_configs(s):
+        c = ids.get(config)
+        if c is None or c << 32 | p not in dist:
+            return True
+    return False
 
 
-def _check_formula(model: LamplighterModel, g: WreathState, formula: int, L: int) -> None:
+def _state_length(model: LamplighterModel, s: int, backend: MetricBackend) -> int:
+    """Word length of the interned state s by the formula, never the BFS
+    distance: the petal backend runs the recursion on position ids, the
+    other backends decode s and call word_length."""
+    if backend.strategy != "petal":
+        return word_length(model, model._decode(s), backend).value
+    config = model._configs[s >> 32]
+    support = frozenset([k for k, _v in config])
+    ts = tsp.ts_free_product_ids(model._positions, s & _POS_MASK, support, model._ts_fp_memo)
+    return sum(map(model._lamp_len, [v for _k, v in config])) + ts
+
+
+def _check_formula(model: LamplighterModel, s: int, formula: int, L: int) -> None:
     if formula != L:
+        g = model._decode(s)
         raise VerificationError(
             f"formula gives {formula} but BFS distance is {L} for {model.state_str(g)}"
         )
@@ -612,24 +678,38 @@ def depth_profile(
     in the ball is one longer: with k_max >= 1 such an element is depth 0.
     Only the rest trigger a depth search.  The word-length formula is
     checked against the BFS distance on every last-shell and every searched
-    element.
+    element.  The ball and the checks run on interned states; a state is
+    decoded only for a depth search or an error message.
     """
     backend = backend or auto_backend(model)
     _require_exact(backend)
     dist, complete, stuck = _ball_shells(model, radius, cap, partial_ok)
     reached = max(dist.values(), default=0)
+    bodies: Dict[int, str] = {}  # lamp part of the element id, per config id
+    names: Dict[int, str] = {}  # position part, per position id
+
+    def element_id(s: int) -> str:
+        c, p = s >> 32, s & _POS_MASK
+        body = bodies.get(c)
+        if body is None:
+            body = bodies[c] = model._lamps_str(model._decode(c << 32)[0])
+        name = names.get(p)
+        if name is None:
+            name = names[p] = model._base_str(model._positions.payloads[p])
+        return f"{body};{name}"
+
     rows: List[ProfileRow] = []
-    for g, L in dist.items():
+    for s, L in dist.items():
         if L < reached:
-            if g not in stuck:
-                rows.append(ProfileRow(model.state_str(g), L, 0, True))
+            if s not in stuck:
+                rows.append(ProfileRow(element_id(s), L, 0, True))
                 continue
-        elif k_max >= 1 and _leaves_ball(model, g, dist):
-            _check_formula(model, g, word_length(model, g, backend).value, L)
-            rows.append(ProfileRow(model.state_str(g), L, 0, True))
+        elif k_max >= 1 and _leaves_ball(model, s, dist):
+            _check_formula(model, s, _state_length(model, s, backend), L)
+            rows.append(ProfileRow(element_id(s), L, 0, True))
             continue
-        rep = depth(model, g, k_max, backend)
-        _check_formula(model, g, rep.word_length, L)
-        rows.append(ProfileRow(model.state_str(g), L, rep.depth, rep.depth_exact))
+        rep = depth(model, model._decode(s), k_max, backend)
+        _check_formula(model, s, rep.word_length, L)
+        rows.append(ProfileRow(element_id(s), L, rep.depth, rep.depth_exact))
     rows.sort(key=lambda r: (r.word_length, r.element_id))
     return DepthProfile(radius, k_max, tuple(rows), complete)

@@ -372,6 +372,45 @@ tsp._lex_shortest_path = skipping
 print(sys.flags.optimize, rc_ok, cli.main(argv))
 """
 
+# Runs one command (JSON argv) twice in one process: as shipped, then after
+# executing the given patch.  Prints the optimisation level and both exit
+# codes.
+PATCHED_SCRIPT = """
+import json, os, sys
+from lamplighter import cli, hamiltonian, tsp, wreath
+patch, argv = sys.argv[1], json.loads(sys.argv[2]) + ["--out", os.devnull]
+rc_ok = cli.main(argv)
+exec(patch)
+print(sys.flags.optimize, rc_ok, cli.main(argv))
+"""
+
+# the petal TS recursion one too long: the profile's formula check fails
+PETAL_OFF_BY_ONE = """
+exact = tsp.ts_free_product_ids
+tsp.ts_free_product_ids = lambda *a: exact(*a) + 1
+"""
+
+# wordlen reports a value one longer than its walk
+WORDLEN_OFF_BY_ONE = """
+exact = wreath.word_length_and_walk
+def off(m, g, b):
+    wl, walk = exact(m, g, b)
+    return wreath.WordLength(wl.value + 1, wl.exact), walk
+wreath.word_length_and_walk = off
+"""
+
+# the last walk of a qh certificate loses its last vertex
+QH_CUT_WALK = """
+make = hamiltonian.qh_certificate
+def cut(*a, **k):
+    cert = make(*a, **k)
+    walks = cert.witnesses[-1].walks
+    end = next(iter(walks))
+    walks[end] = walks[end][:-1]
+    return cert
+hamiltonian.qh_certificate = cut
+"""
+
 # Prints whether numpy is loaded after each command.
 NO_NUMPY_SCRIPT = """
 import os, sys
@@ -418,3 +457,53 @@ class TestVerificationUnderOptimize:
         monkeypatch.setattr(cli.wreath, "depth_profile", broken)
         rc, _, err = run(["depth-profile", "--group", specs["ll_line.json"], "--radius", "1"])
         assert rc == 5 and "internal error: broken invariant" in err
+
+    @pytest.mark.parametrize("patch, argv, message", [
+        (PETAL_OFF_BY_ONE, ["depth-profile", "--group", "ll_fp82.json", "--radius", "3",
+                            "--kmax", "2"], "formula gives"),
+        (WORDLEN_OFF_BY_ONE, ["wordlen", "--group", "ll_fp82.json", "--element",
+                              "elem_fp82.json", "--verify"], "walk edges"),
+        (QH_CUT_WALK, ["qh", "--group", "z12.json", "--nmax", "2", "--M", "1",
+                       "--strategy", "ball-exact", "--verify"],
+         "qh certificate"),
+    ], ids=["depth-profile-petal", "wordlen-verify", "qh-verify"])
+    def test_checks_survive_python_O(self, specs, patch, argv, message):
+        argv = [specs.get(a, a) for a in argv]
+        proc = _run_script(PATCHED_SCRIPT, patch, json.dumps(argv), optimize=True)
+        assert proc.stdout.split() == ["1", "0", "4"], proc.stderr
+        assert proc.stderr.startswith("verification failure: ") and message in proc.stderr
+
+
+class TestParserOnce:
+    CASES = [
+        ["wordlen", "--group", "ll_fp82.json", "--element", "elem_fp82.json", "--verify"],
+        ["hamdiff", "--cyclic-range", "3:6"],
+        ["verdict", "--H", "c8.json", "--K", "c2.json"],
+        ["depth-profile", "--group", "ll_fp82.json", "--radius", "3", "--kmax", "2"],
+        ["qh", "--group", "z12.json", "--nmax", "2", "--M", "1", "--strategy", "ball-exact"],
+        ["export-graph", "--cube", "2,3", "--format", "adj"],
+        ["depth-profile", "--radius", "x"],
+    ]
+
+    def test_reused_parser_matches_fresh(self, specs):
+        cases = [[specs.get(a, a) for a in argv] for argv in self.CASES]
+        assert run(["wordlen", "--bogus"])[0] == 2
+        reused = [run(argv)[:2] for argv in cases]
+        fresh = []
+        for argv in cases:
+            cli._parser.cache_clear()
+            fresh.append(run(argv)[:2])
+        assert reused == fresh
+        assert [rc for rc, _out in fresh] == [0, 0, 0, 0, 0, 0, 2]
+
+    def test_built_once_and_commands_looked_up_per_call(self, specs, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        argv = ["hamdiff", "--cyclic-range", "3:3"]
+        assert run(argv)[0] == 0
+        monkeypatch.setattr(cli, "cmd_hamdiff", lambda args: 7)
+        assert run(argv)[0] == 7
+        assert run(["verdict", "--H", "missing.json"])[0] == 2
+        assert len(built) == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamplighter import graphs as Gr, groups as G, tsp as T, wreath as W
-from lamplighter.errors import VerificationError
+from lamplighter.errors import ResourceCapError, VerificationError
 
 line_states = st.builds(
     lambda lamps, pos: (tuple(sorted(((k,), 1) for k in lamps)), (pos,)),
@@ -447,6 +447,13 @@ def _petal_ts(ll, support, pos):
     return W.word_length(ll, g, W.MetricBackend("petal", True)).value - len(support)
 
 
+def _interned_ts(ll, support, pos):
+    """The same term from the interned state, as the profile's formula check
+    computes it (position ids, id-keyed memo)."""
+    s = ll._encode(ll.state({p: 1 for p in support}, pos))
+    return W._state_length(ll, s, W.MetricBackend("petal", True)) - len(support)
+
+
 class TestPetalNormalForm:
     @pytest.mark.parametrize("key", sorted(FREE_PRODUCTS))
     @settings(max_examples=40, deadline=None)
@@ -460,7 +467,9 @@ class TestPetalNormalForm:
         public = T.ts_free_product(
             base, _spell(base, shift, rng), _spell(base, shift + pos, rng), moved
         )
+        interned = _interned_ts(W.LamplighterModel(z2_lamps, base), support, pos)
         assert _petal_ts(ll, support, pos) == public == _ball_ts(base, orders, pos, support)
+        assert interned == public
 
     @pytest.fixture(scope="class")
     def profiled(self, z2_lamps):
@@ -519,16 +528,40 @@ class TestMemoOwner:
 # -- depth profile: lookup on every shell vs a search on every candidate -----
 
 
-def _searched_profile(model, radius, k_max, cap=None, partial_ok=False):
+def _payload_ball(model, radius, cap=None):
+    """(distances, complete) by a BFS over payload states with multiply and
+    generator_states(), a whole shell at a time; the shell that takes the
+    ball over the cap is dropped."""
+    e = model.identity_state()
+    dist, frontier = {e: 0}, [e]
+    for d in range(1, radius + 1):
+        nxt = []
+        for g in frontier:
+            for _label, s in model.generator_states():
+                h = model.multiply(g, s)
+                if h not in dist:
+                    dist[h] = d
+                    nxt.append(h)
+        if cap is not None and len(dist) > cap:
+            for h in nxt:
+                del dist[h]
+            return dist, False
+        frontier = nxt
+    return dist, True
+
+
+def _searched_profile(model, radius, k_max, cap=None):
     """The profile with one depth() search on every element that has no
     longer neighbour inside the ball: every dead-end candidate below the last
-    shell and every element of the last shell."""
+    shell and every element of the last shell.  The ball comes from the
+    payload BFS, not from the interned enumeration."""
     be = W.auto_backend(model)
-    dist, complete = W.enumerate_ball(model, radius, cap=cap, partial_ok=partial_ok)
+    dist, complete = _payload_ball(model, radius, cap)
     reached = max(dist.values())
     rows = []
     for g, L in dist.items():
-        if L < reached and any(dist.get(h, -1) > L for h in model.neighbors(g)):
+        nbrs = [model.multiply(g, s) for _label, s in model.generator_states()]
+        if L < reached and any(dist.get(h, -1) > L for h in nbrs):
             rows.append(W.ProfileRow(model.state_str(g), L, 0, True))
             continue
         rep = W.depth(model, g, k_max, be)
@@ -568,7 +601,7 @@ class TestProfileLookup:
     @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES)
     def test_matches_search_on_every_candidate(self, key, radius, k_max, cap):
         got = W.depth_profile(_model(key), radius, k_max, cap=cap, partial_ok=True)
-        want = _searched_profile(_model(key), radius, k_max, cap=cap, partial_ok=True)
+        want = _searched_profile(_model(key), radius, k_max, cap=cap)
         assert got == want
         assert got.complete == (cap is None)
 
@@ -593,12 +626,132 @@ class TestProfileLookup:
         model = _model("fp82")
         dist, _ = W.enumerate_ball(model, 5)
         last = {g for g, L in dist.items() if L == 5}
-        exact = W.word_length
+        exact = W._state_length
 
-        def off_on_last(m, g, be):
-            wl = exact(m, g, be)
-            return W.WordLength(wl.value + (g in last), wl.exact)
+        def off_on_last(m, s, be):
+            return exact(m, s, be) + (m._decode(s) in last)
 
-        monkeypatch.setattr(W, "word_length", off_on_last)
+        monkeypatch.setattr(W, "_state_length", off_on_last)
         with pytest.raises(VerificationError, match="formula gives 6 but BFS distance is 5"):
             W.depth_profile(model, 5, 3)
+
+
+# -- interned states: the int kernel against the payload group law ---------
+
+BALL_CASES = [
+    # (model, radius, cap)
+    ("fp82", 6, None),
+    ("tree", 8, None),
+    ("box_z2", 4, None),
+    ("z3_wr_z4", 30, None),
+    ("fp82", 8, 500),
+    ("tree", 9, 700),
+    ("box_z2", 6, 150),
+    ("z3_wr_z4", 30, 200),
+]
+
+
+@st.composite
+def walked_states(draw, key):
+    """(model, state): the end of a random generator word from the identity."""
+    model = _model(key)
+    gens = [s for _label, s in model.generator_states()]
+    g = model.identity_state()
+    for i in draw(st.lists(st.integers(0, len(gens) - 1), max_size=14)):
+        g = model.multiply(g, gens[i])
+    return model, g
+
+
+class TestInternedStates:
+    @pytest.mark.parametrize("key, radius, cap", BALL_CASES)
+    def test_enumerate_ball_matches_payload_bfs(self, key, radius, cap):
+        got = W.enumerate_ball(_model(key), radius, cap=cap, partial_ok=True)
+        assert got == _payload_ball(_model(key), radius, cap)
+        assert got[1] == (cap is None)
+
+    @pytest.mark.parametrize("key", ["fp82", "tree", "box_z2", "z3_wr_z4"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_encode_decode_round_trip(self, key, data):
+        model, g = data.draw(walked_states(key))
+        s = model._encode(g)
+        assert model._decode(s) == g
+        assert model._encode(model._decode(s)) == s
+        assert model.state_str(model._decode(s)) == model.state_str(g)
+        # the interned generator action agrees with the payload group law
+        want = [model.multiply(g, t) for _label, t in model.generator_states()]
+        assert model.neighbors(g) == want
+
+    @pytest.mark.parametrize("key, radius, cap", [c for c in BALL_CASES if c[2]])
+    def test_cap_bounds_states_built(self, key, radius, cap):
+        # the enumeration stops within one element of passing the cap
+        model = _model(key)
+        built = {model._encode(model.identity_state())}
+        steps = model._steps
+
+        def recording(s):
+            out = steps(s)
+            built.update(out)
+            return out
+
+        model._steps = recording
+        W.enumerate_ball(model, radius, cap=cap, partial_ok=True)
+        assert cap < len(built) <= cap + len(model.generator_states())
+        assert len(model._configs) <= len(built)
+
+    def test_cap_error_names_cap_and_last_shell(self):
+        dist, _ = _payload_ball(_model("fp82"), 8, 500)
+        last = max(dist.values())
+        with pytest.raises(ResourceCapError) as info:
+            W.enumerate_ball(_model("fp82"), 8, cap=500)
+        msg = str(info.value)
+        assert "cap" in msg and "500" in msg
+        assert f"in shell {last + 1}; shells 0..{last} are complete" in msg
+
+
+# -- box and tree backends against an exact TSP on a Cayley ball -----------
+
+
+def _ball_tsp(base, radius, pos, support):
+    ball = Gr.cayley_ball(base, radius)
+    inst = T.TspInstance(
+        ball.graph, ball.vertex_of(base.identity_payload()), ball.vertex_of(pos),
+        frozenset(ball.vertex_of(p) for p in support),
+    )
+    return T.solve_exact(inst).length
+
+
+BOX_BASES = {
+    "Z^2": lambda: G.make_abelian(2, [], [[1, 0], [0, 1]]),
+    "ZxZ/4": lambda: G.make_abelian(1, [4], [[1, 0], [0, 1]]),
+}
+
+
+class TestBackendsAgainstBallTsp:
+    @pytest.mark.parametrize("key", sorted(BOX_BASES))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_box_matches_ball_tsp(self, z2_lamps, key, data):
+        base = BOX_BASES[key]()
+        point = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(base.normalize_payload)
+        support = data.draw(st.lists(point, min_size=1, max_size=5, unique=True))
+        pos = data.draw(point)
+        ll = W.LamplighterModel(z2_lamps, base)
+        g = ll.state({p: 1 for p in support}, pos)
+        box = W.word_length(ll, g, W.auto_backend(ll)).value - len(support)
+        # every point of the bounding box lies within this radius of e
+        pts = support + [pos]
+        radius = sum(max(abs(p[i]) for p in pts) for i in range(base.rank))
+        radius += sum(m // 2 for m in base.moduli)
+        assert box == _ball_tsp(base, radius, pos, support)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_tree_closed_form_matches_ball_tsp(self, data):
+        base = G.make_free(2)
+        word = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3).map(base.normalize_payload)
+        support = data.draw(st.lists(word, min_size=1, max_size=5, unique=True))
+        pos = data.draw(word)
+        # an optimal tree walk stays in the geodesic hull of its points
+        radius = max(len(p) for p in support + [pos])
+        assert T.ts_tree((), pos, support, base) == _ball_tsp(base, radius, pos, support)
