@@ -10,23 +10,26 @@ Since every required vertex is serviced exactly once, the service weights add
 a constant to every feasible walk; they never change which walk is optimal.
 
 Every exact TS value except the tree closed form comes from one pure-Python
-Held-Karp kernel, reached through one setup that enforces MAX_REQUIRED:
-solve_exact, solve_all_ends and the finite factor TSPs of the free-product
-recursion all go through it.
+Held-Karp kernel, reached through one setup that enforces MAX_REQUIRED and
+refuses a disconnected graph: solve_exact, solve_all_ends and the finite
+factor TSPs of the free-product recursion all go through it.  The kernel
+packs the table into one int per subset of stations, with one field of w
+bits per station, and takes the minimum over the members of a subset
+fieldwise (SWAR).  w leaves one guard bit above the largest value a field
+can hold, so no subtraction borrows across fields and the packed table
+holds exactly the values of the plain one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import BoundExceededError, ResourceCapError, VerificationError
 from .graphs import FiniteGraph, finite_cayley_graph
 from .groups import FreeModel, FreeProductModel, Payload, PositionTable
 
 MAX_REQUIRED = 22
-_INF = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,6 @@ def validate_solution(inst: TspInstance, sol: TspSolution) -> None:
 def solve_exact(inst: TspInstance) -> TspSolution:
     """Globally minimal walk; deterministic tie-breaks favor small vertices."""
     g = inst.graph
-    if not g.is_connected():
-        raise ValueError("solve_exact requires a connected graph")
     bonus = sum(inst.service_weight.get(r, 0) for r in inst.required)
     others, dist, dp = _held_karp_closure(g, inst.start, inst.required)
     if not others:
@@ -88,9 +89,8 @@ def solve_exact(inst: TspInstance) -> TspSolution:
         return TspSolution(len(walk) - 1 + bonus, tuple(walk))
 
     # others is sorted, so the smallest index breaks ties by smallest vertex
-    k = len(others)
-    full = ((1 << k) - 1) * k
-    total, last = min((dp[full + i] + dist[others[i]][inst.end], i) for i in range(k))
+    full = (1 << len(others)) - 1
+    total, last = min((dp(full, i) + dist[r][inst.end], i) for i, r in enumerate(others))
     order = _reconstruct_order(dp, dist, inst.start, others, last)
     stations = [inst.start] + [others[i] for i in order] + [inst.end]
     walk: List[int] = [inst.start]
@@ -114,16 +114,19 @@ def solve_all_ends(
     others, dist, dp = _held_karp_closure(graph, start, required)
     if not others:
         return [dist[start][v] + bonus for v in range(graph.n)]
-    k = len(others)
-    full = ((1 << k) - 1) * k
-    last = [(dp[full + i], dist[r]) for i, r in enumerate(others)]
+    full = (1 << len(others)) - 1
+    last = [(dp(full, i), dist[r]) for i, r in enumerate(others)]
     return [min(d + to[v] for d, to in last) + bonus for v in range(graph.n)]
 
 
 def _held_karp_closure(graph: FiniteGraph, start: int, required):
     """(others, dist, dp): the required vertices other than start (sorted),
-    BFS distances from each of them and from start, and the Held-Karp table
-    over the metric closure of others (None when others is empty)."""
+    BFS distances from each of them and from start, and the Held-Karp lookup
+    over the metric closure of others (None when others is empty).
+
+    Raises ValueError when the graph is disconnected, which the BFS from
+    start shows as a negative distance.
+    """
     reqs = sorted(required)
     if len(reqs) > MAX_REQUIRED:
         raise ResourceCapError(
@@ -131,6 +134,8 @@ def _held_karp_closure(graph: FiniteGraph, start: int, required):
         )
     others = [r for r in reqs if r != start]
     dist = {v: graph.distances_from(v) for v in set(others) | {start}}
+    if min(dist[start]) < 0:
+        raise ValueError("Held-Karp requires a connected graph")
     if not others:
         return others, dist, None
     D_start = [dist[start][r] for r in others]
@@ -138,26 +143,50 @@ def _held_karp_closure(graph: FiniteGraph, start: int, required):
     return others, dist, _held_karp(len(others), D_start, D)
 
 
-def _held_karp(k: int, D_start: Sequence[int], D: Sequence[Sequence[int]]) -> List[int]:
-    """Flat table dp[mask * k + j]: the shortest walk from start through the
-    stations of mask that ends at station j, for j in mask (_INF otherwise).
+def _held_karp(
+    k: int, D_start: Sequence[int], D: Sequence[Sequence[int]]
+) -> Callable[[int, int], int]:
+    """The lookup dp(mask, i): the shortest walk from start through the
+    stations of mask that ends at station i, for i in mask.
 
-    Each entry is written once, as min over i of dp[mask ^ bit j, i] + D[i][j].
-    Rows are taken in increasing order, and a finished row is copied once to
-    fill the entries it precedes.  It is _INF off its members, so the minimum
-    runs over the whole row and a column of D without selecting members.
+    The table is packed: ext[mask] is one int of k fields of w bits, and
+    field j holds min over i in mask of dp(mask, i) + D[i][j], so dp(mask, i)
+    is field i of ext[mask ^ bit i] (ext[0] holds D_start).  Each ext[mask]
+    is the fieldwise minimum over i in mask of dp(mask, i) broadcast to every
+    field plus the packed row D[i].  A field never exceeds
+    top = max(D_start) + k * max(D) < 2^(w - 1), so the top bit of each field
+    is a guard: the subtraction best + guard - v borrows no bit across fields,
+    and its guard bits mark the fields where v is not larger than best.
     """
-    dp = [_INF] * (k << k)
-    for j in range(k):
-        dp[(k << j) + j] = D_start[j]
-    # (bit of j, offset from row mask to entry (mask | bit, j), column j of D)
-    steps = [(1 << j, (k << j) + j, col) for j, col in enumerate(map(list, zip(*D)))]
-    for mask in range(1, (1 << k) - 1):
-        base = mask * k
-        row = dp[base:base + k]
-        for bit, off, col in steps:
-            if not mask & bit:
-                dp[base + off] = min(map(add, row, col))
+    top = max(D_start) + k * max(map(max, D))
+    w = top.bit_length() + 1
+    w1 = w - 1
+    field = (1 << w) - 1
+
+    def pack(row: Sequence[int]) -> int:
+        return sum(d << w * j for j, d in enumerate(row))
+
+    ones = pack([1] * k)
+    guard = ones << w1
+    # every field at 2^(w - 1) - 1, no smaller than any value a field holds
+    ceiling = guard - ones
+
+    full = (1 << k) - 1
+    ext = [0] * full
+    ext[0] = pack(D_start)
+    steps = [(1 << i, w * i, pack(row)) for i, row in enumerate(D)]
+    for mask in range(1, full):
+        best = ceiling
+        for bit, shift, row in steps:
+            if mask & bit:
+                v = (ext[mask ^ bit] >> shift & field) * ones + row
+                g = (best + guard - v) & guard
+                best ^= (best ^ v) & (g - (g >> w1))
+        ext[mask] = best
+
+    def dp(mask: int, i: int) -> int:
+        return ext[mask ^ 1 << i] >> w * i & field
+
     return dp
 
 
@@ -168,17 +197,17 @@ def _reconstruct_order(dp, dist, start, others, last) -> List[int]:
     mask, i = (1 << k) - 1, last
     while mask != (1 << i):
         pm = mask ^ (1 << i)
-        want, v = dp[mask * k + i], others[i]
+        want, v = dp(mask, i), others[i]
         # others is sorted, so the first match is the smallest station
         j = next(
-            (j for j in range(k) if pm >> j & 1 and dp[pm * k + j] + dist[others[j]][v] == want),
+            (j for j in range(k) if pm >> j & 1 and dp(pm, j) + dist[others[j]][v] == want),
             None,
         )
         if j is None:
             raise VerificationError(f"Held-Karp table has no predecessor for station {others[i]}")
         mask, i = pm, j
         order.append(i)
-    if dp[mask * k + i] != dist[start][others[i]]:
+    if dp(mask, i) != dist[start][others[i]]:
         raise VerificationError(f"Held-Karp table does not start at {start}")
     order.reverse()
     return order

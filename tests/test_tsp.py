@@ -94,6 +94,38 @@ class TestSolveExact:
             "5b8e5fd6bfae7748ea847a623e312603d4a33872d2a5fde17ff8b7aaf7420608"
         )
 
+    def test_disconnected_graph_refused(self):
+        g = Gr.from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="connected graph"):
+            T.solve_all_ends(g, 0, {1, 2})
+        with pytest.raises(ValueError, match="connected graph"):
+            T.solve_exact(inst(g, 0, 1, {1, 2}))
+        with pytest.raises(ValueError, match="connected graph"):
+            T.solve_exact(inst(g, 0, 1, {1}))
+
+    def test_wide_fields_on_long_paths(self):
+        # on a path the optimal walk runs out to one extreme of R u {s, e},
+        # sweeps to the other and comes back to e; one station near each
+        # end of a path of n >= 1000 vertices makes max(D) >= 1000, so every
+        # table field needs at least 12 bits
+        rng = random.Random(20261019)
+        for trial in range(30):
+            n = rng.randint(1000, 1500)
+            g = Gr.path_graph(n)
+            s, e = rng.randrange(n), rng.randrange(n)
+            pool = [v for v in range(n) if v != s]
+            req = {rng.choice(pool[:100]), rng.choice(pool[-100:])}
+            req |= set(rng.sample(pool, rng.randint(0, 8)))
+            if trial % 3 == 0:
+                req.add(s)
+
+            def closed_form(end):
+                lo, hi = min(req | {s, end}), max(req | {s, end})
+                return hi - lo + min(abs(s - lo) + abs(hi - end), abs(s - hi) + abs(lo - end))
+
+            assert T.solve_exact(inst(g, s, e, req)).length == closed_form(e)
+            assert T.solve_all_ends(g, s, req) == [closed_form(v) for v in range(n)]
+
 
 class TestOracle:
     def test_path_out_and_back(self):
