@@ -11,19 +11,17 @@ error (a consistency assertion inside the program failed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO
 
 from . import graphs, groups, hamiltonian, wreath
-from .errors import ResourceCapError, VerificationError
-
-
-class UsageError(Exception):
-    pass
+from .errors import ResourceCapError, UsageError, VerificationError
 
 
 def _load_json(path: str) -> dict:
@@ -86,12 +84,24 @@ def _backend(model: wreath.LamplighterModel, name: str, exact: bool = False) -> 
     return backend
 
 
+@contextlib.contextmanager
+def _output(out: Optional[str]) -> Iterator[TextIO]:
+    """The --out file, opened for writing and closed after, or sys.stdout
+    (left open) when out is not given."""
+    if not out:
+        yield sys.stdout
+        return
+    try:
+        fh = open(out, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot open --out {out}: {exc.strerror}")
+    with fh:
+        yield fh
+
+
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +195,9 @@ def cmd_verdict(args) -> int:
 
 
 def cmd_depth_profile(args) -> int:
+    for option, value in (("--radius", args.radius), ("--kmax", args.kmax), ("--cap", args.cap)):
+        if value is not None and value < 0:
+            raise UsageError(f"{option} must be non-negative, got {value}")
     model = _lamplighter_from_file(args.group)
     backend = _backend(model, args.backend, exact=True)
     profile = wreath.depth_profile(
@@ -199,38 +212,42 @@ def cmd_depth_profile(args) -> int:
             retreat[row.element_id] = str(k) if exact else f">{k - 1}"
         except ResourceCapError:
             retreat[row.element_id] = "cap"
-    if args.format == "json":
-        payload = {
-            "radius": profile.radius,
-            "k_max": profile.k_max,
-            "complete": profile.complete,
-            "rows": [
-                {
-                    "element": r.element_id,
-                    "word_length": r.word_length,
-                    "depth": r.depth,
-                    "depth_exact": r.depth_exact,
-                    "retreat_depth": retreat.get(r.element_id),
-                }
+    with _output(args.out) as fh:
+        if args.format == "json":
+            payload = {
+                "radius": profile.radius,
+                "k_max": profile.k_max,
+                "complete": profile.complete,
+                "rows": [
+                    {
+                        "element": r.element_id,
+                        "word_length": r.word_length,
+                        "depth": r.depth,
+                        "depth_exact": r.depth_exact,
+                        "retreat_depth": retreat.get(r.element_id),
+                    }
+                    for r in profile.rows
+                ],
+                "max_depth_per_shell": profile.max_depth_per_shell(),
+            }
+            # json.dump would make one write per token, which is slow on an
+            # unbuffered stdout (PYTHONUNBUFFERED); write blocks of tokens
+            chunks = json.JSONEncoder(indent=1, sort_keys=True).iterencode(payload)
+            for block in iter(lambda: list(itertools.islice(chunks, 4096)), []):
+                fh.write("".join(block))
+            fh.write("\n")
+        else:
+            suffix = "" if profile.complete else ",partial_enumeration"
+            flags = {True: "exact" + suffix, False: "depth_lower_bound" + suffix}
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["element_id", "word_length", "depth", "retreat_depth", "flags"])
+            writer.writerows(
+                (r.element_id, r.word_length, r.depth, retreat.get(r.element_id, ""),
+                 flags[r.depth_exact])
                 for r in profile.rows
-            ],
-            "max_depth_per_shell": profile.max_depth_per_shell(),
-        }
-        _emit(json.dumps(payload, indent=1, sort_keys=True) + "\n", args.out)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["element_id", "word_length", "depth", "retreat_depth", "flags"])
-        for r in profile.rows:
-            flags = "exact" if r.depth_exact else "depth_lower_bound"
-            if not profile.complete:
-                flags += ",partial_enumeration"
-            writer.writerow(
-                [r.element_id, r.word_length, r.depth, retreat.get(r.element_id, ""), flags]
             )
-        for shell, depth in profile.max_depth_per_shell().items():
-            buf.write(f"# shell {shell} max_depth {depth}\n")
-        _emit(buf.getvalue(), args.out)
+            for shell, depth in profile.max_depth_per_shell().items():
+                fh.write(f"# shell {shell} max_depth {depth}\n")
     if args.verify:
         for row in dead_rows:
             g = _state_from_id(model, row.element_id)

@@ -11,3 +11,7 @@ class BoundExceededError(RuntimeError):
 
 class VerificationError(RuntimeError):
     """An emitted answer failed its independent re-check."""
+
+
+class UsageError(Exception):
+    """Bad command-line input or environment setting (exit code 2)."""

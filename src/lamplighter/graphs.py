@@ -13,14 +13,20 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ResourceCapError, VerificationError
+from .errors import ResourceCapError, UsageError, VerificationError
 from .groups import GroupModel, Payload
 
 DEFAULT_BALL_CAP = 200_000
 
 
-def _ball_cap() -> int:
-    return int(os.environ.get("LAMPLIGHTER_CAP", DEFAULT_BALL_CAP))
+def env_cap(default: int) -> int:
+    """LAMPLIGHTER_CAP if set (a non-negative integer), else `default`."""
+    text = os.environ.get("LAMPLIGHTER_CAP")
+    if text is None:
+        return default
+    if not text.strip().isdecimal():
+        raise UsageError(f"LAMPLIGHTER_CAP must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -180,7 +186,7 @@ def cayley_ball(model: GroupModel, radius: int, cap: Optional[int] = None) -> Ca
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    cap = _ball_cap() if cap is None else cap
+    cap = env_cap(DEFAULT_BALL_CAP) if cap is None else cap
     e = model.identity_payload()
     order: List[Payload] = [e]
     index: Dict[Payload, int] = {e: 0}

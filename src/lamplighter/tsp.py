@@ -23,7 +23,7 @@ holds exactly the values of the plain one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import BoundExceededError, ResourceCapError, VerificationError
 from .graphs import FiniteGraph, finite_cayley_graph
@@ -412,8 +412,9 @@ def ts_free_product_ids(
     petals; the copy holding the endpoint takes one final open excursion.
     The root is evaluated but not memoised (a root key rarely recurs).
     memo is the caller's dict for this position table; it keeps the
-    sub-excursion values keyed by (factor, end id, required ids), the factor
-    TS rows and the factor Cayley graphs.
+    sub-excursion values keyed by the flat tuple (factor, end id, *sorted
+    required ids), the factor TS rows keyed by (factor, frozenset of
+    stations) and the factor Cayley graphs keyed by factor.
     """
     if not required and not end:
         return 0
@@ -446,7 +447,7 @@ def _attach(model: FreeProductModel, factor: int, station: int, sub: List[Payloa
     return [model.mul_payload(((factor, station),), p) for p in sub]
 
 
-def _split(positions: PositionTable, factor: int, end: int, required: FrozenSet[int]):
+def _split(positions: PositionTable, factor: int, end: int, required: Collection[int]):
     """Route the ids `required` and `end` through the `factor` copy at the
     identity (see PositionTable.routes).
 
@@ -503,25 +504,26 @@ def _walk_fp(positions: PositionTable, factor: int, end: int, required: FrozenSe
     return sol.length + total, walk
 
 
-def _ts_fp(positions: PositionTable, factor: int, end: int, required: FrozenSet[int], memo) -> int:
+def _ts_fp(positions: PositionTable, factor: int, end: int, required: Collection[int], memo) -> int:
     if not required and not end:
         return 0
-    key = (factor, end, required)
+    # one flat tuple; the sort makes the key independent of set order
+    key = (factor, end, *sorted(required))
     val = memo.get(key)
     if val is None:
         val = memo[key] = _ts_fp_copy(positions, factor, end, required, memo)
     return val
 
 
-def _ts_fp_copy(positions: PositionTable, factor: int, end: int, required: FrozenSet[int], memo) -> int:
+def _ts_fp_copy(positions: PositionTable, factor: int, end: int, required: Collection[int], memo) -> int:
     """TS from the identity of this `factor` copy; petals recurse via _ts_fp."""
     stations, beyond, end_idx, dive = _split(positions, factor, end, required)
     other = 1 - factor
     total = 0
     if dive:
-        total = _ts_fp(positions, other, dive, frozenset(beyond.pop(end_idx, ())), memo)
+        total = _ts_fp(positions, other, dive, beyond.pop(end_idx, ()), memo)
         stations.add(end_idx)
     for sub in beyond.values():
-        total += _ts_fp(positions, other, 0, frozenset(sub), memo)
+        total += _ts_fp(positions, other, 0, sub, memo)
     stations.update(beyond)
     return _factor_ts_edges(positions.model, factor, end_idx, frozenset(stations), memo) + total

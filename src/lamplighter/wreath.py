@@ -14,12 +14,19 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import os
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import ResourceCapError, VerificationError
-from .graphs import cayley_ball, cycle_graph, finite_cayley_graph, path_graph, product_graph
+from .graphs import (
+    cayley_ball,
+    cycle_graph,
+    env_cap,
+    finite_cayley_graph,
+    path_graph,
+    product_graph,
+)
 from .groups import (
     AbelianModel,
     FiniteModel,
@@ -539,8 +546,7 @@ def classify_abelian_free_product(H: FiniteModel, K: FiniteModel) -> Tuple[str, 
 # depth profiles
 
 
-@dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(NamedTuple):
     element_id: str
     word_length: int
     depth: int
@@ -564,8 +570,7 @@ class DepthProfile:
         return max(row.depth for row in self.rows)
 
 
-def _frontier_cap() -> int:
-    return int(os.environ.get("LAMPLIGHTER_CAP", 2_000_000))
+DEFAULT_WREATH_BALL_CAP = 2_000_000
 
 
 def enumerate_ball(
@@ -589,7 +594,7 @@ def _ball_shells(
     builds at most cap plus one element's neighbours.  It then drops the
     partial shell d and the elements found stuck while expanding into it, so
     the stuck set lies below the last shell of a capped ball."""
-    cap = _frontier_cap() if cap is None else cap
+    cap = env_cap(DEFAULT_WREATH_BALL_CAP) if cap is None else cap
     e = model._encode(model.identity_state())
     dist: Dict[int, int] = {e: 0}
     stuck: Set[int] = set()
@@ -711,5 +716,8 @@ def depth_profile(
         rep = depth(model, model._decode(s), k_max, backend)
         _check_formula(model, s, rep.word_length, L)
         rows.append(ProfileRow(element_id(s), L, rep.depth, rep.depth_exact))
-    rows.sort(key=lambda r: (r.word_length, r.element_id))
+    # two stable sorts give the (word_length, element_id) order without a key
+    # tuple per row
+    rows.sort(key=attrgetter("element_id"))
+    rows.sort(key=attrgetter("word_length"))
     return DepthProfile(radius, k_max, tuple(rows), complete)

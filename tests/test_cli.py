@@ -1,5 +1,6 @@
 """CLI: determinism, exit codes, output formats."""
 
+import hashlib
 import io
 import json
 import os
@@ -245,6 +246,68 @@ class TestDepthProfile:
         )
         payload = json.loads(out)
         assert rc == 0 and payload["complete"] and payload["rows"]
+
+
+FP82_R8_K22_SHA256 = {
+    "csv": "7590d192115ce998dfb7f341f0ffbfce0a3de5c30f8dfe73745d7a2173f4462f",
+    "json": "bf51d1530dfada04d382148307c24b2108e487cdc6ff6c1d01936516504162e5",
+}
+
+
+class TestDepthProfileOutput:
+    """The profile is streamed to stdout or --out; the bytes are fixed."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "sizes,code",
+        [(["--radius", "5", "--kmax", "3"], 0), (["--radius", "8", "--kmax", "4", "--cap", "200"], 3)],
+        ids=["complete", "capped"],
+    )
+    def test_out_file_equals_stdout(self, specs, tmp_path, fmt, sizes, code):
+        argv = ["depth-profile", "--group", specs["ll_fp82.json"], *sizes, "--format", fmt]
+        rc, out, _ = run(argv)
+        target = tmp_path / f"profile.{fmt}"
+        rc_file, out_file, _ = run(argv + ["--out", str(target)])
+        assert rc == rc_file == code and out_file == ""
+        assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("fmt", sorted(FP82_R8_K22_SHA256))
+    def test_frozen_fp82_radius_8(self, specs, fmt):
+        rc, out, _ = run(
+            ["depth-profile", "--group", specs["ll_fp82.json"], "--radius", "8", "--kmax", "22",
+             "--format", fmt]
+        )
+        assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == FP82_R8_K22_SHA256[fmt]
+
+    def test_unopenable_out_is_usage_error(self, specs, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        rc, out, err = run(
+            ["depth-profile", "--group", specs["ll_line.json"], "--radius", "2",
+             "--out", str(target)]
+        )
+        assert rc == 2 and out == "" and str(target) in err
+
+    @pytest.mark.parametrize("option", ["--radius", "--kmax", "--cap"])
+    def test_negative_size_is_usage_error(self, specs, option):
+        sizes = {"--radius": "2", "--kmax": "2", "--cap": "100", option: "-1"}
+        argv = ["depth-profile", "--group", specs["ll_line.json"]]
+        for name, value in sizes.items():
+            argv += [name, value]
+        rc, out, err = run(argv)
+        assert rc == 2 and out == "" and option in err
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_bad_cap_variable_is_usage_error(self, specs, monkeypatch, value):
+        monkeypatch.setenv("LAMPLIGHTER_CAP", value)
+        rc, out, err = run(
+            ["depth-profile", "--group", specs["ll_line.json"], "--radius", "2"]
+        )
+        assert rc == 2 and out == "" and "LAMPLIGHTER_CAP" in err
+
+    def test_bad_cap_variable_in_cayley_ball(self, specs, monkeypatch):
+        monkeypatch.setenv("LAMPLIGHTER_CAP", "1e5")
+        rc, out, err = run(["export-graph", "--group", specs["z.json"], "--radius", "2"])
+        assert rc == 2 and out == "" and "LAMPLIGHTER_CAP" in err
 
 
 class TestQh:

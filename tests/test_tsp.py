@@ -292,6 +292,18 @@ class TestFreeProductTs:
             for p in sup:
                 assert fp82.normalize_payload(p) in walk
 
+    def test_memo_key_ignores_order_of_required(self, fp82):
+        positions = G.PositionTable(fp82)
+        sup = [((0, 2),), ((0, 4), (1, 1)), ((0, 4), (1, 1), (0, 3)), ((1, 1),), ((0, 7),)]
+        end = ((0, 4), (1, 1))
+        ids = [positions.intern(p) for p in sup]
+        memo = {}
+        value = T._ts_fp(positions, 0, positions.intern(end), ids, memo)
+        keys = set(memo)
+        again = T._ts_fp(positions, 0, positions.intern(end), ids[::-1], memo)
+        assert again == value == T.ts_free_product(fp82, (), end, sup)
+        assert set(memo) == keys
+
     def test_translation_invariance(self, fp82):
         sup = [((0, 2),), ((0, 4), (1, 1))]
         shift = ((1, 1), (0, 3))

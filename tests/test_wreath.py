@@ -490,6 +490,21 @@ class TestPetalNormalForm:
         assert _petal_ts(fresh, support, pos) == _petal_ts(profiled[key], support, pos)
 
 
+class TestPetalMemoKeys:
+    """Sub-excursion keys of the petal memo are flat (factor, end id, *ids)
+    tuples; the ids are sorted, so one required set has one key whatever
+    order its set iterates in."""
+
+    @pytest.mark.parametrize("key", sorted(FREE_PRODUCTS))
+    def test_one_key_per_sub_excursion(self, z2_lamps, key):
+        ll = W.LamplighterModel(z2_lamps, _free_product(FREE_PRODUCTS[key]))
+        W.depth_profile(ll, 7, 3)
+        subs = [k for k in ll._ts_fp_memo if isinstance(k, tuple) and isinstance(k[1], int)]
+        assert subs
+        named = {(k[0], k[1], frozenset(k[2:])) for k in subs}
+        assert len(named) == len(subs)
+
+
 class TestMemoOwner:
     """The lamplighter model owns every word-length memo; its group models
     are never written to."""
