@@ -17,6 +17,7 @@ import functools
 import io
 import itertools
 import json
+import os
 import sys
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO
 
@@ -64,6 +65,8 @@ def parse_payload_json(model: groups.GroupModel, obj) -> groups.Payload:
 
 
 def _element_from_spec(model: wreath.LamplighterModel, spec: dict) -> wreath.WreathState:
+    if not isinstance(spec, dict):
+        raise UsageError(f"element spec must be a JSON object, got {type(spec).__name__}")
     try:
         lamps = {}
         for key, val in spec.get("lamps", []):
@@ -82,6 +85,13 @@ def _backend(model: wreath.LamplighterModel, name: str, exact: bool = False) -> 
     if exact and not backend.exact:
         raise UsageError("depth needs an exact backend; 'generic' is an upper bound")
     return backend
+
+
+def _check_out_dir(out: Optional[str]) -> None:
+    """Refuse an --out that is a directory or lies in none before any work is
+    done; the file itself is opened (and created) only by _output."""
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise UsageError(f"cannot open --out {out}: not a file in an existing directory")
 
 
 @contextlib.contextmanager
@@ -152,10 +162,8 @@ def cmd_hamdiff(args) -> int:
         if not isinstance(model, groups.FiniteModel):
             raise UsageError(f"hamdiff needs finite group specs ({path})")
         specs.append(model)
-    if args.cyclic_range:
-        lo, hi = (int(x) for x in args.cyclic_range.split(":"))
-        for n in range(lo, hi + 1):
-            specs.append(groups.make_cyclic(n, [1]))
+    for n in args.cyclic_range or ():
+        specs.append(groups.make_cyclic(n, [1]))
     if not specs:
         raise UsageError("no groups given (use --group or --cyclic-range)")
     buf = io.StringIO()
@@ -281,8 +289,7 @@ def cmd_qh(args) -> int:
 
 def cmd_export_graph(args) -> int:
     if args.cube:
-        dims = [int(x) for x in args.cube.split(",")]
-        graph = graphs.cube_graph(dims)
+        graph = graphs.cube_graph(args.cube)
         graph = graphs.FiniteGraph(
             graph.n, graph.adj, tuple(",".join(map(str, l)) for l in graph.labels)
         )
@@ -305,6 +312,28 @@ def cmd_export_graph(args) -> int:
 # argument parsing
 
 
+def _cyclic_range(text: str) -> range:
+    """--cyclic-range A:B as the orders A..B, with 2 <= A <= B."""
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A:B, got {text!r}")
+    if not 2 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"need 2 <= A <= B, got {text!r}")
+    return range(lo, hi + 1)
+
+
+def _cube_dims(text: str) -> List[int]:
+    """--cube m1,m2,... as a list of positive ints."""
+    try:
+        dims = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
+    if min(dims) < 1:
+        raise argparse.ArgumentTypeError(f"dims must be positive, got {text!r}")
+    return dims
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lamplighter", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -322,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hamdiff", help="Hamiltonian difference table")
     sp.add_argument("--group", action="append", help="finite group spec JSON (repeatable)")
-    sp.add_argument("--cyclic-range", help="A:B adds cyclic groups Z/nZ, n in [A,B]")
+    sp.add_argument("--cyclic-range", type=_cyclic_range,
+                    help="A:B adds cyclic groups Z/nZ, n in [A,B], 2 <= A <= B")
     sp.add_argument("--format", default="csv", choices=["csv"])
     common(sp)
 
@@ -353,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("export-graph", help="DOT/adjacency export of a graph")
     sp.add_argument("--group")
     sp.add_argument("--radius", type=int)
-    sp.add_argument("--cube", help="comma-separated dims, e.g. 4,3")
+    sp.add_argument("--cube", type=_cube_dims, help="comma-separated positive dims, e.g. 4,3")
     sp.add_argument("--format", default="dot", choices=["dot", "adj"])
     common(sp)
     return p
@@ -373,6 +403,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # looked up by name on every call, so a replaced cmd_* takes effect
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        _check_out_dir(args.out)
         return command(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -301,40 +301,33 @@ def ts_tree(u: Payload, v: Payload, H: Sequence[Payload], model: FreeModel) -> i
 
 def ts_tree_walk(u: Payload, v: Payload, H: Sequence[Payload], model: FreeModel) -> Tuple[int, List[Payload]]:
     """Optimal tree walk realizing ts_tree: depth-first over the geodesic hull
-    with the u-v path saved for last."""
-    if not isinstance(model, FreeModel):
-        raise ValueError("ts_tree_walk needs a free group model")
+    with the u-v path saved for last.  Its length is checked against ts_tree."""
+    expected = ts_tree(u, v, H, model)  # also refuses a model that is not free
     u = model.normalize_payload(u)
     inv_u = model.inv_payload(u)
     rel_v = model.mul_payload(inv_u, model.normalize_payload(v))
     rel_H = [model.mul_payload(inv_u, model.normalize_payload(h)) for h in H]
-    nodes: Set[Tuple[int, ...]] = {()}
-    for w in rel_H + [rel_v]:
-        for i in range(len(w)):
-            nodes.add(w[: i + 1])
-    children: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {p: [] for p in nodes}
+    # every node off the u-v path lies in the geodesic hull of H
+    nodes = _tree_edge_set(rel_H + [rel_v])
+    children: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {p: [] for p in nodes | {()}}
     for p in nodes:
-        if p:
-            children[p[:-1]].append(p)
+        children[p[:-1]].append(p)
     on_path = {rel_v[:i] for i in range(len(rel_v) + 1)}
-    hull = {p for w in rel_H for i in range(len(w)) for p in (w[: i + 1],)}
 
     out: List[Tuple[int, ...]] = []
 
     def visit(node):
         out.append(node)
-        offs = sorted(c for c in children[node] if c not in on_path and c in hull)
-        for c in offs:
+        for c in sorted(c for c in children[node] if c not in on_path):
             visit(c)
             out.append(node)
         for c in sorted(c for c in children[node] if c in on_path):
             visit(c)
 
     visit(())
-    expected = 2 * len(hull - {rel_v[:i] for i in range(1, len(rel_v) + 1)}) + len(rel_v)
     if len(out) - 1 != expected:
-        raise VerificationError(f"tree tour has {len(out) - 1} edges, formula gives {expected}")
-    return len(out) - 1, [model.mul_payload(u, p) for p in out]
+        raise VerificationError(f"tree tour has {len(out) - 1} edges, ts_tree gives {expected}")
+    return expected, [model.mul_payload(u, p) for p in out]
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +348,23 @@ def _factor_ts_edges(
     return row[end]
 
 
+def _factor_walk(
+    model: FreeProductModel, factor: int, end: int, stations: FrozenSet[int], memo
+) -> Tuple[int, ...]:
+    """One optimal walk of that factor TSP (solve_exact), kept in memo under
+    (factor, stations, end)."""
+    key = (factor, stations, end)
+    if key not in memo:
+        e = model.factors[factor].table.identity
+        inst = TspInstance(_factor_graph(model, factor, memo), e, end, stations)
+        memo[key] = solve_exact(inst).walk
+    return memo[key]
+
+
 def _factor_graph(model: FreeProductModel, factor: int, memo) -> FiniteGraph:
-    graph = memo.get(factor)
-    if graph is None:
-        graph = memo[factor] = finite_cayley_graph(model.factors[factor])
-    return graph
+    if factor not in memo:
+        memo[factor] = finite_cayley_graph(model.factors[factor])
+    return memo[factor]
 
 
 def ts_free_product(
@@ -371,35 +376,26 @@ def ts_free_product(
     """Exact TS(start -> end; required) in Cay(H*K, S_H u S_K).
 
     Normalises the input and translates it by start^-1, then evaluates
-    ts_free_product_normal on a fresh position table and memo.
+    ts_free_product_ids on a fresh position table and memo.
     """
-    _start, end_l, req_l = _localise(model, start, end, required)
-    return ts_free_product_normal(PositionTable(model), end_l, req_l, {})
+    _start, positions, end_id, req_ids = _localise(model, start, end, required)
+    return ts_free_product_ids(positions, end_id, req_ids, {})
 
 
 def _localise(model: FreeProductModel, start: Payload, end: Payload, required: Sequence[Payload]):
-    """(start, start^-1 end, {start^-1 r}), all in normal form."""
+    """(start, positions, id of start^-1 end, ids of {start^-1 r}): start in
+    normal form, the translated points interned into a fresh position table."""
     if not isinstance(model, FreeProductModel):
         raise ValueError("ts_free_product needs a free product model")
     start = model.normalize_payload(start)
     inv = model.inv_payload(start)
-    end_l = model.mul_payload(inv, model.normalize_payload(end))
-    req_l = frozenset(
-        model.mul_payload(inv, model.normalize_payload(r)) for r in required
-    )
-    return start, end_l, req_l
-
-
-def ts_free_product_normal(
-    positions: PositionTable, end: Payload, required: FrozenSet[Payload], memo: dict
-) -> int:
-    """Exact TS(e -> end; required) for normal-form payloads of the free
-    product `positions.model`: interns them into `positions` and runs
-    ts_free_product_ids."""
-    if not isinstance(positions.model, FreeProductModel):
-        raise ValueError("ts_free_product needs a free product model")
+    positions = PositionTable(model)
     intern = positions.intern
-    return ts_free_product_ids(positions, intern(end), frozenset(map(intern, required)), memo)
+    end_id = intern(model.mul_payload(inv, model.normalize_payload(end)))
+    req_ids = frozenset(
+        intern(model.mul_payload(inv, model.normalize_payload(r))) for r in required
+    )
+    return start, positions, end_id, req_ids
 
 
 def ts_free_product_ids(
@@ -414,11 +410,24 @@ def ts_free_product_ids(
     memo is the caller's dict for this position table; it keeps the
     sub-excursion values keyed by the flat tuple (factor, end id, *sorted
     required ids), the factor TS rows keyed by (factor, frozenset of
-    stations) and the factor Cayley graphs keyed by factor.
+    stations), the factor walks keyed by (factor, frozenset of stations,
+    end station) and the factor Cayley graphs keyed by factor.
     """
     if not required and not end:
         return 0
     return _ts_fp_copy(positions, 0, end, required, memo)
+
+
+def ts_free_product_ids_walk(
+    positions: PositionTable, end: int, required: FrozenSet[int], memo: dict
+) -> Tuple[int, List[Payload]]:
+    """(ts_free_product_ids, one optimal walk e -> end as payloads), both on
+    memo.  The walk's edge count must equal the recursion's value."""
+    value = ts_free_product_ids(positions, end, required, memo)
+    walk = _walk_fp(positions, 0, end, required, memo)
+    if len(walk) - 1 != value:
+        raise VerificationError(f"free-product walk has {len(walk) - 1} edges but TS is {value}")
+    return value, walk
 
 
 def ts_free_product_walk(
@@ -428,22 +437,15 @@ def ts_free_product_walk(
     required: Sequence[Payload],
 ) -> Tuple[int, List[Payload]]:
     """As ts_free_product, but also reconstructs one optimal walk (as group
-    elements).  The walk length certifies the recursion's value."""
-    start, end_l, req_l = _localise(model, start, end, required)
-    positions = PositionTable(model)
-    intern = positions.intern
-    cost, local = _walk_fp(positions, 0, intern(end_l), frozenset(map(intern, req_l)), {})
-    if cost != len(local) - 1:
-        raise VerificationError(
-            f"free-product walk has {len(local) - 1} edges but costs {cost}"
-        )
-    return cost, [model.mul_payload(start, p) for p in local]
+    elements), certified by ts_free_product_ids_walk."""
+    start, positions, end_id, req_ids = _localise(model, start, end, required)
+    value, local = ts_free_product_ids_walk(positions, end_id, req_ids, {})
+    return value, [model.mul_payload(start, p) for p in local]
 
 
 def _attach(model: FreeProductModel, factor: int, station: int, sub: List[Payload]) -> List[Payload]:
-    table = model.factors[factor].table
-    if station == table.identity:
-        return list(sub)
+    if station == model.factors[factor].table.identity:
+        return sub
     return [model.mul_payload(((factor, station),), p) for p in sub]
 
 
@@ -469,39 +471,34 @@ def _split(positions: PositionTable, factor: int, end: int, required: Collection
     return (in_copy, beyond, *routes[end])
 
 
-def _walk_fp(positions: PositionTable, factor: int, end: int, required: FrozenSet[int], memo):
+def _walk_fp(positions: PositionTable, factor: int, end: int, required: Collection[int], memo):
+    """The petal walk from the identity of this `factor` copy: its factor walk,
+    each petal spliced in at its station's first visit, then the dive."""
     if not required and not end:
-        return 0, [()]
+        return [()]
     model = positions.model
-    ident = model.factors[factor].table.identity
     stations, beyond, end_idx, dive = _split(positions, factor, end, required)
     other = 1 - factor
-    total = 0
     dive_walk: List[Payload] = []
     if dive:
-        total, w = _walk_fp(positions, other, dive, frozenset(beyond.pop(end_idx, ())), memo)
-        dive_walk = _attach(model, factor, end_idx, w)
+        sub = _walk_fp(positions, other, dive, beyond.pop(end_idx, ()), memo)
+        dive_walk = _attach(model, factor, end_idx, sub)
         stations.add(end_idx)
-    excursions: Dict[int, List[Payload]] = {}
-    for s, sub in beyond.items():
-        c, w = _walk_fp(positions, other, 0, frozenset(sub), memo)
-        excursions[s] = _attach(model, factor, s, w)
-        total += c
+    excursions = {
+        s: _attach(model, factor, s, _walk_fp(positions, other, 0, sub, memo))
+        for s, sub in beyond.items()
+    }
     stations.update(beyond)
 
-    graph = _factor_graph(model, factor, memo)
-    sol = solve_exact(TspInstance(graph, ident, end_idx, frozenset(stations)))
     walk: List[Payload] = []
-    for v in sol.walk:
-        if v in excursions:
-            walk.extend(excursions.pop(v))  # starts and ends at v
-        else:
-            walk.append(((factor, v),) if v != ident else ())
+    for v in _factor_walk(model, factor, end_idx, frozenset(stations), memo):
+        # a petal's excursion starts and ends at v
+        walk.extend(excursions.pop(v, None) or _attach(model, factor, v, [()]))
     if dive_walk:
         if walk[-1] != dive_walk[0]:
             raise VerificationError("dive must start at the end station")
         walk.extend(dive_walk[1:])
-    return sol.length + total, walk
+    return walk
 
 
 def _ts_fp(positions: PositionTable, factor: int, end: int, required: Collection[int], memo) -> int:

@@ -226,10 +226,8 @@ def word_length(model: LamplighterModel, g: WreathState, backend: MetricBackend)
     cost = lamp_cost(model, g)
     support = frozenset(k for k, _v in lamps)
     if backend.strategy == "petal":
-        # states hold normal-form payloads and the walk starts at the
-        # identity, so the recursion interns them as they are; _ts_fp_memo
-        # keeps its sub-excursions, and a (position, support) key rarely recurs
-        ts = tsp.ts_free_product_normal(model._positions, pos, support, model._ts_fp_memo)
+        # states hold normal-form payloads, so they are interned as they are
+        ts = tsp.ts_free_product_ids(*_petal_ids(model, pos, support), model._ts_fp_memo)
         return WordLength(cost + ts, backend.exact)
     key = (backend.strategy, pos, support)
     ts = model._ts_cache.get(key)
@@ -251,17 +249,17 @@ def lamp_cost(model: LamplighterModel, g: WreathState) -> int:
 def word_length_and_walk(
     model: LamplighterModel, g: WreathState, backend: MetricBackend
 ) -> Tuple[WordLength, List[Payload]]:
-    """word_length(g) and a TS walk for it (see ts_walk).
-
-    The finite, box and generic backends take both from one TSP solve; tree
-    and petal compute the value and the walk by their two separate routines.
-    """
+    """word_length(g) and a TS walk for it (see ts_walk), both from one
+    _solve_walk call, which certifies the walk against its value."""
     lamps, pos = g
-    if backend.strategy in ("tree", "petal"):
-        walk = ts_walk(model, pos, [k for k, _v in lamps], backend)
-        return word_length(model, g, backend), walk
     ts, walk = _solve_walk(model, pos, frozenset(k for k, _v in lamps), backend)
     return WordLength(lamp_cost(model, g) + ts, backend.exact), walk
+
+
+def _petal_ids(model: LamplighterModel, pos: Payload, support: FrozenSet[Payload]):
+    """(position table, id of pos, ids of support) in the model's table."""
+    intern = model._positions.intern
+    return model._positions, intern(pos), frozenset(map(intern, support))
 
 
 def _box_instance(base: AbelianModel, pos: Payload, support: FrozenSet[Payload]):
@@ -310,21 +308,23 @@ def _box_instance(base: AbelianModel, pos: Payload, support: FrozenSet[Payload])
 def ts_walk(model: LamplighterModel, pos: Payload, support: Sequence[Payload], backend: MetricBackend) -> List[Payload]:
     """A TS-optimal (or, for generic, ball-optimal) base walk e -> pos
     covering the support, as group payloads."""
-    support = frozenset(model.base.normalize_payload(p) for p in support)
-    return _solve_walk(model, pos, support, backend)[1]
+    normal = model.base.normalize_payload
+    return _solve_walk(model, normal(pos), frozenset(map(normal, support)), backend)[1]
 
 
 def _solve_walk(
     model: LamplighterModel, pos: Payload, support: FrozenSet[Payload], backend: MetricBackend
 ) -> Tuple[int, List[Payload]]:
-    """(TS length, walk as payloads) under any backend: the tree or petal walk
-    routine, or one exact TSP solve on the finite Cayley graph, the bounding
-    box, or (generic, an upper bound) a slack-padded ball."""
+    """(TS length, walk as payloads) under any backend, the walk checked
+    against an independent value: the tree closed form, the petal recursion
+    on the model's memo, or the Held-Karp total of one exact TSP solve on the
+    finite Cayley graph, the bounding box or (generic, an upper bound) a
+    slack-padded ball."""
     base, strategy = model.base, backend.strategy
     if strategy == "tree":
         return tsp.ts_tree_walk((), pos, sorted(support), base)
     if strategy == "petal":
-        return tsp.ts_free_product_walk(base, (), pos, support)
+        return tsp.ts_free_product_ids_walk(*_petal_ids(model, pos, support), model._ts_fp_memo)
     if strategy == "finite":
         if model._finite_graph is None:
             raise ValueError("finite backend needs a finite base group")

@@ -172,6 +172,26 @@ class TestWordlenSolve:
         assert rc == 4 and "walk edges" in err
 
 
+    def test_petal_factor_work_done_once(self, specs, monkeypatch, tmp_path):
+        # two petals reach an H copy with the same station and end, so the
+        # walk meets one factor-walk key twice
+        elem = tmp_path / "elem.json"
+        elem.write_text('{"lamps": [[[[1, 1], [0, 1]], 1], [[[0, 1], [1, 1], [0, 1]], 1]],'
+                        ' "position": [[0, 2]]}')
+        graphs, solves = [], []
+        build, solve = cli.wreath.tsp.finite_cayley_graph, cli.wreath.tsp.solve_exact
+        monkeypatch.setattr(cli.wreath.tsp, "finite_cayley_graph",
+                            lambda model: graphs.append(model) or build(model))
+        monkeypatch.setattr(cli.wreath.tsp, "solve_exact",
+                            lambda inst: solves.append(inst) or solve(inst))
+        rc, _, err = run(["wordlen", "--group", specs["ll_fp82.json"], "--element", str(elem),
+                          "--backend", "petal", "--verify"])
+        assert rc == 0, err
+        assert len(graphs) == len(set(map(id, graphs))) == 2
+        keys = [(id(i.graph), i.start, i.end, i.required) for i in solves]
+        assert keys and len(keys) == len(set(keys))
+
+
 class TestHamdiff:
     def test_cyclic_column(self, specs):
         rc, out, _ = run(["hamdiff", "--cyclic-range", "3:12"])
@@ -200,6 +220,36 @@ class TestHamdiff:
         assert rc == 3 and out == ""
         assert "group order 23 exceeds cap 22" in err and "required set" not in err
         assert run(["hamdiff", "--cyclic-range", "22:22"])[0] == 0
+
+
+class TestMalformedInput:
+    """Malformed input is a usage error (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["hamdiff", "--cyclic-range", "x"],
+        ["hamdiff", "--cyclic-range", "5"],
+        ["hamdiff", "--cyclic-range", "1:3"],
+        ["hamdiff", "--cyclic-range", "5:3"],
+        ["export-graph", "--cube", "a,b"],
+        ["export-graph", "--cube", "0,3"],
+        ["wordlen", "--group", "ll_line.json", "--element", "list.json"],
+    ], ids=["range-word", "range-one-number", "range-from-1", "range-reversed",
+            "cube-letters", "cube-zero", "element-list"])
+    def test_exit_2(self, specs, tmp_path, argv):
+        (tmp_path / "list.json").write_text("[[0], 1]")
+        argv = [specs.get(a, str(tmp_path / a) if a.endswith(".json") else a) for a in argv]
+        rc, out, err = run(argv)
+        assert rc == 2 and out == "" and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["missing/x.csv", "."], ids=["no-directory", "directory"])
+    def test_bad_out_refused_before_the_run(self, specs, monkeypatch, tmp_path, name):
+        calls = []
+        monkeypatch.setattr(cli.wreath, "depth_profile", lambda *a, **k: calls.append(a))
+        target = tmp_path / name
+        rc, out, err = run(["depth-profile", "--group", specs["ll_line.json"], "--radius", "2",
+                            "--out", str(target)])
+        assert rc == 2 and out == "" and str(target) in err
+        assert calls == [] and not (tmp_path / "missing").exists()
 
 
 class TestVerdict:
@@ -453,6 +503,13 @@ exact = tsp.ts_free_product_ids
 tsp.ts_free_product_ids = lambda *a: exact(*a) + 1
 """
 
+# every factor TS of the petal recursion one too long: the walk no longer
+# matches the value
+FACTOR_TS_OFF_BY_ONE = """
+exact = tsp._factor_ts_edges
+tsp._factor_ts_edges = lambda *a: exact(*a) + 1
+"""
+
 # wordlen reports a value one longer than its walk
 WORDLEN_OFF_BY_ONE = """
 exact = wreath.word_length_and_walk
@@ -526,10 +583,12 @@ class TestVerificationUnderOptimize:
                             "--kmax", "2"], "formula gives"),
         (WORDLEN_OFF_BY_ONE, ["wordlen", "--group", "ll_fp82.json", "--element",
                               "elem_fp82.json", "--verify"], "walk edges"),
+        (FACTOR_TS_OFF_BY_ONE, ["wordlen", "--group", "ll_fp82.json", "--element",
+                                "elem_fp82.json", "--verify"], "free-product walk has"),
         (QH_CUT_WALK, ["qh", "--group", "z12.json", "--nmax", "2", "--M", "1",
                        "--strategy", "ball-exact", "--verify"],
          "qh certificate"),
-    ], ids=["depth-profile-petal", "wordlen-verify", "qh-verify"])
+    ], ids=["depth-profile-petal", "wordlen-verify", "wordlen-petal-certificate", "qh-verify"])
     def test_checks_survive_python_O(self, specs, patch, argv, message):
         argv = [specs.get(a, a) for a in argv]
         proc = _run_script(PATCHED_SCRIPT, patch, json.dumps(argv), optimize=True)

@@ -505,6 +505,36 @@ class TestPetalMemoKeys:
         assert len(named) == len(subs)
 
 
+class TestPetalWalk:
+    """word_length_and_walk on the petal backend: the walk of the recursion,
+    rebuilt from the model's memo and certified against its value."""
+
+    @pytest.mark.parametrize("key", sorted(FREE_PRODUCTS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_walk_is_valid_and_matches_value(self, z2_lamps, key, data):
+        orders, support, pos, _shift, _seed = data.draw(petal_cases(key))
+        base = _free_product(orders)
+        ll = W.LamplighterModel(z2_lamps, base)
+        petal = W.MetricBackend("petal", True)
+        g = ll.state({p: 1 for p in support}, pos)
+        wl, walk = W.word_length_and_walk(ll, g, petal)
+        gens = set(base.gens.elements)
+        assert all(base.mul_payload(base.inv_payload(a), b) in gens for a, b in zip(walk, walk[1:]))
+        assert walk[0] == () and walk[-1] == pos and set(support) <= set(walk)
+        assert wl.value == W.lamp_cost(ll, g) + len(walk) - 1
+        assert wl == W.word_length(W.LamplighterModel(z2_lamps, base), g, petal)
+        assert walk == T.ts_free_product_walk(base, (), pos, support)[1]
+
+    def test_root_certificate(self, z2_lamps, monkeypatch):
+        ll = W.LamplighterModel(z2_lamps, _free_product(FREE_PRODUCTS["Z8*Z2"]))
+        g = ll.state({((0, 3),): 1, ((1, 1), (0, 2)): 1}, ((0, 5),))
+        exact = T._factor_ts_edges
+        monkeypatch.setattr(T, "_factor_ts_edges", lambda *a: exact(*a) + 1)
+        with pytest.raises(VerificationError, match="free-product walk has"):
+            W.word_length_and_walk(ll, g, W.MetricBackend("petal", True))
+
+
 class TestMemoOwner:
     """The lamplighter model owns every word-length memo; its group models
     are never written to."""
