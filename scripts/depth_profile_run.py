@@ -54,7 +54,7 @@ def main(argv=None) -> int:
         f"({status}, {time.time()-t0:.1f}s)"
     )
     print("shell maxima:", profile.max_depth_per_shell())
-    dead = [r for r in profile.rows if r.depth >= 1]
+    dead = [row for row, _state in profile.rows.dead_ends()]
     print(f"dead ends with depth >= 1: {len(dead)}")
     for row in dead[:40]:
         flag = "" if row.depth_exact else " (lower bound)"

@@ -5,7 +5,8 @@ Group specs are JSON files (see groups.parse_group_spec); lamplighter specs
 are {"lamps": <group spec>, "base": <group spec>}.  Outputs are deterministic
 functions of the spec.  Exit codes: 0 success, 2 usage error, 3 resource cap,
 4 verification failure (an emitted answer failed its re-check), 5 internal
-error (a consistency assertion inside the program failed).
+error (a consistency assertion inside the program failed), 141 stdout closed
+by its reader before the output ended (as for a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, TextIO
 
 from . import graphs, groups, hamiltonian, wreath
 from .errors import ResourceCapError, UsageError, VerificationError
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ends
 
 
 def _load_json(path: str) -> dict:
@@ -211,10 +214,9 @@ def cmd_depth_profile(args) -> int:
     profile = wreath.depth_profile(
         model, args.radius, args.kmax, backend=backend, cap=args.cap, partial_ok=True
     )
-    dead_rows = [r for r in profile.rows if r.depth >= 1]
+    dead_ends = profile.rows.dead_ends()
     retreat: Dict[str, str] = {}
-    for row in dead_rows:
-        g = _state_from_id(model, row.element_id)
+    for row, g in dead_ends:
         try:
             k, exact = wreath.retreat_depth(model, g, row.depth, backend)
             retreat[row.element_id] = str(k) if exact else f">{k - 1}"
@@ -222,28 +224,7 @@ def cmd_depth_profile(args) -> int:
             retreat[row.element_id] = "cap"
     with _output(args.out) as fh:
         if args.format == "json":
-            payload = {
-                "radius": profile.radius,
-                "k_max": profile.k_max,
-                "complete": profile.complete,
-                "rows": [
-                    {
-                        "element": r.element_id,
-                        "word_length": r.word_length,
-                        "depth": r.depth,
-                        "depth_exact": r.depth_exact,
-                        "retreat_depth": retreat.get(r.element_id),
-                    }
-                    for r in profile.rows
-                ],
-                "max_depth_per_shell": profile.max_depth_per_shell(),
-            }
-            # json.dump would make one write per token, which is slow on an
-            # unbuffered stdout (PYTHONUNBUFFERED); write blocks of tokens
-            chunks = json.JSONEncoder(indent=1, sort_keys=True).iterencode(payload)
-            for block in iter(lambda: list(itertools.islice(chunks, 4096)), []):
-                fh.write("".join(block))
-            fh.write("\n")
+            _write_json_profile(fh, profile, retreat)
         else:
             suffix = "" if profile.complete else ",partial_enumeration"
             flags = {True: "exact" + suffix, False: "depth_lower_bound" + suffix}
@@ -257,21 +238,42 @@ def cmd_depth_profile(args) -> int:
             for shell, depth in profile.max_depth_per_shell().items():
                 fh.write(f"# shell {shell} max_depth {depth}\n")
     if args.verify:
-        for row in dead_rows:
-            g = _state_from_id(model, row.element_id)
+        for row, g in dead_ends:
             if not wreath.is_dead_end(model, g, backend):
                 raise VerificationError(f"row {row.element_id} is not a dead end")
     return 0 if profile.complete else 3
 
 
-def _state_from_id(model: wreath.LamplighterModel, element_id: str) -> wreath.WreathState:
-    body, pos = element_id.rsplit(";", 1)
-    lamps = {}
-    if body != "-":
-        for part in body.split("+"):
-            val, key = part.split("@", 1)
-            lamps[model.base.parse_payload(key)] = model.lamps.parse_payload(val)
-    return model.state(lamps, model.base.parse_payload(pos))
+# one profile row as json.dumps(..., indent=1, sort_keys=True) prints it in
+# the rows list, two levels down
+_JSON_ROW = (
+    '\n  {{\n   "depth": {},\n   "depth_exact": {},\n   "element": {},\n'
+    '   "retreat_depth": {},\n   "word_length": {}\n  }}'
+)
+
+
+def _write_json_profile(fh: TextIO, profile: wreath.DepthProfile, retreat: Dict[str, str]) -> None:
+    """The profile as one JSON object (indent 1, sorted keys), its rows
+    streamed in blocks: json.dump would make one write per token, which is
+    slow on an unbuffered stdout (PYTHONUNBUFFERED)."""
+    head = json.dumps(
+        {"radius": profile.radius, "k_max": profile.k_max, "complete": profile.complete,
+         "max_depth_per_shell": profile.max_depth_per_shell(), "rows": []},
+        indent=1, sort_keys=True,
+    )
+    # "rows" sorts last, so head ends with its empty list
+    fh.write(head[:-len("[]\n}")] + "[")
+    dumps = json.dumps
+    rows = (
+        _JSON_ROW.format(r.depth, dumps(r.depth_exact), dumps(r.element_id),
+                         dumps(retreat.get(r.element_id)), r.word_length)
+        for r in profile.rows
+    )
+    sep = ""
+    for block in iter(lambda: list(itertools.islice(rows, 4096)), []):
+        fh.write(sep + ",".join(block))
+        sep = ","
+    fh.write("\n ]\n}\n")
 
 
 def cmd_qh(args) -> int:
@@ -404,7 +406,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         _check_out_dir(args.out)
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (`| head`); point stdout at the null
+        # device so that the flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -334,37 +334,40 @@ def ts_tree_walk(u: Payload, v: Payload, H: Sequence[Payload], model: FreeModel)
 # free products: the exact recursion over the tree of factor copies
 
 
-def _factor_ts_edges(
-    model: FreeProductModel, factor: int, end: int, stations: FrozenSet[int], memo
-) -> int:
+def _factor_ts_edges(model: FreeProductModel, factor: int, end: int, stations: int, memo) -> int:
     """Edge-minimal walk on the finite factor Cayley graph from the identity
-    to `end` visiting `stations`; one solve_all_ends row per stations set,
-    kept in memo."""
-    key = (factor, stations)
-    row = memo.get(key)
+    to `end` visiting the stations of the bitmask `stations`; one
+    solve_all_ends row per mask, kept in the factor's tables in memo."""
+    graph, rows, _walks = _factor_tables(model, factor, memo)
+    row = rows.get(stations)
     if row is None:
         e = model.factors[factor].table.identity
-        row = memo[key] = solve_all_ends(_factor_graph(model, factor, memo), e, stations)
+        row = rows[stations] = solve_all_ends(graph, e, _members(stations))
     return row[end]
 
 
-def _factor_walk(
-    model: FreeProductModel, factor: int, end: int, stations: FrozenSet[int], memo
-) -> Tuple[int, ...]:
-    """One optimal walk of that factor TSP (solve_exact), kept in memo under
-    (factor, stations, end)."""
-    key = (factor, stations, end)
-    if key not in memo:
+def _factor_walk(model: FreeProductModel, factor: int, end: int, stations: int, memo) -> Tuple[int, ...]:
+    """One optimal walk of that factor TSP (solve_exact), kept in the
+    factor's tables in memo under (stations, end)."""
+    graph, _rows, walks = _factor_tables(model, factor, memo)
+    walk = walks.get((stations, end))
+    if walk is None:
         e = model.factors[factor].table.identity
-        inst = TspInstance(_factor_graph(model, factor, memo), e, end, stations)
-        memo[key] = solve_exact(inst).walk
-    return memo[key]
+        walk = walks[stations, end] = solve_exact(TspInstance(graph, e, end, _members(stations))).walk
+    return walk
 
 
-def _factor_graph(model: FreeProductModel, factor: int, memo) -> FiniteGraph:
-    if factor not in memo:
-        memo[factor] = finite_cayley_graph(model.factors[factor])
-    return memo[factor]
+def _factor_tables(model: FreeProductModel, factor: int, memo):
+    """(Cayley graph, TS rows by station mask, walks by (station mask, end))
+    of one factor, kept in memo under the factor."""
+    tables = memo.get(factor)
+    if tables is None:
+        tables = memo[factor] = (finite_cayley_graph(model.factors[factor]), {}, {})
+    return tables
+
+
+def _members(mask: int) -> List[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def ts_free_product(
@@ -409,9 +412,11 @@ def ts_free_product_ids(
     The root is evaluated but not memoised (a root key rarely recurs).
     memo is the caller's dict for this position table; it keeps the
     sub-excursion values keyed by the flat tuple (factor, end id, *sorted
-    required ids), the factor TS rows keyed by (factor, frozenset of
-    stations), the factor walks keyed by (factor, frozenset of stations,
-    end station) and the factor Cayley graphs keyed by factor.
+    required ids), and under the bare factor that factor's tables (see
+    _factor_tables): its Cayley graph, its TS rows keyed by the bitmask of
+    stations and its walks keyed by (bitmask, end station).  A factor's
+    tables are not in the flat key space, so a station mask never meets a
+    sub-excursion key such as (factor, end id) of an empty required set.
     """
     if not required and not end:
         return 0
@@ -453,21 +458,21 @@ def _split(positions: PositionTable, factor: int, end: int, required: Collection
     """Route the ids `required` and `end` through the `factor` copy at the
     identity (see PositionTable.routes).
 
-    Returns (in_copy, beyond, end_idx, dive): the required elements of the
-    copy, the ids of the rest of each required element that lies beyond the
-    copy grouped by the copy element it leaves from, the copy element where
-    the walk leaves for `end`, and the id of the rest of `end` beyond it (0
-    when `end` lies in the copy).
+    Returns (in_copy, beyond, end_idx, dive): the bitmask of the required
+    elements of the copy, the ids of the rest of each required element that
+    lies beyond the copy grouped by the copy element it leaves from, the
+    copy element where the walk leaves for `end`, and the id of the rest of
+    `end` beyond it (0 when `end` lies in the copy).
     """
     routes = positions.routes[factor]
-    in_copy: Set[int] = set()
+    in_copy = 0
     beyond: Dict[int, Set[int]] = {}
     for r in required:
         x, rest = routes[r]
         if rest:
             beyond.setdefault(x, set()).add(rest)
         else:
-            in_copy.add(x)
+            in_copy |= 1 << x
     return (in_copy, beyond, *routes[end])
 
 
@@ -483,15 +488,14 @@ def _walk_fp(positions: PositionTable, factor: int, end: int, required: Collecti
     if dive:
         sub = _walk_fp(positions, other, dive, beyond.pop(end_idx, ()), memo)
         dive_walk = _attach(model, factor, end_idx, sub)
-        stations.add(end_idx)
-    excursions = {
-        s: _attach(model, factor, s, _walk_fp(positions, other, 0, sub, memo))
-        for s, sub in beyond.items()
-    }
-    stations.update(beyond)
+        stations |= 1 << end_idx
+    excursions = {}
+    for s, sub in beyond.items():
+        excursions[s] = _attach(model, factor, s, _walk_fp(positions, other, 0, sub, memo))
+        stations |= 1 << s
 
     walk: List[Payload] = []
-    for v in _factor_walk(model, factor, end_idx, frozenset(stations), memo):
+    for v in _factor_walk(model, factor, end_idx, stations, memo):
         # a petal's excursion starts and ends at v
         walk.extend(excursions.pop(v, None) or _attach(model, factor, v, [()]))
     if dive_walk:
@@ -519,8 +523,8 @@ def _ts_fp_copy(positions: PositionTable, factor: int, end: int, required: Colle
     total = 0
     if dive:
         total = _ts_fp(positions, other, dive, beyond.pop(end_idx, ()), memo)
-        stations.add(end_idx)
-    for sub in beyond.values():
+        stations |= 1 << end_idx
+    for s, sub in beyond.items():
         total += _ts_fp(positions, other, 0, sub, memo)
-    stations.update(beyond)
-    return _factor_ts_edges(positions.model, factor, end_idx, frozenset(stations), memo) + total
+        stations |= 1 << s
+    return _factor_ts_edges(positions.model, factor, end_idx, stations, memo) + total

@@ -14,9 +14,10 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
+from collections import abc
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import ResourceCapError, VerificationError
 from .graphs import (
@@ -553,21 +554,113 @@ class ProfileRow(NamedTuple):
     depth_exact: bool
 
 
+class ProfileRows(abc.Sequence):
+    """The rows of a depth profile, in (word_length, element_id) order.
+
+    Each row is held as one int: its word length, then the rank of its lamp
+    body, then the rank of its position name, in fields as wide as the
+    numbers of distinct bodies and names need.  A ProfileRow, and with it the
+    element id `body;name`, is built only when the row is read.  The
+    searched rows keep their DepthReport in a small dict keyed by row; every
+    other row has depth 0, exact.
+
+    Rows of one word length compare by body first and name second.  That
+    is the string order of the element ids `body;name` as long as no
+    `body;` is a proper prefix of another one, and none is.  `+` joins the
+    lamps of a body, each lamp holds one `@`, and no lamp value or position
+    name holds `+` or `@`.  If `b;` were a proper prefix of `b2;`, the `@`
+    of b's last lamp would also be one of b2, and b2's position name after
+    it would begin with b's name and `;`: one `;` more than b's name holds.
+    But every position name of one base holds the same number of `;` (an
+    abelian base with torsion prints `head;tail`).  The body `-` of no lamps
+    is no such prefix either, as no lamp value starts with `-;`.
+    """
+
+    def __init__(self, model: LamplighterModel, dist: Dict[int, int], searched: Dict[int, DepthReport]):
+        """The rows of the interned states of dist with their word lengths;
+        searched holds the reports of the searched states."""
+        payloads = model._positions.payloads
+        self.bodies, body_rank = _ranked(
+            {s >> 32 for s in dist}, len(model._configs),
+            lambda c: model._lamps_str(model._decode(c << 32)[0]) + ";",
+        )
+        self.names, name_rank = _ranked(
+            {s & _POS_MASK for s in dist}, len(payloads), lambda p: model._base_str(payloads[p])
+        )
+        nb, bb = (len(self.names) - 1).bit_length(), (len(self.bodies) - 1).bit_length()
+        shift = nb + bb
+        self._name_bits, self._shell_shift = nb, shift
+        self._name_mask, self._body_mask = (1 << nb) - 1, (1 << bb) - 1
+
+        def key(s: int, L: int) -> int:
+            return L << shift | body_rank[s >> 32] << nb | name_rank[s & _POS_MASK]
+
+        self.keys = [key(s, L) for s, L in dist.items()]
+        self.keys.sort()
+        self.searched = {key(s, rep.word_length): rep for s, rep in searched.items()}
+
+    def _row(self, k: int) -> ProfileRow:
+        element_id = self.bodies[k >> self._name_bits & self._body_mask] + self.names[k & self._name_mask]
+        rep = self.searched.get(k)
+        if rep is None:
+            return ProfileRow(element_id, k >> self._shell_shift, 0, True)
+        return ProfileRow(element_id, rep.word_length, rep.depth, rep.depth_exact)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._row, self.keys[i]))
+        return self._row(self.keys[i])
+
+    def __iter__(self) -> Iterator[ProfileRow]:
+        return map(self._row, self.keys)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, abc.Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def dead_ends(self) -> List[Tuple[ProfileRow, WreathState]]:
+        """(row, state) of every row of depth >= 1, in row order."""
+        return [(self._row(k), rep.element) for k, rep in sorted(self.searched.items()) if rep.depth >= 1]
+
+    def max_depth_per_shell(self) -> Dict[int, int]:
+        # a ball has rows on every shell from 0 to its last one
+        out = dict.fromkeys(range((self.keys[-1] >> self._shell_shift) + 1), 0)
+        for rep in self.searched.values():
+            out[rep.word_length] = max(out[rep.word_length], rep.depth)
+        return out
+
+
+def _ranked(ids: Set[int], size: int, text) -> Tuple[List[str], List[int]]:
+    """The strings text(i) of ids in sorted order, and a list of `size`
+    slots holding the rank of each id's string at the id."""
+    pairs = sorted([(text(i), i) for i in ids])
+    rank = [0] * size
+    for r, (_t, i) in enumerate(pairs):
+        rank[i] = r
+    return [t for t, _i in pairs], rank
+
+
 @dataclass(frozen=True)
 class DepthProfile:
     radius: int
     k_max: int
-    rows: Tuple[ProfileRow, ...]
+    rows: Sequence[ProfileRow]  # ProfileRows from depth_profile
     complete: bool
 
     def max_depth_per_shell(self) -> Dict[int, int]:
+        if isinstance(self.rows, ProfileRows):
+            return self.rows.max_depth_per_shell()
         out: Dict[int, int] = {}
         for row in self.rows:
             out[row.word_length] = max(out.get(row.word_length, -1), row.depth)
         return dict(sorted(out.items()))
 
     def max_depth(self) -> int:
-        return max(row.depth for row in self.rows)
+        return max(self.max_depth_per_shell().values())
 
 
 DEFAULT_WREATH_BALL_CAP = 2_000_000
@@ -684,40 +777,21 @@ def depth_profile(
     Only the rest trigger a depth search.  The word-length formula is
     checked against the BFS distance on every last-shell and every searched
     element.  The ball and the checks run on interned states; a state is
-    decoded only for a depth search or an error message.
+    decoded only for a depth search or an error message.  The rows are
+    ProfileRows: one int each, with element ids built as rows are read.
     """
     backend = backend or auto_backend(model)
     _require_exact(backend)
     dist, complete, stuck = _ball_shells(model, radius, cap, partial_ok)
     reached = max(dist.values(), default=0)
-    bodies: Dict[int, str] = {}  # lamp part of the element id, per config id
-    names: Dict[int, str] = {}  # position part, per position id
-
-    def element_id(s: int) -> str:
-        c, p = s >> 32, s & _POS_MASK
-        body = bodies.get(c)
-        if body is None:
-            body = bodies[c] = model._lamps_str(model._decode(c << 32)[0])
-        name = names.get(p)
-        if name is None:
-            name = names[p] = model._base_str(model._positions.payloads[p])
-        return f"{body};{name}"
-
-    rows: List[ProfileRow] = []
+    searched: Dict[int, DepthReport] = {}
     for s, L in dist.items():
         if L < reached:
             if s not in stuck:
-                rows.append(ProfileRow(element_id(s), L, 0, True))
                 continue
         elif k_max >= 1 and _leaves_ball(model, s, dist):
             _check_formula(model, s, _state_length(model, s, backend), L)
-            rows.append(ProfileRow(element_id(s), L, 0, True))
             continue
-        rep = depth(model, model._decode(s), k_max, backend)
+        rep = searched[s] = depth(model, model._decode(s), k_max, backend)
         _check_formula(model, s, rep.word_length, L)
-        rows.append(ProfileRow(element_id(s), L, rep.depth, rep.depth_exact))
-    # two stable sorts give the (word_length, element_id) order without a key
-    # tuple per row
-    rows.sort(key=attrgetter("element_id"))
-    rows.sort(key=attrgetter("word_length"))
-    return DepthProfile(radius, k_max, tuple(rows), complete)
+    return DepthProfile(radius, k_max, ProfileRows(model, dist, searched), complete)

@@ -84,6 +84,13 @@ def specs(tmp_path_factory):
             "base": {"variant": "abelian", "rank": 1, "moduli": [], "gens": [[1], [2]]},
         },
     )
+    put(
+        "ll_z3_z2.json",
+        {
+            "lamps": {"variant": "cyclic", "n": 3, "gens": [1], "letter": "a"},
+            "base": {"variant": "abelian", "rank": 2, "moduli": [], "gens": [[1, 0], [0, 1]]},
+        },
+    )
     put("elem.json", {"lamps": [[[-1], 1], [[1], 1]], "position": [0]})
     put("elem_tree.json", {"lamps": [[[-1], 1], [[1, 1], 1]], "position": [1]})
     put("elem_fp82.json", {"lamps": [[[[0, 3]], 1], [[], 1], [[[1, 1], [0, 2]], 1]],
@@ -329,6 +336,29 @@ class TestDepthProfileOutput:
         )
         assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == FP82_R8_K22_SHA256[fmt]
 
+    def test_frozen_grid_csv(self, specs):
+        # ids over Z^2 hold commas, so csv quotes them; not a free product
+        rc, out, _ = run(
+            ["depth-profile", "--group", specs["ll_z3_z2.json"], "--radius", "5", "--kmax", "4"]
+        )
+        assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == Z3_GRID_R5_K4_CSV_SHA256
+
+    def test_reader_closing_stdout_early(self, specs):
+        # the profile is larger than a pipe buffer, so writing goes on after
+        # the reader has gone
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lamplighter.cli", "depth-profile", "--group",
+             specs["ll_z3_z2.json"], "--radius", "6"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
+        assert first == b"element_id,word_length,depth,retreat_depth,flags\n" and err == ""
+
     def test_unopenable_out_is_usage_error(self, specs, tmp_path):
         target = tmp_path / "missing" / "x.csv"
         rc, out, err = run(
@@ -555,6 +585,10 @@ class TestNumpyFree:
     def test_tsp_commands_do_not_load_numpy(self, specs):
         proc = _run_script(NO_NUMPY_SCRIPT, specs["ll_z16.json"], specs["elem_z16_14.json"])
         assert proc.stdout.split() == ["0", "False", "0", "False"], proc.stderr
+
+
+# Z/3 lamps over Z^2, radius 5, k_max 4, as CSV
+Z3_GRID_R5_K4_CSV_SHA256 = "d20142ee1e17ea0f75a54fc93fd5c84ac3c44a4110827a8e64892e8fa3394de1"
 
 
 class TestVerificationUnderOptimize:

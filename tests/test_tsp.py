@@ -304,6 +304,28 @@ class TestFreeProductTs:
         assert again == value == T.ts_free_product(fp82, (), end, sup)
         assert set(memo) == keys
 
+    def test_factor_rows_apart_from_sub_excursions(self, fp82):
+        # a dive with an empty required set is memoised under (factor, end
+        # id); a factor TS row whose station mask equals that id must not
+        # meet its entry, whichever of the two is computed first
+        positions = G.PositionTable(fp82)
+        end = [positions.intern(((0, x),)) for x in range(1, 6)][-1]
+        assert end == 5  # as a mask of the Z/8 copy: stations 0 and 2
+
+        def dive(memo):
+            return T._ts_fp(positions, 0, end, (), memo)
+
+        def row(memo):
+            return T._factor_ts_edges(fp82, 0, 6, end, memo)
+
+        want = (dive({}), row({}))
+        assert want == (3, 6)
+        for first, second in ((dive, row), (row, dive)):
+            memo = {}
+            first(memo)
+            second(memo)
+            assert (dive(memo), row(memo)) == want
+
     def test_translation_invariance(self, fp82):
         sup = [((0, 2),), ((0, 4), (1, 1))]
         shift = ((1, 1), (0, 3))

@@ -624,6 +624,8 @@ def _model(key):
         return W.LamplighterModel(z2, G.make_free(1, "t"))
     if key == "box_z2":
         return W.LamplighterModel(z2, G.make_abelian(2, [], [[1, 0], [0, 1]]))
+    if key == "z2_wr_zxz4":  # torsion: position names are "x;y"
+        return W.LamplighterModel(z2, G.make_abelian(1, [4], [[1, 0], [0, 1]]))
     if key == "z3_wr_z4":
         return W.LamplighterModel(G.make_cyclic(3, [1], letter="a"), G.make_cyclic(4, [1]))
     raise KeyError(key)
@@ -635,6 +637,7 @@ PROFILE_CASES = [
     ("tree", 8, 6, None),
     ("box_z2", 5, 3, None),
     ("z3_wr_z4", 30, 4, None),  # finite: the ball saturates below radius 30
+    ("z2_wr_zxz4", 6, 3, None),  # position names hold ";", as element ids do
     ("fp82", 8, 4, 500),  # capped: the partial shell is dropped
     ("tree", 9, 5, 700),
     ("fp82", 7, 0, None),  # k_max 0: last-shell rows stay lower bounds
