@@ -264,9 +264,12 @@ def _write_json_profile(fh: TextIO, profile: wreath.DepthProfile, retreat: Dict[
     # "rows" sorts last, so head ends with its empty list
     fh.write(head[:-len("[]\n}")] + "[")
     dumps = json.dumps
+    exact = {True: "true", False: "false"}
+    # only dead ends have a retreat depth: encode each once, not per row
+    retreat_json = {element: dumps(k) for element, k in retreat.items()}
     rows = (
-        _JSON_ROW.format(r.depth, dumps(r.depth_exact), dumps(r.element_id),
-                         dumps(retreat.get(r.element_id)), r.word_length)
+        _JSON_ROW.format(r.depth, exact[r.depth_exact], dumps(r.element_id),
+                         retreat_json.get(r.element_id, "null"), r.word_length)
         for r in profile.rows
     )
     sep = ""

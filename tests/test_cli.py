@@ -561,13 +561,16 @@ def cut(*a, **k):
 hamiltonian.qh_certificate = cut
 """
 
-# Prints whether numpy is loaded after each command.
+# Runs each command (a JSON list of argv lists) and then the Hamiltonian
+# deciders with numpy unimportable, printing one exit code per line.
 NO_NUMPY_SCRIPT = """
-import os, sys
-from lamplighter import cli
-print(cli.main(["hamdiff", "--cyclic-range", "16:16", "--out", os.devnull]), "numpy" in sys.modules)
-print(cli.main(["wordlen", "--group", sys.argv[1], "--element", sys.argv[2],
-                "--backend", "finite", "--verify", "--out", os.devnull]), "numpy" in sys.modules)
+import json, os, sys
+sys.modules["numpy"] = None
+from lamplighter import cli, graphs, hamiltonian
+for argv in json.loads(sys.argv[1]):
+    print(cli.main(argv + ["--out", os.devnull]))
+print(int(not hamiltonian.analyze(graphs.cube_graph([3, 4])).bipartite))
+print(int(hamiltonian.hamiltonian_path(graphs.cube_graph([4, 5]), 0, 1) is None))
 """
 
 
@@ -582,9 +585,22 @@ def _run_script(script, *args, optimize=False):
 
 
 class TestNumpyFree:
+    COMMANDS = [
+        ["hamdiff", "--cyclic-range", "16:16"],
+        ["wordlen", "--group", "ll_z16.json", "--element", "elem_z16_14.json",
+         "--backend", "finite", "--verify"],
+        ["wordlen", "--group", "ll_fp82.json", "--element", "elem_fp82.json", "--verify"],
+        ["verdict", "--H", "c8.json", "--K", "c2.json"],
+        ["depth-profile", "--group", "ll_fp82.json", "--radius", "3", "--kmax", "2",
+         "--verify"],
+        ["qh", "--group", "z12.json", "--nmax", "2", "--M", "2", "--verify"],
+        ["export-graph", "--cube", "2,3", "--format", "adj"],
+    ]
+
     def test_tsp_commands_do_not_load_numpy(self, specs):
-        proc = _run_script(NO_NUMPY_SCRIPT, specs["ll_z16.json"], specs["elem_z16_14.json"])
-        assert proc.stdout.split() == ["0", "False", "0", "False"], proc.stderr
+        commands = [[specs.get(a, a) for a in argv] for argv in self.COMMANDS]
+        proc = _run_script(NO_NUMPY_SCRIPT, json.dumps(commands))
+        assert proc.stdout.split() == ["0"] * (len(commands) + 2), proc.stderr
 
 
 # Z/3 lamps over Z^2, radius 5, k_max 4, as CSV

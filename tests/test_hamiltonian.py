@@ -64,10 +64,10 @@ class TestHamiltonianPath:
 
     def test_corrupt_ends_dp_fails_verification(self):
         g = Gr.cycle_graph(5)
-        dp = H._ends_dp(g, 0)
-        assert H._dp_path(g, dp, 0, 1) == (0, 4, 3, 2, 1)
-        bad = dp.copy()
-        bad[((1 << g.n) - 1) ^ (1 << 1)] = 0
+        reach = H._ends_dp(g, 0, H._not_masks(g.n))
+        assert H._dp_path(g, reach, 0, 1) == (0, 4, 3, 2, 1)
+        entry = 1 << (((1 << g.n) - 1) ^ (1 << 1))
+        bad = [r & ~entry for r in reach]
         with pytest.raises(VerificationError, match="reconstruction failed"):
             H._dp_path(g, bad, 0, 1)
 
@@ -83,7 +83,8 @@ class TestSpanningSearch:
             bits = H._graph_bits(g)
             full = (1 << g.n) - 1
             for s in range(g.n):
-                ends = int(H._ends_dp(g, s)[full])
+                reach = H._ends_dp(g, s, H._not_masks(g.n))
+                ends = sum(1 << t for t in range(g.n) if reach[t] >> full & 1)
                 for t in range(g.n):
                     walk = H._spanning_walk_exact_repeats(bits, s, t, 0)
                     assert (walk is not None) == bool(ends >> t & 1), (g.adj, s, t)
@@ -144,6 +145,40 @@ class TestAnalyze:
             for (u, v), path in r.witnesses.items():
                 assert path[0] == u and path[-1] == v
                 assert sorted(path) == list(range(g.n))
+
+    def test_witnesses_frozen(self):
+        # determinism contract: the decisions and every witness path (the
+        # smallest-neighbour tie rule of the ends-DP walk-back) on a fixed
+        # family.  A different tie rule changes this digest.
+        assert _analyze_digest() == (
+            147, "ab957c873f93c1a78fdb769978ae3f219cc50317f27dc832f548568c52b1b4bb"
+        )
+
+
+def _analyze_digest():
+    # every Cayley graph of an abelian group of order 3..8 on a set of
+    # generator classes, then Cube(3, 4): one line per graph with its
+    # decisions, then one line per witness path in endpoint order
+    tables = [G.cyclic_table(n) for n in range(3, 9)]
+    tables += [G.abelian_table(m) for m in ([2, 2], [2, 4], [2, 2, 2])]
+    graphs = []
+    for table in tables:
+        reps = sorted({min(x, table.inv[x]) for x in range(table.order) if x != table.identity})
+        for r in range(1, len(reps) + 1):
+            for combo in itertools.combinations(reps, r):
+                try:
+                    graphs.append(Gr.finite_cayley_graph(G.FiniteModel(table, list(combo))))
+                except ValueError:
+                    continue
+    graphs.append(Gr.cube_graph([3, 4]))
+    digest = hashlib.sha256()
+    for g in graphs:
+        r = H.analyze(g)
+        digest.update(f"{g.n} {r.has_hamiltonian_cycle} {r.hamiltonian_connected} "
+                      f"{r.bipartite} {r.hamiltonian_laceable}\n".encode())
+        for (u, v), path in sorted(r.witnesses.items()):
+            digest.update(f"{u} {v}: {' '.join(map(str, path))}\n".encode())
+    return len(graphs), digest.hexdigest()
 
 
 class TestHamiltonianDifference:
@@ -293,6 +328,11 @@ class TestNashWilliams:
     def test_line_degenerate(self):
         basis = H.nash_williams_basis(G.make_abelian(1, [], [[1]]))
         assert basis.degenerate
+
+    def test_class_cap_named_in_error(self):
+        model = G.make_abelian(1, [], [[i] for i in range(1, 10)])
+        with pytest.raises(ResourceCapError, match=r"_BASIS_CLASS_CAP = 8 .*\(9 classes found\)"):
+            H.nash_williams_basis(model)
 
     def test_decomposition_unique(self):
         model = G.make_abelian(1, [], [[2], [3]])
