@@ -278,3 +278,19 @@ def cube_graph(dims: Sequence[int]) -> FiniteGraph:
     for m in dims[1:]:
         g = product_graph(g, path_graph(m))
     return g
+
+
+# ---------------------------------------------------------------------------
+# subset bitsets (the bit-sliced subset DPs of tsp and hamiltonian)
+
+
+def _not_masks(n: int) -> List[int]:
+    """NOT[v] as an int of 2**n bits: bit m is set iff vertex v is not in the
+    subset m.  Each is one period of 2**(v+1) bits doubled up to 2**n bits."""
+    nots = []
+    for v in range(n):
+        x, width = (1 << (1 << v)) - 1, 2 << v
+        while width < 1 << n:
+            x, width = x | x << width, width << 1
+        nots.append(x)
+    return nots

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import ResourceCapError, VerificationError
-from .graphs import FiniteGraph, cayley_ball, finite_cayley_graph, power_graph
+from .graphs import FiniteGraph, _not_masks, cayley_ball, finite_cayley_graph, power_graph
 from .groups import (
     AbelianModel,
     FiniteModel,
@@ -40,18 +40,6 @@ _BASIS_CLASS_CAP = 8  # generator classes; the basis search tries C(classes, ran
 
 # ---------------------------------------------------------------------------
 # Hamiltonian path decision
-
-
-def _not_masks(n: int) -> List[int]:
-    """NOT[v] as an int of 2**n bits: bit m is set iff vertex v is not in the
-    subset m.  Each is one period of 2**(v+1) bits doubled up to 2**n bits."""
-    nots = []
-    for v in range(n):
-        x, width = (1 << (1 << v)) - 1, 2 << v
-        while width < 1 << n:
-            x, width = x | x << width, width << 1
-        nots.append(x)
-    return nots
 
 
 def _ends_dp(g: FiniteGraph, start: int, nots: List[int]) -> List[int]:
@@ -880,12 +868,18 @@ def _check_group_walk(model: GroupModel, payloads: Sequence[Payload], cover: Set
 
 
 def _qh_ball_exact(model: GroupModel, n_max: int, M: int) -> QhCertificate:
+    # every vertex of a ball is required and the balls are nested, so the
+    # largest one is checked before any TSP is solved
+    largest = cayley_ball(model, n_max).graph.n
+    if largest > tsp.MAX_REQUIRED:
+        raise ResourceCapError(
+            f"ball-exact: the ball of radius n = {n_max} has {largest} vertices, over"
+            f" the exact TSP cap tsp.MAX_REQUIRED = {tsp.MAX_REQUIRED}"
+        )
     witnesses = []
     for n in range(1, n_max + 1):
         ball = cayley_ball(model, n)
         g = ball.graph
-        if g.n - 1 > tsp.MAX_REQUIRED:
-            raise ResourceCapError("ball too large for exact TSP certification")
         walks: Dict[str, Tuple[str, ...]] = {}
         max_excess = 0
         for x in range(g.n):

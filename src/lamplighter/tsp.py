@@ -13,11 +13,18 @@ Every exact TS value except the tree closed form comes from one pure-Python
 Held-Karp kernel, reached through one setup that enforces MAX_REQUIRED and
 refuses a disconnected graph: solve_exact, solve_all_ends and the finite
 factor TSPs of the free-product recursion all go through it.  The kernel
-packs the table into one int per subset of stations, with one field of w
-bits per station, and takes the minimum over the members of a subset
-fieldwise (SWAR).  w leaves one guard bit above the largest value a field
-can hold, so no subtraction borrows across fields and the packed table
-holds exactly the values of the plain one.
+slices the subset DP by walk length: for each station, one int of 2**k bits
+holds the subsets of the k stations whose shortest walk from start ending
+there is at most the current length L, and the next length's subsets come
+from big-int OR, AND and shift, as in hamiltonian._ends_dp.  The subsets
+reached at each length are written into bit planes, plane b holding those
+whose length has bit b set, so a lookup reads one bit per plane.  When the
+stations lie far apart, the pending lengths and the planes would hold more
+bytes than the packed table, and the kernel keeps that table instead: one
+int per subset with one field of w bits per station, the minimum over the
+members of a subset taken fieldwise (SWAR).  w leaves one guard bit above
+the largest value a field can hold, so no subtraction borrows across
+fields.  Both kernels hold exactly the values of the plain table.
 """
 
 from __future__ import annotations
@@ -26,9 +33,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import BoundExceededError, ResourceCapError, VerificationError
-from .graphs import FiniteGraph, finite_cayley_graph
+from .graphs import FiniteGraph, _not_masks, finite_cayley_graph
 from .groups import FreeModel, FreeProductModel, Payload, PositionTable
 
+# hamdiff on Z/22 (k = 21 stations, level kernel) takes about 0.6 s and 95 MB
+# peak RSS on a 2-CPU x86 box with Python 3.11; the packed table alone took
+# 17-23 s and 162 MB
 MAX_REQUIRED = 22
 
 
@@ -149,11 +159,117 @@ def _held_karp(
     """The lookup dp(mask, i): the shortest walk from start through the
     stations of mask that ends at station i, for i in mask.
 
-    The table is packed: ext[mask] is one int of k fields of w bits, and
-    field j holds min over i in mask of dp(mask, i) + D[i][j], so dp(mask, i)
-    is field i of ext[mask ^ bit i] (ext[0] holds D_start).  Each ext[mask]
-    is the fieldwise minimum over i in mask of dp(mask, i) broadcast to every
-    field plus the packed row D[i].  A field never exceeds
+    Both kernels give the same values; the level-sliced one runs unless its
+    ints would hold more bytes than the packed table (see _levels_fit).
+    """
+    kernel = _held_karp_levels if _levels_fit(k, D_start, D) else _held_karp_packed
+    return kernel(k, D_start, D)
+
+
+def _int_bytes(bits: int) -> int:
+    """Bytes of a CPython int of `bits` bits: a 24-byte header and one 4-byte
+    digit per 30 bits, rounded up to the 16-byte allocation unit."""
+    return -(-(24 + 4 * -(-bits // 30)) // 16) * 16
+
+
+def _levels_fit(k: int, D_start: Sequence[int], D: Sequence[Sequence[int]]) -> bool:
+    """Whether the level kernel's ints of 2**k bits (pending levels, planes,
+    reach and NOT) take no more bytes than the packed table's 2**k - 1 ints
+    of k fields plus their list slots.  Station j has at most max(D[j])
+    pending levels, and no dp value exceeds _dp_bound."""
+    planes = _dp_bound(D_start, D).bit_length()
+    levels = (sum(map(max, D)) + (planes + 2) * k) * _int_bytes(1 << k)
+    w = (max(D_start) + k * max(map(max, D))).bit_length() + 1
+    packed = ((1 << k) - 1) * (8 + _int_bytes(k * w))
+    return levels <= packed
+
+
+def _dp_bound(D_start: Sequence[int], D: Sequence[Sequence[int]]) -> int:
+    """The nearest-station walk from start plus one longest leg.  Moving
+    station j of that walk to its end adds at most one leg, and in the metric
+    closure dp(mask, j) <= dp(full, j), so no dp value exceeds the sum."""
+    row, todo, total = D_start, set(range(len(D))), 0
+    while todo:
+        j = min(todo, key=row.__getitem__)
+        todo.remove(j)
+        total, row = total + row[j], D[j]
+    return total + max(map(max, D))
+
+
+def _held_karp_levels(
+    k: int, D_start: Sequence[int], D: Sequence[Sequence[int]]
+) -> Callable[[int, int], int]:
+    """Held-Karp sliced by walk length, the weighted form of
+    hamiltonian._ends_dp.
+
+    reach[j] is one int of 2**k bits, bit m set iff dp(m, j) <= L at the
+    current level L.  new_L[j], the masks m with dp(m, j) == L, is
+
+        ([D_start[j] == L] << 2**j
+         | ((OR over i != j of new_{L - D[i][j]}[i]) & NOT[j]) << 2**j)
+        minus reach[j],
+
+    so each new_L[i] is ORed once into pending[L + D[i][j]][j] for every
+    other station j, in a ring of max(D) + 1 levels.  Plane b of station j
+    holds the masks whose dp has bit b set, so dp(mask, i) reads one bit per
+    plane.  The levels stop once every reach[j] holds its top bit, the full
+    mask: every dp is known then, as dp(mask, j) <= dp(full, j) in the
+    metric closure.
+    """
+    full = (1 << k) - 1
+    nots = _not_masks(k)
+    pushes = [[(t, d) for t, d in enumerate(row) if t != j] for j, row in enumerate(D)]
+    ring = [[0] * k for _ in range(max(map(max, D)) + 1)]
+    reach = [0] * k
+    planes: List[List[int]] = [[] for _ in range(k)]
+    left, level = k, 0
+    while left:
+        level += 1
+        if not level & (level - 1):
+            for pl in planes:
+                pl.append(0)
+        bits = [b for b in range(level.bit_length()) if level >> b & 1]
+        pending = ring[level % len(ring)]
+        for j in range(k):
+            x = pending[j]
+            if x:
+                pending[j] = 0
+                x = (x & nots[j]) << (1 << j)
+            if D_start[j] == level:
+                x |= 1 << (1 << j)
+            if not x:
+                continue
+            old = reach[j]
+            grown = old | x
+            if grown == old:
+                continue
+            reach[j] = grown
+            new = grown ^ old
+            if new.bit_length() > full:
+                left -= 1
+            pl = planes[j]
+            for b in bits:
+                pl[b] |= new
+            for t, d in pushes[j]:
+                slot = ring[(level + d) % len(ring)]
+                slot[t] = slot[t] | new if slot[t] else new
+
+    def dp(mask: int, i: int) -> int:
+        return sum(1 << b for b, p in enumerate(planes[i]) if p >> mask & 1)
+
+    return dp
+
+
+def _held_karp_packed(
+    k: int, D_start: Sequence[int], D: Sequence[Sequence[int]]
+) -> Callable[[int, int], int]:
+    """Held-Karp over a packed table, one int per subset of stations.
+
+    ext[mask] is one int of k fields of w bits, and field j holds min over i
+    in mask of dp(mask, i) + D[i][j], so dp(mask, i) is field i of
+    ext[mask ^ bit i] (ext[0] holds D_start).  Each ext[mask] is the
+    fieldwise minimum over i in mask of dp(mask, i) broadcast to every field
+    plus the packed row D[i].  A field never exceeds
     top = max(D_start) + k * max(D) < 2^(w - 1), so the top bit of each field
     is a guard: the subtraction best + guard - v borrows no bit across fields,
     and its guard bits mark the fields where v is not larger than best.

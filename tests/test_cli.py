@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
@@ -405,6 +406,21 @@ class TestQh:
             ["qh", "--group", specs["z2.json"], "--nmax", "1", "--strategy", "abelian-box"]
         )
         assert rc == 3 and out == "" and "node cap 5" in err
+
+    def test_ball_exact_cap_before_any_solve(self, specs, monkeypatch):
+        # the radius-11 ball of Z has 23 vertices, one over the TSP cap; the
+        # refusal comes before the ten smaller balls are solved
+        def refuse(*args):
+            raise AssertionError("solve_exact ran before the cap check")
+
+        monkeypatch.setattr(cli.hamiltonian.tsp, "solve_exact", refuse)
+        start = time.perf_counter()
+        rc, out, err = run(["qh", "--group", specs["z.json"], "--nmax", "11", "--M", "30",
+                            "--strategy", "ball-exact"])
+        assert rc == 3 and out == ""
+        assert ("the ball of radius n = 11 has 23 vertices, over the exact TSP cap"
+                " tsp.MAX_REQUIRED = 22") in err
+        assert time.perf_counter() - start < 10
 
     def test_refutation_table(self, specs):
         rc, out, _ = run(["qh", "--group", specs["z.json"], "--nmax", "4"])

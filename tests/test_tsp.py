@@ -127,6 +127,61 @@ class TestSolveExact:
             assert T.solve_all_ends(g, s, req) == [closed_form(v) for v in range(n)]
 
 
+def closure(graph, s, req):
+    """(k, D_start, D): the Held-Karp kernel's input for start s and req."""
+    others = [r for r in sorted(req) if r != s]
+    dist = {v: graph.distances_from(v) for v in others + [s]}
+    return (len(others), [dist[s][r] for r in others],
+            [[dist[a][b] for b in others] for a in others])
+
+
+class TestHeldKarpKernels:
+    def test_levels_match_packed(self):
+        # every dp(mask, i), i in mask, on random connected graphs with
+        # k <= 10; long paths give wide distances, which the rule sends to
+        # the packed table
+        rng = random.Random(20261020)
+        sides = set()
+        for trial in range(48):
+            n = rng.randint(2, 14) if trial % 4 else rng.randint(30, 80)
+            edges = {(i, rng.randrange(i) if trial % 4 else i - 1) for i in range(1, n)}
+            for _ in range(rng.randint(0, n) if trial % 4 else 0):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v:
+                    edges.add((max(u, v), min(u, v)))
+            g = Gr.from_edges(n, list(edges))
+            s = rng.randrange(n)
+            req = rng.sample([v for v in range(n) if v != s], rng.randint(1, min(10, n - 1)))
+            k, D_start, D = closure(g, s, req)
+            sides.add(T._levels_fit(k, D_start, D))
+            levels = T._held_karp_levels(k, D_start, D)
+            packed = T._held_karp_packed(k, D_start, D)
+            for mask in range(1, 1 << k):
+                for i in range(k):
+                    if mask >> i & 1:
+                        assert levels(mask, i) == packed(mask, i), (trial, mask, i)
+        assert sides == {True, False}
+
+    def test_rule_sides(self):
+        # short legs at large k take the level kernel, long legs at small k
+        # the packed table
+        z22 = Gr.finite_cayley_graph(G.make_cyclic(22, [1]))
+        assert T._levels_fit(*closure(z22, 0, range(22)))
+        assert not T._levels_fit(*closure(Gr.path_graph(1000), 0, {0, 999}))
+
+    def test_large_k_walks_frozen(self):
+        # sha256 of these walks under the packed table alone (k = 21, 19)
+        digest = hashlib.sha256()
+        z22 = Gr.finite_cayley_graph(G.make_cyclic(22, [1]))
+        grid = Gr.cube_graph([4, 5])
+        for g, ends in ((z22, (0, 5, 11)), (grid, (4, 19))):
+            for end in ends:
+                digest.update(repr(T.solve_exact(inst(g, 0, end, range(g.n))).walk).encode())
+        assert digest.hexdigest() == (
+            "e56aa29984d9c918c767bd66c92bbf7841afddcfa141c39bd05ce920a6cfbbe0"
+        )
+
+
 class TestOracle:
     def test_path_out_and_back(self):
         g = Gr.path_graph(3)
