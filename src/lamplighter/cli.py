@@ -394,6 +394,35 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# glibc raises its mmap threshold to the largest block freed so far (up to
+# 32 MiB).  Once a depth profile has freed its output text of a few MB, blocks
+# of that size go to the brk heap, whose free holes stay resident, so the same
+# command run again in one process peaks a few MB higher or lower depending on
+# where earlier blocks landed.  Fixed thresholds give every block over
+# _MMAP_THRESHOLD its own mapping, returned to the OS when freed, and trim the
+# heap top past glibc's default of 128 KiB.  The threshold lies just above the
+# largest int of the subset DPs (2**24 bits at hamiltonian._DP_CAP, 2.2 MB),
+# which stay on the heap, where a freed block is reused without page faults.
+_MMAP_THRESHOLD = 3 << 20
+_TRIM_THRESHOLD = 128 << 10
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters of <malloc.h>
+
+
+@functools.lru_cache(maxsize=None)
+def _fix_malloc_thresholds() -> bool:
+    """Set glibc's mmap and trim thresholds, once per process.  False where
+    the C library has no mallopt or refuses a value (not Linux, musl)."""
+    if not sys.platform.startswith("linux"):
+        return False
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """build_parser(), built once per process."""
@@ -401,6 +430,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _fix_malloc_thresholds()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -695,3 +695,47 @@ class TestParserOnce:
         assert run(argv)[0] == 7
         assert run(["verdict", "--H", "missing.json"])[0] == 2
         assert len(built) == 1
+
+
+# Frees an 8 MiB block, then reports whether a 4 MiB block gets its own
+# mapping; with "main" it runs one command first, so cli.main sets the
+# thresholds.
+MALLOC_SCRIPT = """
+import ctypes, os, sys
+from lamplighter import cli
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in
+                "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()]
+info = getattr(ctypes.CDLL(None), "mallinfo2", None)
+if info is None:
+    print("no mallinfo2")
+    sys.exit()
+info.restype = MallInfo2
+if sys.argv[1] == "main":
+    assert cli.main(["hamdiff", "--cyclic-range", "3:3", "--out", os.devnull]) == 0
+big = bytearray(8 << 20)
+del big
+before = info().hblkhd
+block = bytearray(4 << 20)
+print(int(info().hblkhd - before >= 4 << 20))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc mallopt")
+class TestMallocThresholds:
+    def test_large_block_mapped_after_main(self):
+        outputs = {}
+        for mode in ("plain", "main"):
+            proc = _run_script(MALLOC_SCRIPT, mode)
+            assert proc.returncode == 0, proc.stderr
+            outputs[mode] = proc.stdout.strip()
+        if outputs["main"] == "no mallinfo2":
+            pytest.skip("C library without mallinfo2")
+        # glibc alone moves its threshold past 4 MiB once the 8 MiB block is freed
+        assert outputs == {"plain": "0", "main": "1"}
+
+    def test_subset_dp_ints_stay_on_the_heap(self):
+        from lamplighter import hamiltonian, tsp
+
+        assert cli._fix_malloc_thresholds()
+        assert tsp._int_bytes(1 << hamiltonian._DP_CAP) < cli._MMAP_THRESHOLD
