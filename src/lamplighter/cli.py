@@ -127,8 +127,6 @@ def cmd_wordlen(args) -> int:
     g = _element_from_spec(model, element_spec)
     backend = _backend(model, args.backend)
     wl, walk = wreath.word_length_and_walk(model, g, backend)
-    lamps, pos = g
-    support = sorted(k for k, _ in lamps)
     lines = []
     if wl.exact:
         lines.append(f"{wl.value} exact")
@@ -137,7 +135,10 @@ def cmd_wordlen(args) -> int:
     names = " ".join(model.base.payload_str(p) for p in walk)
     lines.append(f"ts-walk: {names}")
     if args.verify:
-        _verify_base_walk(model.base, walk, set(support), pos)
+        lamps, pos = g  # model.state normalised pos
+        hamiltonian._check_group_walk(model.base, walk, {k for k, _v in lamps})
+        if walk[-1] != pos:
+            raise VerificationError("walk does not end at the position")
         cost = wreath.lamp_cost(model, g)
         if wl.value != cost + len(walk) - 1:
             raise VerificationError(
@@ -145,17 +146,6 @@ def cmd_wordlen(args) -> int:
             )
     _emit("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def _verify_base_walk(base, walk, support, pos) -> None:
-    gens = set(base.gens.elements)
-    for a, b in zip(walk, walk[1:]):
-        if base.mul_payload(base.inv_payload(a), b) not in gens:
-            raise VerificationError("walk step is not a generator")
-    if walk[0] != base.identity_payload() or walk[-1] != base.normalize_payload(pos):
-        raise VerificationError("walk endpoints wrong")
-    if not support <= set(walk):
-        raise VerificationError("walk misses support")
 
 
 def cmd_hamdiff(args) -> int:

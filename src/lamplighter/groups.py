@@ -51,11 +51,12 @@ class FiniteGroupTable:
         n = self.order
         if n < 1 or len(self.mul) != n or any(len(row) != n for row in self.mul):
             raise ValueError("malformed multiplication table")
+        elements = list(range(n))
         for row in self.mul:
-            if sorted(row) != list(range(n)):
+            if sorted(row) != elements:
                 raise ValueError("mul is not a Latin square (row)")
-        for c in range(n):
-            if sorted(self.mul[r][c] for r in range(n)) != list(range(n)):
+        for col in zip(*self.mul):
+            if sorted(col) != elements:
                 raise ValueError("mul is not a Latin square (column)")
         e = self.identity
         for x in range(n):

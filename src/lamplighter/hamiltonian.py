@@ -856,13 +856,15 @@ def _excess_message(M: int, n: int, endpoint, excess: int) -> str:
 
 
 def _check_group_walk(model: GroupModel, payloads: Sequence[Payload], cover: Set[Payload]):
+    """Raise VerificationError unless payloads is a walk of generator steps
+    from the identity through every point of cover."""
     gens = set(model.gens.elements)
     for a, b in zip(payloads, payloads[1:]):
         step = model.mul_payload(model.inv_payload(a), b)
         if step not in gens:
             raise VerificationError("walk step is not a generator")
     if not cover <= set(payloads):
-        raise VerificationError("walk does not cover the witness set")
+        raise VerificationError("walk does not cover its required points")
     if payloads[0] != model.identity_payload():
         raise VerificationError("walk does not start at the identity")
 

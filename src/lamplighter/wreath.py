@@ -5,7 +5,8 @@ verdicts.
 
 A wreath state is (lamps, position): lamps is a sorted tuple of
 (base payload, lamp payload) pairs storing only non-identity lamp values.
-Ball enumeration and depth profiles run on interned states instead: one int
+Ball enumeration, depth profiles and the dead-end, depth and retreat
+searches run on interned states instead: one int
 `config id << 32 | position id` (see LamplighterModel._encode).
 """
 
@@ -190,9 +191,10 @@ class LamplighterModel:
             acc.append((self.base.mul_payload(binv, k), self.lamps.inv_payload(v)))
         return (tuple(sorted(acc)), binv)
 
-    # -- generators and neighbors -------------------------------------------
+    # -- generators ----------------------------------------------------------
     def generator_states(self) -> List[Tuple[str, WreathState]]:
-        """(label, state) for every generator; built once per model."""
+        """(label, state) for every generator, in the order of _steps; built
+        once per model."""
         return self._generator_states
 
     def _build_generator_states(self) -> List[Tuple[str, WreathState]]:
@@ -203,12 +205,6 @@ class LamplighterModel:
         for s in self.base.gens.elements:
             out.append((f"B:{self.base.payload_str(s)}", ((), s)))
         return out
-
-    def neighbors(self, g: WreathState) -> List[WreathState]:
-        """g times each generator, lamp generators first (generating sets
-        hold no repeats and no identity, so these are distinct); the states
-        are interned on the way."""
-        return [self._decode(t) for t in self._steps(self._encode(g))]
 
 
 # ---------------------------------------------------------------------------
@@ -377,32 +373,36 @@ def _require_exact(backend: MetricBackend) -> None:
 def is_dead_end(model: LamplighterModel, g: WreathState, backend: MetricBackend) -> bool:
     """True iff no single generator extends g to a longer element."""
     _require_exact(backend)
-    L = word_length(model, g, backend).value
-    return all(
-        word_length(model, h, backend).value <= L for h in model.neighbors(g)
-    )
+    return _dead_end_length(model, model._encode(g), backend)[0]
+
+
+def _dead_end_length(model: LamplighterModel, s: int, backend: MetricBackend) -> Tuple[bool, int]:
+    """(the interned state s is a dead end, its word length)."""
+    L = _state_length(model, s, backend)
+    return all(_state_length(model, t, backend) <= L for t in model._steps(s)), L
 
 
 def depth(model: LamplighterModel, g: WreathState, k_max: int, backend: MetricBackend) -> DepthReport:
     """Largest n <= k_max with ||gh|| <= ||g|| for every ||h|| <= n, by BFS
-    over multiplier words with normal-form dedup."""
+    over multiplier words on interned states."""
     _require_exact(backend)
-    L = word_length(model, g, backend).value
-    seen: Set[WreathState] = {g}
+    s = model._encode(g)
+    L = _state_length(model, s, backend)
+    labels = [label for label, _state in model.generator_states()]
+    steps = model._steps
+    seen: Set[int] = {s}
     # words are parent links (parent_link, label), flattened only on return
-    frontier: List[Tuple[WreathState, Optional[tuple]]] = [(g, None)]
-    gen_list = model.generator_states()
+    frontier: List[Tuple[int, Optional[tuple]]] = [(s, None)]
     for n in range(1, k_max + 1):
-        nxt: List[Tuple[WreathState, Optional[tuple]]] = []
+        nxt: List[Tuple[int, Optional[tuple]]] = []
         for state, link in frontier:
-            for label, gen_state in gen_list:
-                h = model.multiply(state, gen_state)
-                if h in seen:
+            for label, t in zip(labels, steps(state)):
+                if t in seen:
                     continue
-                seen.add(h)
-                if word_length(model, h, backend).value > L:
+                seen.add(t)
+                if _state_length(model, t, backend) > L:
                     return DepthReport(g, L, n - 1, True, _unlink((link, label)))
-                nxt.append((h, (link, label)))
+                nxt.append((t, (link, label)))
         frontier = nxt
     return DepthReport(g, L, k_max, False)
 
@@ -415,40 +415,40 @@ def _unlink(link: Optional[tuple]) -> Tuple[str, ...]:
     return tuple(reversed(labels))
 
 
+RETREAT_SEARCH_CAP = 500_000  # states one retreat search (one k) may keep
+
+
 def retreat_depth(
-    model: LamplighterModel,
-    g: WreathState,
-    k_max: int,
-    backend: MetricBackend,
-    frontier_cap: int = 500_000,
+    model: LamplighterModel, g: WreathState, k_max: int, backend: MetricBackend
 ) -> Tuple[int, bool]:
     """Minimal k such that the sphere ||g||+1 is reachable from g through
     elements of word length >= ||g|| - k.  Returns (k_max + 1, False) when
     every k <= k_max fails."""
     _require_exact(backend)
-    if not is_dead_end(model, g, backend):
+    s = model._encode(g)
+    dead, L = _dead_end_length(model, s, backend)
+    if not dead:
         raise ValueError("retreat depth is defined for dead ends only")
-    L = word_length(model, g, backend).value
+    steps = model._steps
     for k in range(0, k_max + 1):
-        seen: Set[WreathState] = {g}
-        frontier = [g]
-        visited = 1
+        seen: Set[int] = {s}
+        frontier = [s]
         while frontier:
             nxt = []
             for state in frontier:
-                for h in model.neighbors(state):
-                    if h in seen:
+                for t in steps(state):
+                    if t in seen:
                         continue
-                    lh = word_length(model, h, backend).value
-                    if lh == L + 1:
+                    lt = _state_length(model, t, backend)
+                    if lt == L + 1:
                         return k, True
-                    if lh >= L - k:
-                        seen.add(h)
-                        nxt.append(h)
-                        visited += 1
-                        if visited > frontier_cap:
+                    if lt >= L - k:
+                        seen.add(t)
+                        nxt.append(t)
+                        if len(seen) > RETREAT_SEARCH_CAP:
                             raise ResourceCapError(
-                                f"retreat search cap exceeded; retreat depth >= {k}"
+                                f"retreat search cap RETREAT_SEARCH_CAP = {RETREAT_SEARCH_CAP}"
+                                f" exceeded at k = {k}; retreat depth >= {k}"
                             )
             frontier = nxt
     return k_max + 1, False
@@ -648,16 +648,11 @@ def _ranked(ids: Set[int], size: int, text) -> Tuple[List[str], List[int]]:
 class DepthProfile:
     radius: int
     k_max: int
-    rows: Sequence[ProfileRow]  # ProfileRows from depth_profile
+    rows: ProfileRows
     complete: bool
 
     def max_depth_per_shell(self) -> Dict[int, int]:
-        if isinstance(self.rows, ProfileRows):
-            return self.rows.max_depth_per_shell()
-        out: Dict[int, int] = {}
-        for row in self.rows:
-            out[row.word_length] = max(out.get(row.word_length, -1), row.depth)
-        return dict(sorted(out.items()))
+        return self.rows.max_depth_per_shell()
 
     def max_depth(self) -> int:
         return max(self.max_depth_per_shell().values())

@@ -180,6 +180,21 @@ class TestWordlenSolve:
         assert rc == 4 and "walk edges" in err
 
 
+    def test_verify_checks_walk_covers_support(self, specs, monkeypatch):
+        # lamps at -1 and 1, position 0: a walk 0, 1, 0 that skips -1 is made
+        # of generator steps and its length matches the value reported
+        exact = cli.wreath.word_length_and_walk
+
+        def skipping(model, g, be):
+            wl, _walk = exact(model, g, be)
+            return cli.wreath.WordLength(wl.value - 2, wl.exact), [(0,), (1,), (0,)]
+
+        monkeypatch.setattr(cli.wreath, "word_length_and_walk", skipping)
+        argv = ["wordlen", "--group", specs["ll_line.json"], "--element", specs["elem.json"]]
+        assert run(argv)[0] == 0
+        rc, _, err = run(argv + ["--verify"])
+        assert rc == 4 and "cover" in err
+
     def test_petal_factor_work_done_once(self, specs, monkeypatch, tmp_path):
         # two petals reach an H copy with the same station and end, so the
         # walk meets one factor-walk key twice

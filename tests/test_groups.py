@@ -34,6 +34,12 @@ class TestFiniteTables:
         with pytest.raises(ValueError):
             G.FiniteGroupTable(2, ((0, 0), (1, 1)), 0, (0, 1))
 
+    def test_repeated_column_rejected(self):
+        # every row is a permutation, but column 0 holds 0 three times
+        rows = ((0, 1, 2),) * 3
+        with pytest.raises(ValueError, match=r"\(column\)"):
+            G.FiniteGroupTable(3, rows, 0, (0, 2, 1))
+
     def test_direct_product(self):
         t = G.direct_product_table(G.cyclic_table(2), G.cyclic_table(3))
         assert t.order == 6 and t.is_abelian()

@@ -72,14 +72,19 @@ class TestWreathLaw:
         assert lab <= la + lb
 
 
+def _neighbors(model, g):
+    """g times each generator, through the interned generator action."""
+    return [model._decode(t) for t in model._steps(model._encode(g))]
+
+
 class TestNeighbors:
     def test_identity_neighbors(self, ll_line):
-        nbrs = ll_line.neighbors(ll_line.identity_state())
+        nbrs = _neighbors(ll_line, ll_line.identity_state())
         assert len(nbrs) == 3  # lamp-on, shift left, shift right
 
     def test_neighbor_count_bound(self, ll_fp82):
         g = ll_fp82.state({(): 1}, ((0, 1),))
-        assert len(ll_fp82.neighbors(g)) <= 1 + 3
+        assert len(_neighbors(ll_fp82, g)) <= 1 + 3
 
     def test_bipartite_length_steps(self, ll_fp82):
         # Cay(Z8*Z2) has no odd cycles, so every step changes length by 1
@@ -87,7 +92,7 @@ class TestNeighbors:
         rng = random.Random(4)
         ball_items = list(W.enumerate_ball(ll_fp82, 5)[0].items())
         for g, L in rng.sample(ball_items, 40):
-            for h in ll_fp82.neighbors(g):
+            for h in _neighbors(ll_fp82, g):
                 lh = W.word_length(ll_fp82, h, be).value
                 assert abs(lh - L) == 1
 
@@ -202,6 +207,15 @@ class TestDeadEnds:
             rep = W.depth(ll_tree, w, 2 * n + 3, be)
             rd, exact = W.retreat_depth(ll_tree, w, rep.depth, be)
             assert exact and rd <= rep.depth
+
+    def test_retreat_cap_error_names_cap_and_k(self, ll_tree, monkeypatch):
+        be = W.auto_backend(ll_tree)
+        w = W.cleary_taback_witness(ll_tree, 2)
+        assert W.retreat_depth(ll_tree, w, 4, be) == (2, True)
+        monkeypatch.setattr(W, "RETREAT_SEARCH_CAP", 5)
+        msg = "RETREAT_SEARCH_CAP = 5 exceeded at k = 2; retreat depth >= 2"
+        with pytest.raises(ResourceCapError, match=msg):
+            W.retreat_depth(ll_tree, w, 4, be)
 
     def test_retreat_requires_dead_end(self, ll_tree):
         with pytest.raises(ValueError):
@@ -684,6 +698,91 @@ class TestProfileLookup:
             W.depth_profile(model, 5, 3)
 
 
+# -- the searches against a payload BFS on the group law -------------------
+
+
+def _payload_steps(model, g):
+    """(label, g times the generator) for every generator, by multiply."""
+    return [(label, model.multiply(g, s)) for label, s in model.generator_states()]
+
+
+def _payload_depth(model, g, k_max):
+    """(depth, depth_exact, witness) as depth() defines them, by a BFS over
+    payload states with multiply and word_length."""
+    be = W.auto_backend(model)
+    L = W.word_length(model, g, be).value
+    seen, frontier = {g}, [(g, ())]
+    for n in range(1, k_max + 1):
+        nxt = []
+        for x, word in frontier:
+            for label, h in _payload_steps(model, x):
+                if h in seen:
+                    continue
+                seen.add(h)
+                if W.word_length(model, h, be).value > L:
+                    return n - 1, True, word + (label,)
+                nxt.append((h, word + (label,)))
+        frontier = nxt
+    return k_max, False, ()
+
+
+def _payload_dead_end(model, g):
+    be = W.auto_backend(model)
+    L = W.word_length(model, g, be).value
+    return all(W.word_length(model, h, be).value <= L for _label, h in _payload_steps(model, g))
+
+
+def _payload_retreat(model, g, k_max):
+    """retreat_depth() by the same payload BFS, one search per k."""
+    be = W.auto_backend(model)
+    L = W.word_length(model, g, be).value
+    for k in range(k_max + 1):
+        seen, frontier = {g}, [g]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for _label, h in _payload_steps(model, x):
+                    if h in seen:
+                        continue
+                    lh = W.word_length(model, h, be).value
+                    if lh == L + 1:
+                        return k, True
+                    if lh >= L - k:
+                        seen.add(h)
+                        nxt.append(h)
+            frontier = nxt
+    return k_max + 1, False
+
+
+class TestSearchesAgainstPayloadBfs:
+    def _check(self, model, oracle, g, k_max):
+        """The interned searches on model against the payload BFS on oracle,
+        a second model of the same group that shares no memo with it."""
+        be = W.auto_backend(model)
+        rep = W.depth(model, g, k_max, be)
+        assert (rep.depth, rep.depth_exact, rep.witness) == _payload_depth(oracle, g, k_max)
+        dead = W.is_dead_end(model, g, be)
+        assert dead == _payload_dead_end(oracle, g) == (rep.depth >= 1)
+        if dead:
+            assert W.retreat_depth(model, g, rep.depth, be) == _payload_retreat(oracle, g, rep.depth)
+
+    @pytest.mark.parametrize("key, radius, k_max, cap", [c for c in PROFILE_CASES if c[2] >= 1])
+    def test_every_state_of_the_profile_ball(self, key, radius, k_max, cap):
+        # the dead ends of the profile and every other state of its ball
+        model, oracle = _model(key), _model(key)
+        prof = W.depth_profile(model, radius, k_max, cap=cap, partial_ok=True)
+        dead_ends = {g for _row, g in prof.rows.dead_ends()}
+        states = _payload_ball(oracle, radius, cap)[0]
+        assert dead_ends <= states.keys()
+        for g in states:
+            self._check(model, oracle, g, k_max)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cleary_taback_witnesses(self, n):
+        model, oracle = _model("tree"), _model("tree")
+        self._check(model, oracle, W.cleary_taback_witness(model, n), 2 * n + 3)
+
+
 # -- interned states: the int kernel against the payload group law ---------
 
 BALL_CASES = [
@@ -728,7 +827,7 @@ class TestInternedStates:
         assert model.state_str(model._decode(s)) == model.state_str(g)
         # the interned generator action agrees with the payload group law
         want = [model.multiply(g, t) for _label, t in model.generator_states()]
-        assert model.neighbors(g) == want
+        assert [model._decode(t) for t in model._steps(s)] == want
 
     @pytest.mark.parametrize("key, radius, cap", [c for c in BALL_CASES if c[2]])
     def test_cap_bounds_states_built(self, key, radius, cap):
