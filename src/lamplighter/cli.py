@@ -16,9 +16,9 @@ import contextlib
 import csv
 import functools
 import io
-import itertools
 import json
 import os
+import re
 import sys
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO
 
@@ -213,25 +213,43 @@ def cmd_depth_profile(args) -> int:
         except ResourceCapError:
             retreat[row.element_id] = "cap"
     with _output(args.out) as fh:
-        if args.format == "json":
-            _write_json_profile(fh, profile, retreat)
-        else:
-            suffix = "" if profile.complete else ",partial_enumeration"
-            flags = {True: "exact" + suffix, False: "depth_lower_bound" + suffix}
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["element_id", "word_length", "depth", "retreat_depth", "flags"])
-            writer.writerows(
-                (r.element_id, r.word_length, r.depth, retreat.get(r.element_id, ""),
-                 flags[r.depth_exact])
-                for r in profile.rows
-            )
-            for shell, depth in profile.max_depth_per_shell().items():
-                fh.write(f"# shell {shell} max_depth {depth}\n")
+        write = _write_json_profile if args.format == "json" else _write_csv_profile
+        write(fh, profile, retreat)
     if args.verify:
         for row, g in dead_ends:
             if not wreath.is_dead_end(model, g, backend):
                 raise VerificationError(f"row {row.element_id} is not a dead end")
     return 0 if profile.complete else 3
+
+
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer (QUOTE_MINIMAL, lineterminator "\\n") writes it as
+    one field of a row.  Only a delimiter, a quote or a line break can make
+    csv.writer quote a field; a text holding one goes through csv.writer."""
+    if not _CSV_SPECIAL.search(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-len(",\n")]
+
+
+def _write_csv_profile(fh: TextIO, profile: wreath.DepthProfile, retreat: Dict[str, str]) -> None:
+    """The profile as csv.writer would write its rows, in blocks of rows."""
+    suffix = "" if profile.complete else ",partial_enumeration"
+    flags = {True: _csv_field("exact" + suffix), False: _csv_field("depth_lower_bound" + suffix)}
+
+    def full(element_id: str, rep: wreath.DepthReport) -> str:
+        return (f"{_csv_field(element_id)},{rep.word_length},{rep.depth},"
+                f"{retreat.get(element_id, '')},{flags[rep.depth_exact]}\n")
+
+    fh.write("element_id,word_length,depth,retreat_depth,flags\n")
+    for block in profile.rows.text_blocks(_csv_field, "", lambda L: f",{L},0,,{flags[True]}\n", full):
+        fh.write("".join(block))
+    for shell, depth in profile.max_depth_per_shell().items():
+        fh.write(f"# shell {shell} max_depth {depth}\n")
 
 
 # one profile row as json.dumps(..., indent=1, sort_keys=True) prints it in
@@ -255,15 +273,17 @@ def _write_json_profile(fh: TextIO, profile: wreath.DepthProfile, retreat: Dict[
     fh.write(head[:-len("[]\n}")] + "[")
     dumps = json.dumps
     exact = {True: "true", False: "false"}
-    # only dead ends have a retreat depth: encode each once, not per row
-    retreat_json = {element: dumps(k) for element, k in retreat.items()}
-    rows = (
-        _JSON_ROW.format(r.depth, exact[r.depth_exact], dumps(r.element_id),
-                         retreat_json.get(r.element_id, "null"), r.word_length)
-        for r in profile.rows
-    )
+
+    def full(element_id: str, rep: wreath.DepthReport) -> str:
+        k = retreat.get(element_id)
+        return _JSON_ROW.format(rep.depth, exact[rep.depth_exact], dumps(element_id),
+                                "null" if k is None else dumps(k), rep.word_length)
+
+    # a depth-0 row is row_head, the element id, then row_tail with the
+    # word length in place of its {}
+    row_head, row_tail = _JSON_ROW.format(0, "true", "{}", "null", "{}").split("{}", 1)
     sep = ""
-    for block in iter(lambda: list(itertools.islice(rows, 4096)), []):
+    for block in profile.rows.text_blocks(dumps, row_head, lambda L: row_tail.replace("{}", str(L)), full):
         fh.write(sep + ",".join(block))
         sep = ","
     fh.write("\n ]\n}\n")

@@ -525,7 +525,6 @@ def ts_free_product_ids(
     Recursion over the tree of factor copies: each copy contributes a finite
     TSP whose station weights are the closed-excursion costs of its nonempty
     petals; the copy holding the endpoint takes one final open excursion.
-    The root is evaluated but not memoised (a root key rarely recurs).
     memo is the caller's dict for this position table; it keeps the
     sub-excursion values keyed by the flat tuple (factor, end id, *sorted
     required ids), and under the bare factor that factor's tables (see
@@ -533,10 +532,19 @@ def ts_free_product_ids(
     stations and its walks keyed by (bitmask, end station).  A factor's
     tables are not in the flat key space, so a station mask never meets a
     sub-excursion key such as (factor, end id) of an empty required set.
+
+    A root key rarely recurs, so the root copy is not memoised by end.  Its
+    petals depend on the required set alone: under the key None, memo keeps
+    those of the last required set (see _copy_petals), so a run of calls on
+    one set with different ends splits the set once and then takes, per
+    end, one dive and one factor row.
     """
     if not required and not end:
         return 0
-    return _ts_fp_copy(positions, 0, end, required, memo)
+    root = memo.get(None)
+    if root is None or root[0] is not required and root[0] != required:
+        root = memo[None] = (required, _copy_petals(positions, 0, required))
+    return _ts_fp_copy(positions, 0, end, root[1], memo)
 
 
 def ts_free_product_ids_walk(
@@ -628,19 +636,36 @@ def _ts_fp(positions: PositionTable, factor: int, end: int, required: Collection
     key = (factor, end, *sorted(required))
     val = memo.get(key)
     if val is None:
-        val = memo[key] = _ts_fp_copy(positions, factor, end, required, memo)
+        petals = _copy_petals(positions, factor, required)
+        val = memo[key] = _ts_fp_copy(positions, factor, end, petals, memo)
     return val
 
 
-def _ts_fp_copy(positions: PositionTable, factor: int, end: int, required: Collection[int], memo) -> int:
-    """TS from the identity of this `factor` copy; petals recurse via _ts_fp."""
-    stations, beyond, end_idx, dive = _split(positions, factor, end, required)
-    other = 1 - factor
-    total = 0
-    if dive:
-        total = _ts_fp(positions, other, dive, beyond.pop(end_idx, ()), memo)
-        stations |= 1 << end_idx
-    for s, sub in beyond.items():
-        total += _ts_fp(positions, other, 0, sub, memo)
+def _copy_petals(positions: PositionTable, factor: int, required: Collection[int]):
+    """(stations, beyond, sums) of the required set in the `factor` copy at
+    the identity, for any end: the bitmask of the stations of the required
+    elements in the copy and of the petals, the petals as _split gives them,
+    and an empty dict for _ts_fp_copy's sums of closed-excursion costs."""
+    stations, beyond, _x, _dive = _split(positions, factor, 0, required)
+    for s in beyond:
         stations |= 1 << s
-    return _factor_ts_edges(positions.model, factor, end_idx, stations, memo) + total
+    return stations, beyond, {}
+
+
+def _ts_fp_copy(positions: PositionTable, factor: int, end: int, petals, memo) -> int:
+    """TS from the identity of this `factor` copy to `end` over the petals of
+    a required set (see _copy_petals); petals recurse via _ts_fp."""
+    stations, beyond, sums = petals
+    x, dive = positions.routes[factor][end]
+    # the walk leaves for end from x: with a dive, the petal at x is part of
+    # the dive, and every other petal is a closed excursion
+    skip = x if dive else None
+    other = 1 - factor
+    total = sums.get(skip)
+    if total is None:
+        closed = [_ts_fp(positions, other, 0, sub, memo) for s, sub in beyond.items() if s != skip]
+        total = sums[skip] = sum(closed)
+    if dive:
+        total += _ts_fp(positions, other, dive, beyond.get(x, ()), memo)
+        stations |= 1 << x
+    return _factor_ts_edges(positions.model, factor, x, stations, memo) + total

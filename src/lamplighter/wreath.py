@@ -16,9 +16,10 @@ import bisect
 import functools
 import itertools
 import operator
+from array import array
 from collections import abc
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import ResourceCapError, VerificationError
 from .graphs import (
@@ -102,6 +103,9 @@ class LamplighterModel:
         self._positions = PositionTable(base)
         self._configs: List[tuple] = [()]
         self._config_ids: Dict[tuple, int] = {(): 0}
+        # (config id, lamp cost, support ids) of the configuration that
+        # _state_length priced last
+        self._last_config: Tuple[int, int, FrozenSet[int]] = (0, 0, frozenset())
 
     # -- states ------------------------------------------------------------
     def identity_state(self) -> WreathState:
@@ -554,6 +558,9 @@ class ProfileRow(NamedTuple):
     depth_exact: bool
 
 
+ROW_BLOCK = 4096  # rows per list of ProfileRows.text_blocks
+
+
 class ProfileRows(abc.Sequence):
     """The rows of a depth profile, in (word_length, element_id) order.
 
@@ -562,7 +569,8 @@ class ProfileRows(abc.Sequence):
     numbers of distinct bodies and names need.  A ProfileRow, and with it the
     element id `body;name`, is built only when the row is read.  The
     searched rows keep their DepthReport in a small dict keyed by row; every
-    other row has depth 0, exact.
+    other row has depth 0, exact.  The writers build no ProfileRow:
+    text_blocks formats the rows in blocks straight from the ints.
 
     Rows of one word length compare by body first and name second.  That
     is the string order of the element ids `body;name` as long as no
@@ -573,18 +581,19 @@ class ProfileRows(abc.Sequence):
     it would begin with b's name and `;`: one `;` more than b's name holds.
     But every position name of one base holds the same number of `;` (an
     abelian base with torsion prints `head;tail`).  The body `-` of no lamps
-    is no such prefix either, as no lamp value starts with `-;`.
+    is no such prefix either, as no lamp value starts with `-;`.  So the
+    rows of one lamp configuration and one word length are adjacent.
     """
 
     def __init__(self, model: LamplighterModel, dist: Dict[int, int], searched: Dict[int, DepthReport]):
         """The rows of the interned states of dist with their word lengths;
         searched holds the reports of the searched states."""
         payloads = model._positions.payloads
-        self.bodies, body_rank = _ranked(
+        self.bodies, body_rank, self._config_of = _ranked(
             {s >> 32 for s in dist}, len(model._configs),
             lambda c: model._lamps_str(model._decode(c << 32)[0]) + ";",
         )
-        self.names, name_rank = _ranked(
+        self.names, name_rank, self._position_of = _ranked(
             {s & _POS_MASK for s in dist}, len(payloads), lambda p: model._base_str(payloads[p])
         )
         nb, bb = (len(self.names) - 1).bit_length(), (len(self.bodies) - 1).bit_length()
@@ -599,12 +608,76 @@ class ProfileRows(abc.Sequence):
         self.keys.sort()
         self.searched = {key(s, rep.word_length): rep for s, rep in searched.items()}
 
+    def _element_id(self, k: int) -> str:
+        return self.bodies[k >> self._name_bits & self._body_mask] + self.names[k & self._name_mask]
+
     def _row(self, k: int) -> ProfileRow:
-        element_id = self.bodies[k >> self._name_bits & self._body_mask] + self.names[k & self._name_mask]
         rep = self.searched.get(k)
         if rep is None:
-            return ProfileRow(element_id, k >> self._shell_shift, 0, True)
-        return ProfileRow(element_id, rep.word_length, rep.depth, rep.depth_exact)
+            return ProfileRow(self._element_id(k), k >> self._shell_shift, 0, True)
+        return ProfileRow(self._element_id(k), rep.word_length, rep.depth, rep.depth_exact)
+
+    def _shell_range(self, L: int) -> Tuple[int, int]:
+        """The index range of the rows of word length L in keys."""
+        keys, shift = self.keys, self._shell_shift
+        return bisect.bisect_left(keys, L << shift), bisect.bisect_left(keys, L + 1 << shift)
+
+    def shell_states(self, L: int) -> Iterator[Tuple[int, int]]:
+        """(row int, interned state) of every row of word length L, in row
+        order, so the states of one lamp configuration come one after the
+        other."""
+        keys, nb, bm, nm = self.keys, self._name_bits, self._body_mask, self._name_mask
+        configs, positions = self._config_of, self._position_of
+        for i in range(*self._shell_range(L)):
+            k = keys[i]
+            yield k, configs[k >> nb & bm] << 32 | positions[k & nm]
+
+    def text_blocks(
+        self,
+        field: Callable[[str], str],
+        head: str,
+        tail: Callable[[int], str],
+        full: Callable[[str, DepthReport], str],
+    ) -> Iterator[List[str]]:
+        """The rows as text, in row order and in lists of at most ROW_BLOCK.
+
+        A searched row is full(element id, its report).  Any other row of
+        word length L is head + the field of its element id + tail(L), with
+        tail called once per shell.  field(text) is text as one output field:
+        text itself, or text escaped between double quotes.  The field of
+        `body;name` is put together from the fields of the body and the name,
+        each made once, and is quoted when either of them is.
+        """
+        bodies, names = self.bodies, self.names
+        body_fields, name_fields = list(map(field, bodies)), list(map(field, names))
+        quoted_body = list(map(operator.ne, body_fields, bodies))
+        quoted_name = list(map(operator.ne, name_fields, names))
+        plain = [None if q else head + t for t, q in zip(bodies, quoted_body)]
+        # a quoted id is the body's field without its closing quote and the
+        # name's without its opening one; read only when some field is quoted
+        opened, closed = plain, names
+        if any(quoted_body) or any(quoted_name):
+            opened = [head + (f[:-1] if f != t else '"' + t) for f, t in zip(body_fields, bodies)]
+            closed = [f[1:] if f != t else t + '"' for f, t in zip(name_fields, names)]
+        del body_fields, name_fields
+        keys, nb, bm, nm = self.keys, self._name_bits, self._body_mask, self._name_mask
+        marks = sorted(self.searched)
+        m = 0
+        for L in range((keys[-1] >> self._shell_shift) + 1):
+            t = tail(L)
+            lo, hi = self._shell_range(L)
+            for i in range(lo, hi, ROW_BLOCK):
+                j = min(i + ROW_BLOCK, hi)
+                block = [
+                    opened[b] + closed[n] + t if quoted_body[b] or quoted_name[n] else plain[b] + names[n] + t
+                    for k in keys[i:j] for b, n in ((k >> nb & bm, k & nm),)
+                ]
+                while m < len(marks) and marks[m] <= keys[j - 1]:
+                    k = marks[m]
+                    row = full(self._element_id(k), self.searched[k])
+                    block[bisect.bisect_left(keys, k, i, j) - i] = row
+                    m += 1
+                yield block
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -634,14 +707,14 @@ class ProfileRows(abc.Sequence):
         return out
 
 
-def _ranked(ids: Set[int], size: int, text) -> Tuple[List[str], List[int]]:
-    """The strings text(i) of ids in sorted order, and a list of `size`
-    slots holding the rank of each id's string at the id."""
+def _ranked(ids: Set[int], size: int, text) -> Tuple[List[str], List[int], array]:
+    """The strings text(i) of ids in sorted order, a list of `size` slots
+    holding the rank of each id's string at the id, and the ids by rank."""
     pairs = sorted([(text(i), i) for i in ids])
     rank = [0] * size
     for r, (_t, i) in enumerate(pairs):
         rank[i] = r
-    return [t for t, _i in pairs], rank
+    return [t for t, _i in pairs], rank, array("q", [i for _t, i in pairs])
 
 
 @dataclass(frozen=True)
@@ -737,13 +810,22 @@ def _leaves_ball(model: LamplighterModel, s: int, dist: Dict[int, int]) -> bool:
 def _state_length(model: LamplighterModel, s: int, backend: MetricBackend) -> int:
     """Word length of the interned state s by the formula, never the BFS
     distance: the petal backend runs the recursion on position ids, the
-    other backends decode s and call word_length."""
+    other backends decode s and call word_length.
+
+    On the petal backend the lamp cost and the support of the last
+    configuration priced are kept, and ts_free_product_ids keeps the root
+    petals of the last support, so states of one configuration priced one
+    after the other share that work."""
     if backend.strategy != "petal":
         return word_length(model, model._decode(s), backend).value
-    config = model._configs[s >> 32]
-    support = frozenset([k for k, _v in config])
-    ts = tsp.ts_free_product_ids(model._positions, s & _POS_MASK, support, model._ts_fp_memo)
-    return sum(map(model._lamp_len, [v for _k, v in config])) + ts
+    c = s >> 32
+    last = model._last_config
+    if last[0] != c:
+        config = model._configs[c]
+        cost = sum(map(model._lamp_len, [v for _k, v in config]))
+        last = model._last_config = (c, cost, frozenset([k for k, _v in config]))
+    ts = tsp.ts_free_product_ids(model._positions, s & _POS_MASK, last[2], model._ts_fp_memo)
+    return last[1] + ts
 
 
 def _check_formula(model: LamplighterModel, s: int, formula: int, L: int) -> None:
@@ -773,20 +855,28 @@ def depth_profile(
     checked against the BFS distance on every last-shell and every searched
     element.  The ball and the checks run on interned states; a state is
     decoded only for a depth search or an error message.  The rows are
-    ProfileRows: one int each, with element ids built as rows are read.
+    ProfileRows: one int each, with element ids built as rows are read or
+    written.  The last shell is checked in row order, in which the states of
+    one lamp configuration are adjacent, so the petal formula splits each
+    configuration's support once (see _state_length).
     """
     backend = backend or auto_backend(model)
     _require_exact(backend)
     dist, complete, stuck = _ball_shells(model, radius, cap, partial_ok)
     reached = max(dist.values(), default=0)
-    searched: Dict[int, DepthReport] = {}
-    for s, L in dist.items():
-        if L < reached:
-            if s not in stuck:
-                continue
-        elif k_max >= 1 and _leaves_ball(model, s, dist):
-            _check_formula(model, s, _state_length(model, s, backend), L)
-            continue
-        rep = searched[s] = depth(model, model._decode(s), k_max, backend)
-        _check_formula(model, s, rep.word_length, L)
-    return DepthProfile(radius, k_max, ProfileRows(model, dist, searched), complete)
+    # a saturated finite ball finds its whole last shell stuck
+    below = {s: _search(model, s, dist[s], k_max, backend) for s in stuck if dist[s] < reached}
+    rows = ProfileRows(model, dist, below)
+    for k, s in rows.shell_states(reached):
+        if k_max >= 1 and _leaves_ball(model, s, dist):
+            _check_formula(model, s, _state_length(model, s, backend), reached)
+        else:
+            rows.searched[k] = _search(model, s, reached, k_max, backend)
+    return DepthProfile(radius, k_max, rows, complete)
+
+
+def _search(model: LamplighterModel, s: int, L: int, k_max: int, backend: MetricBackend) -> DepthReport:
+    """depth() of the interned state s, its word length checked against L."""
+    rep = depth(model, model._decode(s), k_max, backend)
+    _check_formula(model, s, rep.word_length, L)
+    return rep

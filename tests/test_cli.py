@@ -1,5 +1,6 @@
 """CLI: determinism, exit codes, output formats."""
 
+import csv
 import hashlib
 import io
 import json
@@ -351,6 +352,25 @@ class TestDepthProfileOutput:
              "--format", fmt]
         )
         assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == FP82_R8_K22_SHA256[fmt]
+
+    def test_benchmark_case_radius_10(self, specs):
+        # the profile-oct2 workload's profile, against the sha256 the
+        # benchmark stores for it
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "perfbench", "expected_sha256.json")) as fh:
+            want = json.load(fh)["profile-oct2"]
+        rc, out, _ = run(
+            ["depth-profile", "--group", specs["ll_fp82.json"], "--radius", "10", "--kmax", "22",
+             "--format", "csv"]
+        )
+        assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("text", ["e", "-;b3.c", "a,b", 'say "hi"', "a\rb", "a\nb",
+                                      '",\r\n', "a@1,0;-2,3", ""])
+    def test_csv_field_matches_csv_writer(self, text):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text, "x"])
+        assert cli._csv_field(text) + ",x\n" == buf.getvalue()
 
     def test_frozen_grid_csv(self, specs):
         # ids over Z^2 hold commas, so csv quotes them; not a free product

@@ -1,12 +1,15 @@
 """Wreath products: word lengths, dead ends, depth, verdict machinery."""
 
+import csv
+import io
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamplighter import graphs as Gr, groups as G, tsp as T, wreath as W
+from lamplighter import cli, graphs as Gr, groups as G, tsp as T, wreath as W
 from lamplighter.errors import ResourceCapError, VerificationError
 
 line_states = st.builds(
@@ -696,6 +699,114 @@ class TestProfileLookup:
         monkeypatch.setattr(W, "_state_length", off_on_last)
         with pytest.raises(VerificationError, match="formula gives 6 but BFS distance is 5"):
             W.depth_profile(model, 5, 3)
+
+    @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES)
+    def test_grouped_last_shell_lengths(self, key, radius, k_max, cap):
+        # _state_length over the last shell in row order, where the states
+        # of one lamp configuration come one after another and share its
+        # lamp cost and root split, against word_length on a second model
+        # with the root petals dropped before every call
+        model, fresh = _model(key), _model(key)
+        be = W.auto_backend(model)
+        dist, _complete, _stuck = W._ball_shells(model, radius, cap, True)
+        reached = max(dist.values())
+        rows = W.ProfileRows(model, dist, {})
+        got, want = [], []
+        for _k, s in rows.shell_states(reached):
+            got.append(W._state_length(model, s, be))
+            fresh._ts_fp_memo.pop(None, None)
+            want.append(W.word_length(fresh, model._decode(s), be).value)
+        assert got == want == [reached] * len(got)
+
+    def test_last_shell_split_once_per_configuration(self, monkeypatch):
+        model = _model("fp82")
+        be = W.auto_backend(model)
+        dist, _complete, _stuck = W._ball_shells(model, 7, None, False)
+        rows = W.ProfileRows(model, dist, {})
+        states = [s for _k, s in rows.shell_states(7)]
+        for s in states:  # fills the sub-excursion memo
+            W._state_length(model, s, be)
+        splits = []
+        split = T._copy_petals
+        monkeypatch.setattr(T, "_copy_petals", lambda *a: splits.append(a[1]) or split(*a))
+        model._last_config = (0, 0, frozenset())
+        model._ts_fp_memo.pop(None)
+        assert [W._state_length(model, s, be) for s in states] == [7] * len(states)
+        assert splits == [0] * len({s >> 32 for s in states}) and len(splits) < len(states)
+
+
+# -- profile writers against csv.writer and json.dumps over ProfileRow -------
+
+
+def _searched_retreat(profile):
+    """Retreat values `k`, `>k` and `cap` in turn for the searched rows: the
+    rows of depth >= 1 and the lower bounds."""
+    searched = [r.element_id for r in profile.rows if r.depth or not r.depth_exact]
+    return {e: ("2", ">4", "cap")[i % 3] for i, e in enumerate(searched)}
+
+
+def _written(profile, retreat, fmt):
+    out = io.StringIO()
+    write = cli._write_json_profile if fmt == "json" else cli._write_csv_profile
+    write(out, profile, retreat)
+    return out.getvalue()
+
+
+def _reference(profile, retreat, fmt):
+    """The profile as the writers wrote it from one ProfileRow per row."""
+    if fmt == "json":
+        rows = [
+            {"element": r.element_id, "word_length": r.word_length, "depth": r.depth,
+             "depth_exact": r.depth_exact, "retreat_depth": retreat.get(r.element_id)}
+            for r in profile.rows
+        ]
+        doc = {"radius": profile.radius, "k_max": profile.k_max, "complete": profile.complete,
+               "max_depth_per_shell": profile.max_depth_per_shell(), "rows": rows}
+        return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    out = io.StringIO()
+    suffix = "" if profile.complete else ",partial_enumeration"
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["element_id", "word_length", "depth", "retreat_depth", "flags"])
+    writer.writerows(
+        (r.element_id, r.word_length, r.depth, retreat.get(r.element_id, ""),
+         ("exact" if r.depth_exact else "depth_lower_bound") + suffix)
+        for r in profile.rows
+    )
+    for shell, depth in profile.max_depth_per_shell().items():
+        out.write(f"# shell {shell} max_depth {depth}\n")
+    return out.getvalue()
+
+
+def _quoting_model():
+    """Lamp value `"` and base elements `,`, `,2`, ... beside `e`: some ids
+    need quotes in CSV for their body, some for their name, some not at all."""
+    return W.LamplighterModel(G.make_cyclic(2, [1], letter='"'), G.make_cyclic(5, [1], letter=","))
+
+
+class TestProfileWriters:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("block", [W.ROW_BLOCK, 5])
+    @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES + [("quoting", 4, 2, None)])
+    def test_same_bytes_as_per_row_writers(self, monkeypatch, key, radius, k_max, cap, block, fmt):
+        model = _quoting_model() if key == "quoting" else _model(key)
+        profile = W.depth_profile(model, radius, k_max, cap=cap, partial_ok=True)
+        retreat = _searched_retreat(profile)
+        monkeypatch.setattr(W, "ROW_BLOCK", block)
+        assert _written(profile, retreat, fmt) == _reference(profile, retreat, fmt)
+
+    def test_searched_rows_after_the_first_block(self, monkeypatch):
+        profile = W.depth_profile(_model("fp82"), 7, 0)
+        rows = list(profile.rows)
+        last = [r for r in rows if r.word_length == 7]
+        assert len(last) > 3 * 5 and not last[-1].depth_exact
+        retreat = _searched_retreat(profile)
+        monkeypatch.setattr(W, "ROW_BLOCK", 5)
+        assert _written(profile, retreat, "csv") == _reference(profile, retreat, "csv")
+
+    def test_quoting_model_mixes_quoted_and_plain_ids(self):
+        profile = W.depth_profile(_quoting_model(), 4, 2)
+        text = _written(profile, {}, "csv")
+        assert '\n-;e,' in text and '\n"-;,2",' in text and '\n"""@e;e",' in text
 
 
 # -- the searches against a payload BFS on the group law -------------------
