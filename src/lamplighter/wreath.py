@@ -558,7 +558,9 @@ class ProfileRow(NamedTuple):
     depth_exact: bool
 
 
-ROW_BLOCK = 4096  # rows per list of ProfileRows.text_blocks
+# rows per list of ProfileRows.text_blocks: joining a whole shell into one
+# string instead raised the radius-10 octagon profile's peak RSS by 3 MB
+ROW_BLOCK = 4096
 
 
 class ProfileRows(abc.Sequence):
