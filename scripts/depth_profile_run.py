@@ -3,6 +3,7 @@
 
 Enumerates the wreath-product ball to the requested radius, computes the
 exact depth of every element, and prints per-shell maxima plus all dead ends.
+The first line gives the elapsed time and the process's peak RSS.
 
 Usage:
     python scripts/depth_profile_run.py --base line    --radius 7
@@ -14,6 +15,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 
@@ -49,9 +51,11 @@ def main(argv=None) -> int:
         model, args.radius, args.kmax, cap=args.cap, partial_ok=True
     )
     status = "complete" if profile.complete else "PARTIAL"
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(
         f"base={args.base} radius={args.radius} elements={len(profile.rows)} "
-        f"({status}, {time.time()-t0:.1f}s)"
+        f"({status}, {time.time()-t0:.1f}s, peak RSS {peak_mb:.1f} MB)"
     )
     print("shell maxima:", profile.max_depth_per_shell())
     dead = [row for row, _state in profile.rows.dead_ends()]

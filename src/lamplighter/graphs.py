@@ -191,7 +191,7 @@ def cayley_ball(model: GroupModel, radius: int, cap: Optional[int] = None) -> Ca
     order: List[Payload] = [e]
     index: Dict[Payload, int] = {e: 0}
     frontier = [e]
-    for _ in range(radius):
+    for d in range(1, radius + 1):
         nxt = []
         for x in frontier:
             for s in model.gens.elements:
@@ -202,7 +202,9 @@ def cayley_ball(model: GroupModel, radius: int, cap: Optional[int] = None) -> Ca
                     nxt.append(y)
                     if len(order) > cap:
                         raise ResourceCapError(
-                            f"cayley_ball exceeded vertex cap {cap}"
+                            f"cayley_ball vertex cap {cap} (cap argument or LAMPLIGHTER_CAP; default"
+                            f" graphs.DEFAULT_BALL_CAP = {DEFAULT_BALL_CAP}) exceeded at radius {d};"
+                            f" radii 0..{d - 1} are complete"
                         )
         frontier = nxt
     edges = set()

@@ -482,7 +482,10 @@ def _in_lattice(basis: List[List[int]], v: Sequence[int], dim: int) -> bool:
     return not any(v)
 
 
-def _bfs_length_infinite(model: GroupModel, target: Payload, cap: int = 2_000_000) -> int:
+BFS_LENGTH_CAP = 2_000_000  # elements one BFS word-length measurement may keep
+
+
+def _bfs_length_infinite(model: GroupModel, target: Payload) -> int:
     """Graph distance from the identity by layered BFS over payloads."""
     target = model.normalize_payload(target)
     e = model.identity_payload()
@@ -502,8 +505,11 @@ def _bfs_length_infinite(model: GroupModel, target: Payload, cap: int = 2_000_00
                         return d
                     dist[y] = d
                     nxt.append(y)
-        if len(dist) > cap:
-            raise ResourceCapError(f"BFS ball exceeded cap {cap} while measuring length")
+        if len(dist) > BFS_LENGTH_CAP:
+            raise ResourceCapError(
+                f"length BFS cap groups.BFS_LENGTH_CAP = {BFS_LENGTH_CAP} exceeded after"
+                f" radius {d} ({len(dist)} elements); the length is > {d}"
+            )
         frontier = nxt
     raise ResourceCapError("target not reached; generators do not generate?")
 

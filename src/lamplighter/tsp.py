@@ -140,7 +140,8 @@ def _held_karp_closure(graph: FiniteGraph, start: int, required):
     reqs = sorted(required)
     if len(reqs) > MAX_REQUIRED:
         raise ResourceCapError(
-            f"required set of size {len(reqs)} exceeds cap {MAX_REQUIRED}"
+            f"required set of size {len(reqs)} exceeds cap tsp.MAX_REQUIRED = {MAX_REQUIRED};"
+            " no Held-Karp table was built"
         )
     others = [r for r in reqs if r != start]
     dist = {v: graph.distances_from(v) for v in set(others) | {start}}

@@ -17,7 +17,7 @@ import functools
 import itertools
 import operator
 from array import array
-from collections import abc
+from collections import Counter, abc
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -98,8 +98,9 @@ class LamplighterModel:
         self._finite_graph = finite_cayley_graph(base) if isinstance(base, FiniteModel) else None
         self._generator_states = self._build_generator_states()
         # the intern tables of the states met (see _encode): base positions,
-        # and lamp configurations as tuples of (position id, lamp payload)
-        # sorted by id; configuration 0 is all lamps off
+        # and lamp configurations as flat tuples (p1, v1, p2, v2, ...) of
+        # position ids and lamp payloads, sorted by id; configuration 0 is
+        # all lamps off
         self._positions = PositionTable(base)
         self._configs: List[tuple] = [()]
         self._config_ids: Dict[tuple, int] = {(): 0}
@@ -135,7 +136,8 @@ class LamplighterModel:
         """The interned state of g: config id << 32 | position id."""
         lamps, pos = g
         intern = self._positions.intern
-        return self._config_id(tuple(sorted((intern(k), v) for k, v in lamps))) << 32 | intern(pos)
+        config = tuple(itertools.chain.from_iterable(sorted((intern(k), v) for k, v in lamps)))
+        return self._config_id(config) << 32 | intern(pos)
 
     def _config_id(self, config: tuple) -> int:
         c = self._config_ids.get(config)
@@ -146,22 +148,23 @@ class LamplighterModel:
 
     def _decode(self, s: int) -> WreathState:
         payloads = self._positions.payloads
-        lamps = sorted((payloads[k], v) for k, v in self._configs[s >> 32])
+        config = self._configs[s >> 32]
+        lamps = sorted(zip(map(payloads.__getitem__, config[::2]), config[1::2]))
         return tuple(lamps), payloads[s & _POS_MASK]
 
     def _lamp_configs(self, s: int) -> List[tuple]:
         """The lamp configuration of s times each lamp generator, as tuples;
         nothing is interned."""
         config, p = self._configs[s >> 32], s & _POS_MASK
-        i = bisect.bisect_left(config, (p,))
-        lit = i < len(config) and config[i][0] == p
+        i = 2 * bisect.bisect_left(config[::2], p)
+        lit = i < len(config) and config[i] == p
         e_a = self.lamps.identity_payload()
-        cur = config[i][1] if lit else e_a
-        before, after = config[:i], config[i + lit:]
+        cur = config[i + 1] if lit else e_a
+        before, after = config[:i], config[i + 2 * lit:]
         out = []
         for a in self.lamps.gens.elements:
             v = self.lamps.mul_payload(cur, a)
-            out.append(before + after if v == e_a else before + ((p, v),) + after)
+            out.append(before + after if v == e_a else before + (p, v) + after)
         return out
 
     def _steps(self, s: int) -> List[int]:
@@ -566,13 +569,14 @@ ROW_BLOCK = 4096
 class ProfileRows(abc.Sequence):
     """The rows of a depth profile, in (word_length, element_id) order.
 
-    Each row is held as one int: its word length, then the rank of its lamp
-    body, then the rank of its position name, in fields as wide as the
-    numbers of distinct bodies and names need.  A ProfileRow, and with it the
-    element id `body;name`, is built only when the row is read.  The
-    searched rows keep their DepthReport in a small dict keyed by row; every
-    other row has depth 0, exact.  The writers build no ProfileRow:
-    text_blocks formats the rows in blocks straight from the ints.
+    Each row is held as one int in the array('q') `keys`: its word length,
+    then the rank of its lamp body, then the rank of its position name, in
+    fields as wide as the numbers of distinct bodies and names need.  A
+    ProfileRow, and with it the element id `body;name`, is built only when
+    the row is read.  The searched rows keep their DepthReport in a small
+    dict keyed by row; every other row has depth 0, exact.  The writers
+    build no ProfileRow: text_blocks formats the rows in blocks straight
+    from the ints.
 
     Rows of one word length compare by body first and name second.  That
     is the string order of the element ids `body;name` as long as no
@@ -589,11 +593,11 @@ class ProfileRows(abc.Sequence):
 
     def __init__(self, model: LamplighterModel, dist: Dict[int, int], searched: Dict[int, DepthReport]):
         """The rows of the interned states of dist with their word lengths;
-        searched holds the reports of the searched states."""
+        searched holds the reports of the searched states.  dist lists its
+        states shell by shell, as _ball_shells builds it."""
         payloads = model._positions.payloads
         self.bodies, body_rank, self._config_of = _ranked(
-            {s >> 32 for s in dist}, len(model._configs),
-            lambda c: model._lamps_str(model._decode(c << 32)[0]) + ";",
+            {s >> 32 for s in dist}, len(model._configs), _body_text(model)
         )
         self.names, name_rank, self._position_of = _ranked(
             {s & _POS_MASK for s in dist}, len(payloads), lambda p: model._base_str(payloads[p])
@@ -606,8 +610,21 @@ class ProfileRows(abc.Sequence):
         def key(s: int, L: int) -> int:
             return L << shift | body_rank[s >> 32] << nb | name_rank[s & _POS_MASK]
 
-        self.keys = [key(s, L) for s, L in dist.items()]
-        self.keys.sort()
+        # one shell at a time: each is one run of dist, and only its keys are
+        # ever held as a list
+        self.keys = array("q")
+        states = iter(dist.items())
+        for L, n in sorted(Counter(dist.values()).items()):
+            if L.bit_length() + shift > 63:
+                raise ResourceCapError(
+                    f"profile row keys of word length {L} need {L.bit_length() + shift} bits"
+                    f" ({len(self.bodies)} bodies, {len(self.names)} names), over the 63 of array('q')"
+                )
+            shell = [key(s, d) for s, d in itertools.islice(states, n)]
+            shell.sort()
+            if shell[0] >> shift != L or shell[-1] >> shift != L:
+                raise ValueError("dist must list its states shell by shell")
+            self.keys.fromlist(shell)
         self.searched = {key(s, rep.word_length): rep for s, rep in searched.items()}
 
     def _element_id(self, k: int) -> str:
@@ -707,6 +724,25 @@ class ProfileRows(abc.Sequence):
         for rep in self.searched.values():
             out[rep.word_length] = max(out[rep.word_length], rep.depth)
         return out
+
+
+def _body_text(model: LamplighterModel) -> Callable[[int], str]:
+    """The body of a configuration id: `model._lamps_str` of its lamps plus
+    `;`.  The lamps go in payload order, by a rank of the position payloads
+    made once, and each `value@name` is built once per (position id, value)."""
+    payloads = model._positions.payloads
+    rank = [0] * len(payloads)
+    for r, p in enumerate(sorted(range(len(payloads)), key=payloads.__getitem__)):
+        rank[p] = r
+    lamp_str, name = model.lamps.payload_str, model._base_str
+    lamp = functools.lru_cache(maxsize=None)(lambda p, v: f"{lamp_str(v)}@{name(payloads[p])}")
+
+    def body(c: int) -> str:
+        config = model._configs[c]
+        ordered = sorted(zip(map(rank.__getitem__, config[::2]), config[::2], config[1::2]))
+        return ("+".join([lamp(p, v) for _r, p, v in ordered]) or "-") + ";"
+
+    return body
 
 
 def _ranked(ids: Set[int], size: int, text) -> Tuple[List[str], List[int], array]:
@@ -824,8 +860,7 @@ def _state_length(model: LamplighterModel, s: int, backend: MetricBackend) -> in
     last = model._last_config
     if last[0] != c:
         config = model._configs[c]
-        cost = sum(map(model._lamp_len, [v for _k, v in config]))
-        last = model._last_config = (c, cost, frozenset([k for k, _v in config]))
+        last = model._last_config = (c, sum(map(model._lamp_len, config[1::2])), frozenset(config[::2]))
     ts = tsp.ts_free_product_ids(model._positions, s & _POS_MASK, last[2], model._ts_fp_memo)
     return last[1] + ts
 

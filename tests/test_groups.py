@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamplighter import groups as G
+from lamplighter.errors import ResourceCapError
 from lamplighter.groups import word_length_in_group as wl
 
 
@@ -98,6 +99,14 @@ class TestWordLength:
     def test_mixed_abelian(self):
         m = G.make_abelian(1, [2], [[1, 0], [0, 1]])
         assert wl(m.element((3, 1))) == 4
+
+    def test_bfs_cap_error_names_cap_and_radius(self, monkeypatch):
+        # with gens +-2, +-3 the radius-2 ball of Z holds 13 elements
+        monkeypatch.setattr(G, "BFS_LENGTH_CAP", 5)
+        z = G.make_abelian(1, [], [[2], [3]])
+        msg = r"groups.BFS_LENGTH_CAP = 5 exceeded after radius 2 \(13 elements\); the length is > 2"
+        with pytest.raises(ResourceCapError, match=msg):
+            z.length_payload((100,))
 
 
 class TestJsonSpecs:

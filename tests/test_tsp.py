@@ -45,6 +45,11 @@ class TestSolveExact:
         with pytest.raises(ResourceCapError):
             T.solve_exact(inst(g, 0, 0, range(25)))
 
+    def test_required_cap_error_names_the_cap(self):
+        msg = r"required set of size 25 exceeds cap tsp.MAX_REQUIRED = 22"
+        with pytest.raises(ResourceCapError, match=msg):
+            T.solve_exact(inst(Gr.path_graph(30), 0, 0, range(25)))
+
     def test_deterministic_walk(self, octagon):
         a = T.solve_exact(inst(octagon, 0, 4, range(8)))
         b = T.solve_exact(inst(octagon, 0, 4, range(8)))

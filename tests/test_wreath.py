@@ -734,6 +734,30 @@ class TestProfileLookup:
         assert [W._state_length(model, s, be) for s in states] == [7] * len(states)
         assert splits == [0] * len({s >> 32 for s in states}) and len(splits) < len(states)
 
+    @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES)
+    def test_bodies_from_cached_lamp_strings(self, key, radius, k_max, cap):
+        # every body against _lamps_str of the decoded configuration; the
+        # cases hold lamp value 2 (z3_wr_z4) and names with ";" (z2_wr_zxz4)
+        model = _model(key)
+        dist, _complete, _stuck = W._ball_shells(model, radius, cap, True)
+        rows = W.ProfileRows(model, dist, {})
+        assert rows.bodies == sorted(rows.bodies)
+        want = [model._lamps_str(model._decode(c << 32)[0]) + ";" for c in rows._config_of]
+        assert rows.bodies == want
+
+    def test_row_keys_fit_in_63_bits(self):
+        # word lengths one bit under the limit are packed and read back;
+        # one bit more raises instead of wrapping
+        model = _model("fp82")
+        dist, _complete, _stuck = W._ball_shells(model, 4, None, False)
+        shift = W.ProfileRows(model, dist, {})._shell_shift
+        top = 1 << 62 - shift
+        rows = W.ProfileRows(model, {s: top + L for s, L in dist.items()}, {})
+        assert rows.keys.typecode == "q" and list(rows.keys) == sorted(rows.keys)
+        assert sorted(r.word_length for r in rows) == sorted(top + L for L in dist.values())
+        with pytest.raises(ResourceCapError, match="need 64 bits"):
+            W.ProfileRows(model, {s: 2 * top + L for s, L in dist.items()}, {})
+
 
 # -- profile writers against csv.writer and json.dumps over ProfileRow -------
 
