@@ -46,7 +46,7 @@ def main(argv=None) -> int:
 
     lamps = G.make_cyclic(2, [1], letter="a")
     model = W.LamplighterModel(lamps, BASES[args.base]())
-    t0 = time.time()
+    t0 = time.perf_counter()
     profile = W.depth_profile(
         model, args.radius, args.kmax, cap=args.cap, partial_ok=True
     )
@@ -55,7 +55,7 @@ def main(argv=None) -> int:
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(
         f"base={args.base} radius={args.radius} elements={len(profile.rows)} "
-        f"({status}, {time.time()-t0:.1f}s, peak RSS {peak_mb:.1f} MB)"
+        f"({status}, {time.perf_counter() - t0:.1f}s, peak RSS {peak_mb:.1f} MB)"
     )
     print("shell maxima:", profile.max_depth_per_shell())
     dead = [row for row, _state in profile.rows.dead_ends()]

@@ -521,31 +521,78 @@ def _localise(model: FreeProductModel, start: Payload, end: Payload, required: S
 def ts_free_product_ids(
     positions: PositionTable, end: int, required: FrozenSet[int], memo: dict
 ) -> int:
-    """Exact TS(e -> end; required) for position ids of a free product.
+    """Exact TS(e -> end; required) for position ids of a free product:
+    ts_free_product_ends for one end over the root petals of required."""
+    return ts_free_product_ends(positions, root_petals(positions, required), (end,), memo)[0]
+
+
+def root_petals(positions: PositionTable, required: Collection[int]):
+    """(stations, petals, sums) of the required ids in the root copy, the
+    factor 0 copy at the identity, for any end: the bitmask of the stations
+    of the required elements in the copy and of the petals, the ids beyond
+    each petal station as one sorted list, and an empty dict for the sums
+    of closed excursions that ts_free_product_ends keeps per leaving
+    station."""
+    stations, petals, _x, _dive = _split(positions, 0, 0, required)
+    for sub in petals.values():
+        sub.sort()
+    return stations, petals, {}
+
+
+def ts_free_product_ends(
+    positions: PositionTable, root, ends: Sequence[int], memo: dict
+) -> List[int]:
+    """Exact TS(e -> end; required) for each position id `end` of ends,
+    where root is root_petals(positions, required).
 
     Recursion over the tree of factor copies: each copy contributes a finite
     TSP whose station weights are the closed-excursion costs of its nonempty
-    petals; the copy holding the endpoint takes one final open excursion.
-    memo is the caller's dict for this position table; it keeps the
-    sub-excursion values keyed by the flat tuple (factor, end id, *sorted
-    required ids), and under the bare factor that factor's tables (see
-    _factor_tables): its Cayley graph, its TS rows keyed by the bitmask of
-    stations and its walks keyed by (bitmask, end station).  A factor's
-    tables are not in the flat key space, so a station mask never meets a
-    sub-excursion key such as (factor, end id) of an empty required set.
+    petals; the copy holding the endpoint takes one final open excursion,
+    the dive.  memo is the caller's dict for this position table; _ts_fp
+    keeps in it the sub-excursion values keyed by the flat tuple (factor,
+    end id, *sorted required ids), and under the bare factor that factor's
+    tables (see _factor_tables): its Cayley graph, its TS rows keyed by the
+    bitmask of stations and its walks keyed by (bitmask, end station).  A
+    factor's tables are not in the flat key space, so a station mask never
+    meets a sub-excursion key such as (factor, end id) of an empty required
+    set.
 
-    A root key rarely recurs, so the root copy is not memoised by end.  Its
-    petals depend on the required set alone: under the key None, memo keeps
-    those of the last required set (see _copy_petals), so a run of calls on
-    one set with different ends splits the set once and then takes, per
-    end, one dive and one factor row.
+    A root key rarely recurs, so the root copy is not memoised.  Each end
+    costs one route lookup, the sum of the closed excursions of every petal
+    but the one it leaves from (kept in root per leaving station), one memo
+    lookup for its dive and one factor row lookup; _ts_fp and
+    _factor_ts_edges run only on a miss.
     """
-    if not required and not end:
-        return 0
-    root = memo.get(None)
-    if root is None or root[0] is not required and root[0] != required:
-        root = memo[None] = (required, _copy_petals(positions, 0, required))
-    return _ts_fp_copy(positions, 0, end, root[1], memo)
+    stations, petals, sums = root
+    routes = positions.routes[0]
+    rows = (memo.get(0) or _factor_tables(positions.model, 0, memo))[1]
+    out = []
+    for end in ends:
+        x, dive = routes[end]
+        # the walk leaves for end from x: with a dive, the petal at x is part
+        # of the dive, and every other petal is a closed excursion
+        skip = x if dive else None
+        total = sums.get(skip)
+        if total is None:
+            total = 0
+            for s, sub in petals.items():
+                if s != skip:
+                    val = memo.get((1, 0, *sub))
+                    total += _ts_fp(positions, 1, 0, sub, memo) if val is None else val
+            sums[skip] = total
+        mask = stations
+        if dive:
+            tail = petals.get(x, ())
+            val = memo.get((1, dive, *tail))
+            total += _ts_fp(positions, 1, dive, tail, memo) if val is None else val
+            mask |= 1 << x
+        row = rows.get(mask)
+        if row is None:
+            total += _factor_ts_edges(positions.model, 0, x, mask, memo)
+        else:
+            total += row[x]
+        out.append(total)
+    return out
 
 
 def ts_free_product_ids_walk(
@@ -583,22 +630,24 @@ def _split(positions: PositionTable, factor: int, end: int, required: Collection
     """Route the ids `required` and `end` through the `factor` copy at the
     identity (see PositionTable.routes).
 
-    Returns (in_copy, beyond, end_idx, dive): the bitmask of the required
-    elements of the copy, the ids of the rest of each required element that
-    lies beyond the copy grouped by the copy element it leaves from, the
-    copy element where the walk leaves for `end`, and the id of the rest of
-    `end` beyond it (0 when `end` lies in the copy).
+    Returns (stations, beyond, end_idx, dive): the bitmask of the copy
+    elements that the required elements lie at or leave the copy from, the
+    ids of the rest of each required element that lies beyond the copy in
+    lists by the copy element it leaves from (its petal), the copy element
+    where the walk leaves for `end`, and the id of the rest of `end` beyond
+    it (0 when `end` lies in the copy).
     """
     routes = positions.routes[factor]
-    in_copy = 0
-    beyond: Dict[int, Set[int]] = {}
+    stations = 0
+    # distinct required ids have distinct (x, rest) routes, so no rest
+    # repeats within a list
+    beyond: Dict[int, List[int]] = {}
     for r in required:
         x, rest = routes[r]
+        stations |= 1 << x
         if rest:
-            beyond.setdefault(x, set()).add(rest)
-        else:
-            in_copy |= 1 << x
-    return (in_copy, beyond, *routes[end])
+            beyond.setdefault(x, []).append(rest)
+    return (stations, beyond, *routes[end])
 
 
 def _walk_fp(positions: PositionTable, factor: int, end: int, required: Collection[int], memo):
@@ -614,10 +663,9 @@ def _walk_fp(positions: PositionTable, factor: int, end: int, required: Collecti
         sub = _walk_fp(positions, other, dive, beyond.pop(end_idx, ()), memo)
         dive_walk = _attach(model, factor, end_idx, sub)
         stations |= 1 << end_idx
-    excursions = {}
-    for s, sub in beyond.items():
-        excursions[s] = _attach(model, factor, s, _walk_fp(positions, other, 0, sub, memo))
-        stations |= 1 << s
+    excursions = {
+        s: _attach(model, factor, s, _walk_fp(positions, other, 0, sub, memo)) for s, sub in beyond.items()
+    }
 
     walk: List[Payload] = []
     for v in _factor_walk(model, factor, end_idx, stations, memo):
@@ -631,42 +679,23 @@ def _walk_fp(positions: PositionTable, factor: int, end: int, required: Collecti
 
 
 def _ts_fp(positions: PositionTable, factor: int, end: int, required: Collection[int], memo) -> int:
+    """TS from the identity of this `factor` copy to `end` over the ids
+    `required`, memoised: its factor TS over the stations of the copy, the
+    dive into the petal at the end station, and a closed excursion into
+    every other petal."""
     if not required and not end:
         return 0
     # one flat tuple; the sort makes the key independent of set order
     key = (factor, end, *sorted(required))
     val = memo.get(key)
     if val is None:
-        petals = _copy_petals(positions, factor, required)
-        val = memo[key] = _ts_fp_copy(positions, factor, end, petals, memo)
+        stations, beyond, x, dive = _split(positions, factor, end, required)
+        other = 1 - factor
+        val = 0
+        if dive:
+            val = _ts_fp(positions, other, dive, beyond.pop(x, ()), memo)
+            stations |= 1 << x
+        for sub in beyond.values():
+            val += _ts_fp(positions, other, 0, sub, memo)
+        val = memo[key] = val + _factor_ts_edges(positions.model, factor, x, stations, memo)
     return val
-
-
-def _copy_petals(positions: PositionTable, factor: int, required: Collection[int]):
-    """(stations, beyond, sums) of the required set in the `factor` copy at
-    the identity, for any end: the bitmask of the stations of the required
-    elements in the copy and of the petals, the petals as _split gives them,
-    and an empty dict for _ts_fp_copy's sums of closed-excursion costs."""
-    stations, beyond, _x, _dive = _split(positions, factor, 0, required)
-    for s in beyond:
-        stations |= 1 << s
-    return stations, beyond, {}
-
-
-def _ts_fp_copy(positions: PositionTable, factor: int, end: int, petals, memo) -> int:
-    """TS from the identity of this `factor` copy to `end` over the petals of
-    a required set (see _copy_petals); petals recurse via _ts_fp."""
-    stations, beyond, sums = petals
-    x, dive = positions.routes[factor][end]
-    # the walk leaves for end from x: with a dive, the petal at x is part of
-    # the dive, and every other petal is a closed excursion
-    skip = x if dive else None
-    other = 1 - factor
-    total = sums.get(skip)
-    if total is None:
-        closed = [_ts_fp(positions, other, 0, sub, memo) for s, sub in beyond.items() if s != skip]
-        total = sums[skip] = sum(closed)
-    if dive:
-        total += _ts_fp(positions, other, dive, beyond.get(x, ()), memo)
-        stations |= 1 << x
-    return _factor_ts_edges(positions.model, factor, x, stations, memo) + total

@@ -104,9 +104,10 @@ class LamplighterModel:
         self._positions = PositionTable(base)
         self._configs: List[tuple] = [()]
         self._config_ids: Dict[tuple, int] = {(): 0}
-        # (config id, lamp cost, support ids) of the configuration that
-        # _state_length priced last
-        self._last_config: Tuple[int, int, FrozenSet[int]] = (0, 0, frozenset())
+        # (config id, lamp cost, tsp.root_petals of its support) of the
+        # configuration that _config_lengths priced last; no configuration
+        # has id -1
+        self._last_config: tuple = (-1, 0, None)
 
     # -- states ------------------------------------------------------------
     def identity_state(self) -> WreathState:
@@ -171,9 +172,20 @@ class LamplighterModel:
         """The interned neighbours of s: lamp generators first, then base
         generators."""
         p = s & _POS_MASK
-        out = [self._config_id(config) << 32 | p for config in self._lamp_configs(s)]
+        ids, positions = self._config_ids, self._positions
+        out = []
+        for config in self._lamp_configs(s):
+            c = ids.get(config)
+            if c is None:
+                # a new configuration holds the position table's own int for
+                # p, not the new one of s & _POS_MASK
+                i = 2 * bisect.bisect_left(config[::2], p)
+                if i < len(config) and config[i] == p:
+                    config = config[:i] + (positions.ids[positions.payloads[p]],) + config[i + 1:]
+                c = self._config_id(config)
+            out.append(c << 32 | p)
         config_bits = s ^ p
-        out += [config_bits | q for q in self._positions.steps(p)]
+        out += [config_bits | q for q in positions.rows[p] or positions.steps(p)]
         return out
 
     # -- group law ----------------------------------------------------------
@@ -641,15 +653,24 @@ class ProfileRows(abc.Sequence):
         keys, shift = self.keys, self._shell_shift
         return bisect.bisect_left(keys, L << shift), bisect.bisect_left(keys, L + 1 << shift)
 
-    def shell_states(self, L: int) -> Iterator[Tuple[int, int]]:
-        """(row int, interned state) of every row of word length L, in row
-        order, so the states of one lamp configuration come one after the
-        other."""
-        keys, nb, bm, nm = self.keys, self._name_bits, self._body_mask, self._name_mask
+    def shell_configs(self, L: int) -> Iterator[Tuple[int, List[int], List[int]]]:
+        """(config id, row ints, position ids) per lamp configuration of the
+        rows of word length L, in row order, in which the rows of one
+        configuration are adjacent."""
+        nb, nm = self._name_bits, self._name_mask
         configs, positions = self._config_of, self._position_of
-        for i in range(*self._shell_range(L)):
-            k = keys[i]
-            yield k, configs[k >> nb & bm] << 32 | positions[k & nm]
+        # the bits above the name field: the word length and the body rank;
+        # islice, as a slice of keys would copy the shell
+        body, row_keys, ends = -1, [], []
+        for k in itertools.islice(self.keys, *self._shell_range(L)):
+            if k >> nb != body:
+                if ends:
+                    yield configs[body & self._body_mask], row_keys, ends
+                body, row_keys, ends = k >> nb, [], []
+            row_keys.append(k)
+            ends.append(positions[k & nm])
+        if ends:
+            yield configs[body & self._body_mask], row_keys, ends
 
     def text_blocks(
         self,
@@ -828,15 +849,11 @@ def _ball_shells(
     return dist, True, stuck
 
 
-def _leaves_ball(model: LamplighterModel, s: int, dist: Dict[int, int]) -> bool:
-    """True iff some neighbour of the interned state s is not in dist.  The
-    cheap base moves are tried first; a lamp move whose configuration was
-    never interned leaves the ball, so lamp moves intern nothing."""
+def _lamp_moves_leave(model: LamplighterModel, s: int, dist: Dict[int, int]) -> bool:
+    """True iff some lamp move of the interned state s is not in dist.  A
+    configuration that was never interned is not in the ball, so nothing is
+    interned."""
     p = s & _POS_MASK
-    config_bits = s ^ p
-    for q in model._positions.steps(p):
-        if config_bits | q not in dist:
-            return True
     ids = model._config_ids
     for config in model._lamp_configs(s):
         c = ids.get(config)
@@ -847,22 +864,31 @@ def _leaves_ball(model: LamplighterModel, s: int, dist: Dict[int, int]) -> bool:
 
 def _state_length(model: LamplighterModel, s: int, backend: MetricBackend) -> int:
     """Word length of the interned state s by the formula, never the BFS
-    distance: the petal backend runs the recursion on position ids, the
-    other backends decode s and call word_length.
+    distance (see _config_lengths)."""
+    return _config_lengths(model, s >> 32, (s & _POS_MASK,), backend)[0]
 
-    On the petal backend the lamp cost and the support of the last
-    configuration priced are kept, and ts_free_product_ids keeps the root
-    petals of the last support, so states of one configuration priced one
-    after the other share that work."""
+
+def _config_lengths(
+    model: LamplighterModel, c: int, ends: Sequence[int], backend: MetricBackend
+) -> List[int]:
+    """Word lengths of the interned states c << 32 | p for the position ids
+    p of ends, by the formula: the petal backend prices them all in one
+    tsp.ts_free_product_ends call on position ids, the other backends
+    decode each state and call word_length.
+
+    On the petal backend the lamp cost and the root petals of the last
+    configuration priced are kept, so calls on one configuration one after
+    the other split its support once."""
     if backend.strategy != "petal":
-        return word_length(model, model._decode(s), backend).value
-    c = s >> 32
+        return [word_length(model, model._decode(c << 32 | p), backend).value for p in ends]
     last = model._last_config
     if last[0] != c:
         config = model._configs[c]
-        last = model._last_config = (c, sum(map(model._lamp_len, config[1::2])), frozenset(config[::2]))
-    ts = tsp.ts_free_product_ids(model._positions, s & _POS_MASK, last[2], model._ts_fp_memo)
-    return last[1] + ts
+        petals = tsp.root_petals(model._positions, config[::2])
+        last = model._last_config = (c, sum(map(model._lamp_len, config[1::2])), petals)
+    cost = last[1]
+    ts = tsp.ts_free_product_ends(model._positions, last[2], ends, model._ts_fp_memo)
+    return [cost + t for t in ts]
 
 
 def _check_formula(model: LamplighterModel, s: int, formula: int, L: int) -> None:
@@ -893,9 +919,13 @@ def depth_profile(
     element.  The ball and the checks run on interned states; a state is
     decoded only for a depth search or an error message.  The rows are
     ProfileRows: one int each, with element ids built as rows are read or
-    written.  The last shell is checked in row order, in which the states of
-    one lamp configuration are adjacent, so the petal formula splits each
-    configuration's support once (see _state_length).
+    written.
+
+    The last shell is taken one lamp configuration at a time, in row order.
+    Its leave test reads the base moves from the position table's rows and
+    tries the lamp moves only when every base move stays in the ball; the
+    states that leave are priced in one _config_lengths call, which splits
+    the configuration's support once.
     """
     backend = backend or auto_backend(model)
     _require_exact(backend)
@@ -904,11 +934,27 @@ def depth_profile(
     # a saturated finite ball finds its whole last shell stuck
     below = {s: _search(model, s, dist[s], k_max, backend) for s in stuck if dist[s] < reached}
     rows = ProfileRows(model, dist, below)
-    for k, s in rows.shell_states(reached):
-        if k_max >= 1 and _leaves_ball(model, s, dist):
-            _check_formula(model, s, _state_length(model, s, backend), reached)
-        else:
-            rows.searched[k] = _search(model, s, reached, k_max, backend)
+    positions = model._positions
+    for c, row_keys, ends in rows.shell_configs(reached):
+        bits = c << 32
+        leaving = []
+        for k, p in zip(row_keys, ends):
+            out = False
+            if k_max >= 1:
+                for q in positions.rows[p] or positions.steps(p):
+                    if bits | q not in dist:
+                        out = True
+                        break
+                else:
+                    out = _lamp_moves_leave(model, bits | p, dist)
+            if out:
+                leaving.append(p)
+            else:
+                rows.searched[k] = _search(model, bits | p, reached, k_max, backend)
+        if leaving:
+            for p, L in zip(leaving, _config_lengths(model, c, leaving, backend)):
+                if L != reached:
+                    _check_formula(model, bits | p, L, reached)
     return DepthProfile(radius, k_max, rows, complete)
 
 

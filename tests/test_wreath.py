@@ -648,6 +648,12 @@ def _model(key):
     raise KeyError(key)
 
 
+def _shell_states(rows, L):
+    """(row int, interned state) of every row of word length L, in row
+    order."""
+    return [(k, c << 32 | p) for c, row_keys, ends in rows.shell_configs(L) for k, p in zip(row_keys, ends)]
+
+
 PROFILE_CASES = [
     # (model, radius, k_max, cap)
     ("fp82", 7, 5, None),
@@ -691,30 +697,40 @@ class TestProfileLookup:
         model = _model("fp82")
         dist, _ = W.enumerate_ball(model, 5)
         last = {g for g, L in dist.items() if L == 5}
-        exact = W._state_length
+        exact = W._config_lengths
 
-        def off_on_last(m, s, be):
-            return exact(m, s, be) + (m._decode(s) in last)
+        def off_on_last(m, c, ends, be):
+            return [L + (m._decode(c << 32 | p) in last) for L, p in zip(exact(m, c, ends, be), ends)]
 
-        monkeypatch.setattr(W, "_state_length", off_on_last)
+        monkeypatch.setattr(W, "_config_lengths", off_on_last)
         with pytest.raises(VerificationError, match="formula gives 6 but BFS distance is 5"):
             W.depth_profile(model, 5, 3)
+
+    def test_last_shell_formula_check_after_first_state(self, monkeypatch):
+        # off by one on every state of a configuration but its first: the
+        # last shell prices several states per call, the searches one, so
+        # only a check of every state of a configuration catches it
+        exact = W._config_lengths
+        monkeypatch.setattr(
+            W, "_config_lengths", lambda m, c, ends, be: [L + (i > 0) for i, L in enumerate(exact(m, c, ends, be))]
+        )
+        with pytest.raises(VerificationError, match="formula gives 6 but BFS distance is 5"):
+            W.depth_profile(_model("fp82"), 5, 3)
 
     @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES)
     def test_grouped_last_shell_lengths(self, key, radius, k_max, cap):
         # _state_length over the last shell in row order, where the states
         # of one lamp configuration come one after another and share its
-        # lamp cost and root split, against word_length on a second model
-        # with the root petals dropped before every call
+        # lamp cost and root split, against word_length on a second model,
+        # which splits the support on every call
         model, fresh = _model(key), _model(key)
         be = W.auto_backend(model)
         dist, _complete, _stuck = W._ball_shells(model, radius, cap, True)
         reached = max(dist.values())
         rows = W.ProfileRows(model, dist, {})
         got, want = [], []
-        for _k, s in rows.shell_states(reached):
+        for _k, s in _shell_states(rows, reached):
             got.append(W._state_length(model, s, be))
-            fresh._ts_fp_memo.pop(None, None)
             want.append(W.word_length(fresh, model._decode(s), be).value)
         assert got == want == [reached] * len(got)
 
@@ -723,16 +739,31 @@ class TestProfileLookup:
         be = W.auto_backend(model)
         dist, _complete, _stuck = W._ball_shells(model, 7, None, False)
         rows = W.ProfileRows(model, dist, {})
-        states = [s for _k, s in rows.shell_states(7)]
+        states = [s for _k, s in _shell_states(rows, 7)]
         for s in states:  # fills the sub-excursion memo
             W._state_length(model, s, be)
         splits = []
-        split = T._copy_petals
-        monkeypatch.setattr(T, "_copy_petals", lambda *a: splits.append(a[1]) or split(*a))
-        model._last_config = (0, 0, frozenset())
-        model._ts_fp_memo.pop(None)
+        split = T.root_petals
+        # one 0 per split of the root copy, the factor 0 copy
+        monkeypatch.setattr(T, "root_petals", lambda *a: splits.append(0) or split(*a))
+        model._last_config = (-1, 0, None)
         assert [W._state_length(model, s, be) for s in states] == [7] * len(states)
         assert splits == [0] * len({s >> 32 for s in states}) and len(splits) < len(states)
+
+    @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES)
+    def test_shell_configs_partition_each_shell(self, key, radius, k_max, cap):
+        # one run per configuration, in row order, holding every state of
+        # the shell once
+        model = _model(key)
+        dist, _complete, _stuck = W._ball_shells(model, radius, cap, True)
+        rows = W.ProfileRows(model, dist, {})
+        for L in set(dist.values()):
+            runs = list(rows.shell_configs(L))
+            configs = [c for c, _keys, _ends in runs]
+            assert len(configs) == len(set(configs))
+            assert [k for _c, keys, _ends in runs for k in keys] == [k for k in rows.keys if k >> rows._shell_shift == L]
+            states = [c << 32 | p for c, _keys, ends in runs for p in ends]
+            assert sorted(states) == sorted(s for s, d in dist.items() if d == L)
 
     @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES)
     def test_bodies_from_cached_lamp_strings(self, key, radius, k_max, cap):
@@ -757,6 +788,45 @@ class TestProfileLookup:
         assert sorted(r.word_length for r in rows) == sorted(top + L for L in dist.values())
         with pytest.raises(ResourceCapError, match="need 64 bits"):
             W.ProfileRows(model, {s: 2 * top + L for s, L in dist.items()}, {})
+
+
+def _payload_memo(model):
+    """The petal memo of model with position ids read as payloads: its
+    sub-excursion values, and the TS rows of each factor."""
+    payloads, memo = model._positions.payloads, model._ts_fp_memo
+    subs = {
+        (k[0], payloads[k[1]], frozenset(map(payloads.__getitem__, k[2:]))): v
+        for k, v in memo.items() if isinstance(k, tuple)
+    }
+    return subs, {f: tables[1] for f, tables in memo.items() if not isinstance(f, tuple)}
+
+
+class TestLastShellPass:
+    """The last shell priced one lamp configuration at a time against a
+    second model that prices the same states one at a time."""
+
+    @pytest.mark.parametrize("key, radius, k_max, cap", [c for c in PROFILE_CASES if c[0] == "fp82"])
+    def test_memo_and_lengths_as_per_state(self, key, radius, k_max, cap):
+        # the oracle runs the profile's searches, then _state_length on
+        # every other last-shell state in row order: the memo must end
+        # with the same entries, and every last-shell length must be the
+        # word length on a third model
+        model, oracle, fresh = _model(key), _model(key), _model(key)
+        be = W.auto_backend(model)
+        prof = W.depth_profile(model, radius, k_max, cap=cap, partial_ok=True)
+        rows = prof.rows
+        for rep in rows.searched.values():
+            W.depth(oracle, rep.element, k_max, be)
+        reached = max(prof.max_depth_per_shell())  # the last shell
+        last = _shell_states(rows, reached)
+        assert last and (k_max >= 1) == any(k not in rows.searched for k, _s in last)
+        for k, s in last:
+            g = model._decode(s)
+            if k not in rows.searched:
+                assert W._state_length(oracle, oracle._encode(g), be) == reached
+            assert W.word_length(fresh, g, be).value == reached
+        assert _payload_memo(model) == _payload_memo(oracle)
+        assert _payload_memo(model)[0]
 
 
 # -- profile writers against csv.writer and json.dumps over ProfileRow -------
@@ -980,6 +1050,21 @@ class TestInternedStates:
         W.enumerate_ball(model, radius, cap=cap, partial_ok=True)
         assert cap < len(built) <= cap + len(model.generator_states())
         assert len(model._configs) <= len(built)
+
+    @pytest.mark.parametrize("key, far", [("tree", 200), ("box_z2", 12)])
+    def test_configurations_share_position_ints(self, key, far):
+        # every position id in a lamp configuration is the position table's
+        # own int object; the far positions are interned first, so that
+        # many ids of the ball lie above 256, where Python caches no int
+        model = _model(key)
+        base = model.base
+        for p in sorted(Gr.cayley_ball(base, far).elements, key=base.length_payload, reverse=True):
+            model._positions.intern(p)
+        W._ball_shells(model, 6, None, False)
+        positions = model._positions
+        ids = [p for config in model._configs for p in config[::2]]
+        assert sum(p > 256 for p in ids) > 50
+        assert all(p is positions.ids[positions.payloads[p]] for p in ids)
 
     def test_cap_error_names_cap_and_last_shell(self):
         dist, _ = _payload_ball(_model("fp82"), 8, 500)
