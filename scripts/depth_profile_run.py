@@ -19,7 +19,7 @@ import resource
 import sys
 import time
 
-from lamplighter import groups as G, wreath as W
+from lamplighter import cli, groups as G, wreath as W
 
 BASES = {
     "line": lambda: G.make_abelian(1, [], [[1]]),
@@ -41,8 +41,10 @@ def main(argv=None) -> int:
     ap.add_argument("--base", choices=sorted(BASES), default="line")
     ap.add_argument("--radius", type=int, default=7)
     ap.add_argument("--kmax", type=int, default=8)
-    ap.add_argument("--cap", type=int, default=2_000_000)
+    ap.add_argument("--cap", type=int, help="state cap (default: LAMPLIGHTER_CAP, else 2e6)")
     args = ap.parse_args(argv)
+    # the malloc thresholds of the depth-profile command, for the same peak RSS
+    cli._fix_malloc_thresholds()
 
     lamps = G.make_cyclic(2, [1], letter="a")
     model = W.LamplighterModel(lamps, BASES[args.base]())

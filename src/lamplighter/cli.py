@@ -164,7 +164,7 @@ def cmd_hamdiff(args) -> int:
     writer.writerow(["group", "gens", "hamiltonian_difference", "ts_closed", "argmax"])
     for model in specs:
         h, closed, argmax, _ = hamiltonian.hamiltonian_difference_detail(model)
-        gens = "+".join(model.payload_str(s) for s in model.gens.elements)
+        gens = "+".join(model.payload_str(s) for s in model.gens)
         writer.writerow([model.table.name, gens, h, closed, model.payload_str(argmax)])
     _emit(buf.getvalue(), args.out)
     return 0
@@ -196,9 +196,6 @@ def cmd_verdict(args) -> int:
 
 
 def cmd_depth_profile(args) -> int:
-    for option, value in (("--radius", args.radius), ("--kmax", args.kmax), ("--cap", args.cap)):
-        if value is not None and value < 0:
-            raise UsageError(f"{option} must be non-negative, got {value}")
     model = _lamplighter_from_file(args.group)
     backend = _backend(model, args.backend, exact=True)
     profile = wreath.depth_profile(
@@ -338,6 +335,21 @@ def _cyclic_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _at_least(least: int):
+    """An argparse type: an int of at least `least`."""
+
+    def size(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return size
+
+
 def _cube_dims(text: str) -> List[int]:
     """--cube m1,m2,... as a list of positive ints."""
     try:
@@ -379,25 +391,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("depth-profile", help="depth of every element in a ball")
     sp.add_argument("--group", required=True, help="lamplighter spec JSON")
-    sp.add_argument("--radius", type=int, required=True)
-    sp.add_argument("--kmax", type=int, default=8)
+    sp.add_argument("--radius", type=_at_least(0), required=True)
+    sp.add_argument("--kmax", type=_at_least(0), default=8)
     sp.add_argument("--backend", default="auto",
                     choices=["auto", "finite", "tree", "petal", "box", "generic"])
-    sp.add_argument("--cap", type=int, help="state cap (default 2e6)")
+    sp.add_argument("--cap", type=_at_least(0), help="state cap (default 2e6)")
     sp.add_argument("--format", default="csv", choices=["csv", "json"])
     common(sp)
 
     sp = sub.add_parser("qh", help="quasi-Hamiltonian certificate or refutation")
     sp.add_argument("--group", required=True)
-    sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--M", type=int, default=2)
+    sp.add_argument("--nmax", type=_at_least(1), required=True)
+    sp.add_argument("--M", type=_at_least(0), default=2)
     sp.add_argument("--strategy", default="auto",
                     choices=["auto", "abelian-box", "ball-exact", "cube", "refute"])
     common(sp)
 
     sp = sub.add_parser("export-graph", help="DOT/adjacency export of a graph")
     sp.add_argument("--group")
-    sp.add_argument("--radius", type=int)
+    sp.add_argument("--radius", type=_at_least(0))
     sp.add_argument("--cube", type=_cube_dims, help="comma-separated positive dims, e.g. 4,3")
     sp.add_argument("--format", default="dot", choices=["dot", "adj"])
     common(sp)

@@ -53,9 +53,6 @@ class FiniteGraph:
                 if not (0 <= v < self.n and u in self.adj[v]):
                     raise VerificationError("asymmetric adjacency")
 
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
-
     def edges(self) -> List[Tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
@@ -70,9 +67,6 @@ class FiniteGraph:
                     dist[v] = dist[u] + 1
                     q.append(v)
         return dist
-
-    def all_distances(self) -> List[List[int]]:
-        return [self.distances_from(u) for u in range(self.n)]
 
     def is_connected(self) -> bool:
         return self.n == 0 or all(d >= 0 for d in self.distances_from(0))
@@ -103,9 +97,6 @@ class FiniteGraph:
             and all(len(nbrs) == 2 for nbrs in self.adj)
             and self.is_connected()
         )
-
-    def diameter(self) -> int:
-        return max(max(row) for row in self.all_distances())
 
     # -- export ----------------------------------------------------------
     def to_dot(self, name: str = "G") -> str:
@@ -152,7 +143,7 @@ def finite_cayley_graph(model) -> FiniteGraph:
     table = model.table
     edges = []
     for i in range(table.order):
-        for s in model.gens.elements:
+        for s in model.gens:
             j = table.mul[i][s]
             if i < j:
                 edges.append((i, j))
@@ -194,7 +185,7 @@ def cayley_ball(model: GroupModel, radius: int, cap: Optional[int] = None) -> Ca
     for d in range(1, radius + 1):
         nxt = []
         for x in frontier:
-            for s in model.gens.elements:
+            for s in model.gens:
                 y = model.mul_payload(x, s)
                 if y not in index:
                     index[y] = len(order)
@@ -210,7 +201,7 @@ def cayley_ball(model: GroupModel, radius: int, cap: Optional[int] = None) -> Ca
     edges = set()
     for x in order:
         i = index[x]
-        for s in model.gens.elements:
+        for s in model.gens:
             y = model.mul_payload(x, s)
             j = index.get(y)
             if j is not None and i != j:

@@ -1,8 +1,8 @@
 """Computable group models: finite tables, f.g. abelian groups, free groups,
 and free products of two finite groups, with canonical normal forms.
 
-Element payloads are plain hashable tuples/ints; `GroupElement` is a thin
-wrapper tying a payload to its model.  All models are immutable after
+Elements are plain hashable tuples/ints (payloads) in normal form, used
+through the payload methods of their model.  All models are immutable after
 construction and all operations are pure, so values can be shared freely.
 No other module sets attributes on a model: the word-length memos and the
 position tables (`PositionTable`) live on `wreath.LamplighterModel`.
@@ -130,18 +130,6 @@ def abelian_table(moduli: Sequence[int]) -> FiniteGroupTable:
 
 
 # ---------------------------------------------------------------------------
-# generating sets
-
-
-@dataclass(frozen=True)
-class GeneratingSet:
-    """Symmetrized generating set; `elements` excludes the identity."""
-
-    elements: Tuple[Payload, ...]
-    symmetric: bool = True
-
-
-# ---------------------------------------------------------------------------
 # group models
 
 
@@ -149,7 +137,7 @@ class GroupModel:
     """Base for the four group variants.  Instances compare by identity."""
 
     variant: str = "?"
-    gens: GeneratingSet
+    gens: Tuple[Payload, ...]  # symmetrized, without the identity
 
     # payload-level group operations -------------------------------------
     def identity_payload(self) -> Payload:
@@ -173,63 +161,6 @@ class GroupModel:
     def parse_payload(self, s: str) -> Payload:
         raise NotImplementedError
 
-    # element-level conveniences ------------------------------------------
-    @property
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, self.identity_payload())
-
-    def element(self, payload: Payload) -> "GroupElement":
-        return GroupElement(self, self.normalize_payload(payload))
-
-    def generators(self) -> List["GroupElement"]:
-        return [GroupElement(self, p) for p in self.gens.elements]
-
-
-@dataclass(frozen=True, eq=False)
-class GroupElement:
-    """A group element in normal form; equality requires the same model."""
-
-    model: GroupModel
-    payload: Payload
-
-    def __post_init__(self):
-        object.__setattr__(self, "payload", self.model.normalize_payload(self.payload))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupElement)
-            and self.model is other.model
-            and self.payload == other.payload
-        )
-
-    def __hash__(self):
-        return hash((id(self.model), self.payload))
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return multiply(self, other)
-
-    def inverse(self) -> "GroupElement":
-        return invert(self)
-
-    def __repr__(self):
-        return f"<{self.model.payload_str(self.payload)}>"
-
-
-def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Product ab in normal form; both factors must share one model."""
-    if a.model is not b.model:
-        raise ValueError("cannot multiply elements of different group models")
-    return GroupElement(a.model, a.model.mul_payload(a.payload, b.payload))
-
-
-def invert(a: GroupElement) -> GroupElement:
-    return GroupElement(a.model, a.model.inv_payload(a.payload))
-
-
-def word_length_in_group(g: GroupElement) -> int:
-    """Word length ||g||_S in the Cayley graph of g's model."""
-    return g.model.length_payload(g.payload)
-
 
 # ---------------------------------------------------------------------------
 # finite model
@@ -244,7 +175,7 @@ class FiniteModel(GroupModel):
         if len(dist) != table.order:
             raise ValueError(f"{sorted(set(gen_indices))} does not generate {table.name}")
         self.table = table
-        self.gens = GeneratingSet(tuple(gens))
+        self.gens = tuple(gens)
         self._dist = dist
 
     def identity_payload(self) -> int:
@@ -349,7 +280,7 @@ class AbelianModel(GroupModel):
             raise ValueError(
                 f"generators do not generate: coset of {witness} is not reached"
             )
-        self.gens = GeneratingSet(tuple(gens))
+        self.gens = tuple(gens)
 
     def _reduce(self, v: Sequence[int]) -> Tuple[int, ...]:
         r = self.rank
@@ -379,7 +310,7 @@ class AbelianModel(GroupModel):
             u[i] = 1
             units.add(self._reduce(tuple(u)))
             units.add(self._neg(tuple(u)))
-        return set(self.gens.elements) == units
+        return set(self.gens) == units
 
     def length_payload(self, a) -> int:
         if self.is_standard_gens():
@@ -498,7 +429,7 @@ def _bfs_length_infinite(model: GroupModel, target: Payload) -> int:
         d += 1
         nxt = []
         for x in frontier:
-            for s in model.gens.elements:
+            for s in model.gens:
                 y = model.mul_payload(x, s)
                 if y not in dist:
                     if y == target:
@@ -538,7 +469,7 @@ class FreeModel(GroupModel):
         for i in range(1, rank + 1):
             gens.append((i,))
             gens.append((-i,))
-        self.gens = GeneratingSet(tuple(gens))
+        self.gens = tuple(gens)
 
     def identity_payload(self) -> Tuple[int, ...]:
         return ()
@@ -612,9 +543,9 @@ class FreeProductModel(GroupModel):
         self.factors: Tuple[FiniteModel, FiniteModel] = (H, K)
         gens: List[Tuple[Tuple[int, int], ...]] = []
         for f, model in enumerate(self.factors):
-            for s in model.gens.elements:
+            for s in model.gens:
                 gens.append(((f, s),))
-        self.gens = GeneratingSet(tuple(gens))
+        self.gens = tuple(gens)
         self._letter_names = self._build_letter_names()
 
     def _build_letter_names(self) -> Dict[Tuple[int, int], str]:
@@ -741,7 +672,7 @@ class PositionTable:
         row = self.rows[i]
         if row is None:
             p, mul = self.payloads[i], self.model.mul_payload
-            row = self.rows[i] = [self.intern(mul(p, s)) for s in self.model.gens.elements]
+            row = self.rows[i] = [self.intern(mul(p, s)) for s in self.model.gens]
         return row
 
 
@@ -758,19 +689,19 @@ def group_spec_of(model: GroupModel) -> dict:
         letter = table.elem_names[1] if table.order > 1 else "b"
         if table == cyclic_table(table.order, letter):
             return {"variant": "cyclic", "n": table.order,
-                    "gens": list(model.gens.elements), "letter": letter}
+                    "gens": list(model.gens), "letter": letter}
         return {
             "variant": "finite",
             "name": model.table.name,
             "order": model.table.order,
-            "gens": [model.payload_str(s) for s in model.gens.elements],
+            "gens": [model.payload_str(s) for s in model.gens],
         }
     if isinstance(model, AbelianModel):
         return {
             "variant": "abelian",
             "rank": model.rank,
             "moduli": list(model.moduli),
-            "gens": [list(v) for v in model.gens.elements],
+            "gens": [list(v) for v in model.gens],
         }
     if isinstance(model, FreeModel):
         return {"variant": "free", "rank": model.rank, "letters": model.letters}

@@ -13,8 +13,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ResourceCapError, VerificationError
 from .graphs import FiniteGraph, _not_masks, cayley_ball, finite_cayley_graph, power_graph
@@ -96,7 +96,9 @@ def hamiltonian_path(g: FiniteGraph, u: int, v: int) -> Optional[Tuple[int, ...]
         return None
     if n <= _BACKTRACK_CAP:
         return spanning_walk_min_repeats(g, u, v, max_repeats=0)
-    raise ResourceCapError(f"hamiltonian_path size cap {_BACKTRACK_CAP} exceeded ({n})")
+    raise ResourceCapError(
+        f"hamiltonian_path size cap {_BACKTRACK_CAP} (hamiltonian._BACKTRACK_CAP) exceeded ({n})"
+    )
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ def analyze(g: FiniteGraph) -> HamiltonicityReport:
     """All-pairs Hamiltonian path decisions with witnesses."""
     n = g.n
     if n > _DP_CAP:
-        raise ResourceCapError(f"analyze size cap {_DP_CAP} exceeded ({n})")
+        raise ResourceCapError(f"analyze size cap {_DP_CAP} (hamiltonian._DP_CAP) exceeded ({n})")
     parts = g.bipartition()
     bipartite = parts is not None
     if n == 1:
@@ -281,7 +283,7 @@ def _spanning_walk_exact_repeats(
         nodes += 1
         if nodes > cap:
             raise ResourceCapError(
-                f"spanning-walk search node cap {cap} exceeded "
+                f"spanning-walk search node cap {cap} (hamiltonian._SEARCH_NODE_CAP) exceeded "
                 f"({s}->{t}, {budget} repeats, {unv.bit_count()} vertices unvisited)"
             )
         if not unv and cur == t:
@@ -599,7 +601,7 @@ def nash_williams_basis(model: AbelianModel) -> NashWilliamsBasis:
 
 def _generator_classes(model: AbelianModel) -> List[Tuple[int, ...]]:
     reps = []
-    for g in model.gens.elements:
+    for g in model.gens:
         rep = max(g, model.inv_payload(g))
         if rep not in reps:
             reps.append(rep)
@@ -722,26 +724,7 @@ class QhCertificate:
     group_spec: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "qh_certificate",
-                "group": self.group_spec,
-                "strategy": self.strategy,
-                "M": self.M,
-                "witnesses": [
-                    {
-                        "n": w.n,
-                        "set_size": w.set_size,
-                        "elements": list(w.elements),
-                        "walks": {k: list(v) for k, v in sorted(w.walks.items())},
-                        "max_excess": w.max_excess,
-                    }
-                    for w in self.witnesses
-                ],
-            },
-            indent=1,
-            sort_keys=True,
-        )
+        return _qh_json("qh_certificate", self, M=self.M, witnesses=[asdict(w) for w in self.witnesses])
 
 
 @dataclass(frozen=True)
@@ -754,17 +737,16 @@ class QhRefutation:
     # rows: (n, |F|, ts_closed_edges, excess_closed, ts_min_edges, excess_min)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "qh_refutation",
-                "group": self.group_spec,
-                "strategy": self.strategy,
-                "columns": ["n", "F_size", "ts_closed", "excess_closed", "ts_min", "excess_min"],
-                "rows": [list(r) for r in self.rows],
-            },
-            indent=1,
-            sort_keys=True,
-        )
+        columns = ["n", "F_size", "ts_closed", "excess_closed", "ts_min", "excess_min"]
+        return _qh_json("qh_refutation", self, columns=columns, rows=self.rows)
+
+
+def _qh_json(kind: str, result, **fields) -> str:
+    """The JSON text of a certificate or refutation: its kind, group spec,
+    strategy and the given fields, indented by 1 with sorted keys (so the
+    tuples of a field print as lists and its dicts in key order)."""
+    record = {"kind": kind, "group": result.group_spec, "strategy": result.strategy, **fields}
+    return json.dumps(record, indent=1, sort_keys=True)
 
 
 def qh_certificate(model: GroupModel, n_max: int, M: int = 2, strategy: str = "auto"):
@@ -810,9 +792,6 @@ def _qh_abelian_box(model: AbelianModel, n_max: int, M: int) -> QhCertificate:
         dims = [2 * N + 1] * model.rank + [m for m in basis.m]
         origin = tuple([N + 1] * model.rank + [1] * len(basis.m))
 
-        def to_coord(ps, qs):
-            return tuple(p + N + 1 for p in ps) + tuple(q + 1 for q in qs)
-
         def to_payload(coord) -> Payload:
             g = model.identity_payload()
             for c, a in zip(coord[: model.rank], basis.a):
@@ -826,47 +805,54 @@ def _qh_abelian_box(model: AbelianModel, n_max: int, M: int) -> QhCertificate:
         f_set = set(f_elements)
         if not set(ball.elements) <= f_set:
             raise VerificationError("ball not contained in witness box")
-        walks: Dict[str, Tuple[str, ...]] = {}
-        max_excess = 0
-        for coord in box_coords:
-            walk = cube_spanning_path(dims, origin, coord)
-            payloads = [to_payload(c) for c in walk]
-            _check_group_walk(model, payloads, f_set)
-            excess = len(payloads) - len(f_elements)
-            endpoint = model.payload_str(to_payload(coord))
-            if excess > M:
-                raise ValueError(_excess_message(M, n, endpoint, excess))
-            max_excess = max(max_excess, excess)
-            walks[endpoint] = tuple(model.payload_str(p) for p in payloads)
-        witnesses.append(
-            QhWitness(
-                n,
-                len(f_elements),
-                tuple(sorted(model.payload_str(p) for p in f_elements)),
-                walks,
-                max_excess,
-            )
-        )
+
+        def walks():
+            for coord in box_coords:
+                payloads = [to_payload(c) for c in cube_spanning_path(dims, origin, coord)]
+                _check_group_walk(model, payloads, f_set)
+                yield model.payload_str(to_payload(coord)), list(map(model.payload_str, payloads))
+
+        elements = sorted(model.payload_str(p) for p in f_elements)
+        witnesses.append(_witness(n, M, elements, walks()))
     return QhCertificate("abelian-box", M, tuple(witnesses), group_spec_of(model))
 
 
-def _excess_message(M: int, n: int, endpoint, excess: int) -> str:
-    return (f"M = {M} is too small: at n = {n} the walk to endpoint {endpoint}"
-            f" needs |F| + {excess} vertices")
+def _witness(
+    n: int, M: int, elements: Sequence[str], walks: Iterable[Tuple[str, Sequence[str]]]
+) -> QhWitness:
+    """The witness of radius n on the set F of `elements`, from the pairs
+    (endpoint, walk from the identity to it) of walks, all as names.
+    Raises ValueError when a walk has more than |F| + M vertices."""
+    named: Dict[str, Tuple[str, ...]] = {}
+    max_excess = 0
+    for endpoint, walk in walks:
+        excess = len(walk) - len(elements)
+        if excess > M:
+            raise ValueError(f"M = {M} is too small: at n = {n} the walk to endpoint {endpoint}"
+                             f" needs |F| + {excess} vertices")
+        max_excess = max(max_excess, excess)
+        named[endpoint] = tuple(walk)
+    return QhWitness(n, len(elements), tuple(elements), named, max_excess)
 
 
-def _check_group_walk(model: GroupModel, payloads: Sequence[Payload], cover: Set[Payload]):
-    """Raise VerificationError unless payloads is a walk of generator steps
-    from the identity through every point of cover."""
-    gens = set(model.gens.elements)
+def _check_group_walk(
+    model: GroupModel, payloads: Sequence[Payload], cover: Set[Payload], max_step: int = 1
+) -> None:
+    """Raise VerificationError unless payloads is a walk from the identity
+    through every point of cover whose steps are words of 1..max_step
+    generators (1: single generators)."""
+    e = model.identity_payload()
+    if not payloads or payloads[0] != e:
+        raise VerificationError("walk does not start at the identity")
+    steps = {e}
+    for _ in range(max_step):
+        steps |= {model.mul_payload(a, s) for a in steps for s in model.gens}
+    steps.discard(e)
     for a, b in zip(payloads, payloads[1:]):
-        step = model.mul_payload(model.inv_payload(a), b)
-        if step not in gens:
-            raise VerificationError("walk step is not a generator")
+        if model.mul_payload(model.inv_payload(a), b) not in steps:
+            raise VerificationError(f"walk step is not a word of 1..{max_step} generators")
     if not cover <= set(payloads):
         raise VerificationError("walk does not cover its required points")
-    if payloads[0] != model.identity_payload():
-        raise VerificationError("walk does not start at the identity")
 
 
 def _qh_ball_exact(model: GroupModel, n_max: int, M: int) -> QhCertificate:
@@ -880,21 +866,11 @@ def _qh_ball_exact(model: GroupModel, n_max: int, M: int) -> QhCertificate:
         )
     witnesses = []
     for n in range(1, n_max + 1):
-        ball = cayley_ball(model, n)
-        g = ball.graph
-        walks: Dict[str, Tuple[str, ...]] = {}
-        max_excess = 0
-        for x in range(g.n):
-            sol = tsp.solve_exact(tsp.TspInstance(g, 0, x, frozenset(range(g.n))))
-            vertex_len = sol.length + 1
-            excess = vertex_len - g.n
-            if excess > M:
-                raise ValueError(_excess_message(M, n, g.labels[x], excess))
-            max_excess = max(max_excess, excess)
-            walks[str(g.labels[x])] = tuple(str(g.labels[v]) for v in sol.walk)
-        witnesses.append(
-            QhWitness(n, g.n, tuple(str(l) for l in g.labels), walks, max_excess)
-        )
+        g = cayley_ball(model, n).graph
+        names, everything = g.labels, frozenset(range(g.n))
+        walks = (tsp.solve_exact(tsp.TspInstance(g, 0, x, everything)).walk for x in range(g.n))
+        named = ((names[x], [names[v] for v in w]) for x, w in enumerate(walks))
+        witnesses.append(_witness(n, M, names, named))
     return QhCertificate("ball-exact", M, tuple(witnesses), group_spec_of(model))
 
 
@@ -903,26 +879,15 @@ def _qh_cube(model: GroupModel, n_max: int, M: int) -> QhCertificate:
     ball is Hamiltonian-connected, so every endpoint needs at most one repeat."""
     witnesses = []
     for n in range(1, n_max + 1):
-        ball = cayley_ball(model, 3 * n)
-        g = ball.graph
-        cubed = power_graph(g, 3)
-        walks: Dict[str, Tuple[str, ...]] = {}
-        max_excess = 0
-        for x in range(g.n):
-            if x == 0:
-                z = cubed.adj[0][0]
-                path = cube3_hamiltonian_path(g, z, 0)
-                walk = (0,) + path
-            else:
-                walk = cube3_hamiltonian_path(g, 0, x)
-            excess = len(walk) - g.n
-            max_excess = max(max_excess, excess)
-            if excess > M:
-                raise ValueError(_excess_message(M, n, g.labels[x], excess))
-            walks[str(g.labels[x])] = tuple(str(g.labels[v]) for v in walk)
-        witnesses.append(
-            QhWitness(n, g.n, tuple(str(l) for l in g.labels), walks, max_excess)
+        g = cayley_ball(model, 3 * n).graph
+        names, z = g.labels, power_graph(g, 3).adj[0][0]
+        # the closed walk steps 0 -> z, then takes a Hamiltonian z -> 0 path
+        walks = (
+            (0,) + cube3_hamiltonian_path(g, z, 0) if x == 0 else cube3_hamiltonian_path(g, 0, x)
+            for x in range(g.n)
         )
+        named = ((names[x], [names[v] for v in w]) for x, w in enumerate(walks))
+        witnesses.append(_witness(n, M, names, named))
     return QhCertificate("cube", M, tuple(witnesses), group_spec_of(model))
 
 
@@ -964,12 +929,11 @@ def verify_qh_certificate(model: GroupModel, cert: QhCertificate) -> None:
         check(set(ball.elements) <= elems, "witness set misses the ball")
         for endpoint, walk in wit.walks.items():
             payloads = [model.parse_payload(s) for s in walk]
-            check(payloads[0] == model.identity_payload(), "walk does not start at e")
+            try:
+                _check_group_walk(model, payloads, elems, max_step)
+            except VerificationError as exc:
+                raise VerificationError(f"qh certificate: {exc}") from None
             check(payloads[-1] == model.parse_payload(endpoint), "walk ends off its endpoint")
-            for a, b in zip(payloads, payloads[1:]):
-                step = model.mul_payload(model.inv_payload(a), b)
-                check(1 <= model.length_payload(step) <= max_step, "bad walk step")
-            check(elems <= set(payloads), "walk does not cover the set")
             check(len(payloads) <= wit.set_size + cert.M, "bound violated")
 
 
@@ -977,6 +941,6 @@ def _as_free_tree(model: GroupModel) -> Optional[FreeModel]:
     if isinstance(model, FreeModel):
         return model
     if isinstance(model, AbelianModel) and model.rank == 1 and not model.moduli:
-        if set(model.gens.elements) == {(1,), (-1,)}:
+        if set(model.gens) == {(1,), (-1,)}:
             return FreeModel(1)
     return None

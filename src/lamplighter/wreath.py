@@ -53,27 +53,30 @@ class MetricBackend:
     """Dispatch over the exactly solved regimes; `generic` is an upper bound."""
 
     strategy: str  # finite | tree | petal | box | generic
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return self.strategy != "generic"
 
 
 def auto_backend(model: "LamplighterModel") -> MetricBackend:
     base = model.base
     if isinstance(base, FiniteModel):
-        return MetricBackend("finite", True)
+        return MetricBackend("finite")
     if isinstance(base, FreeModel):
-        return MetricBackend("tree", True)
+        return MetricBackend("tree")
     if isinstance(base, FreeProductModel):
-        return MetricBackend("petal", True)
+        return MetricBackend("petal")
     if isinstance(base, AbelianModel) and base.is_standard_gens():
-        return MetricBackend("box", True)
-    return MetricBackend("generic", False)
+        return MetricBackend("box")
+    return MetricBackend("generic")
 
 
 def backend_by_name(model: "LamplighterModel", name: str) -> MetricBackend:
     """The named backend.  A base has one exact backend, the one auto picks;
     naming another exact backend raises ValueError."""
     if name == "generic":
-        return MetricBackend(name, False)
+        return MetricBackend(name)
     auto = auto_backend(model)
     if name in ("auto", auto.strategy):
         return auto
@@ -91,8 +94,8 @@ class LamplighterModel:
         self._lamp_len = functools.lru_cache(maxsize=None)(lamps.length_payload)
         self._base_str = functools.lru_cache(maxsize=None)(base.payload_str)
         # every word-length memo: _ts_cache keyed by (backend strategy,
-        # position, support), and the petal recursion's own, keyed by ids of
-        # _positions (see word_length)
+        # position id, support ids), and the petal recursion's own, both on
+        # ids of _positions (see _config_lengths)
         self._ts_cache: Dict[tuple, int] = {}
         self._ts_fp_memo: dict = {}
         self._finite_graph = finite_cayley_graph(base) if isinstance(base, FiniteModel) else None
@@ -163,7 +166,7 @@ class LamplighterModel:
         cur = config[i + 1] if lit else e_a
         before, after = config[:i], config[i + 2 * lit:]
         out = []
-        for a in self.lamps.gens.elements:
+        for a in self.lamps.gens:
             v = self.lamps.mul_payload(cur, a)
             out.append(before + after if v == e_a else before + (p, v) + after)
         return out
@@ -219,9 +222,9 @@ class LamplighterModel:
     def _build_generator_states(self) -> List[Tuple[str, WreathState]]:
         out = []
         e_b = self.base.identity_payload()
-        for s in self.lamps.gens.elements:
+        for s in self.lamps.gens:
             out.append((f"A:{self.lamps.payload_str(s)}", (((e_b, s),), e_b)))
-        for s in self.base.gens.elements:
+        for s in self.base.gens:
             out.append((f"B:{self.base.payload_str(s)}", ((), s)))
         return out
 
@@ -237,23 +240,9 @@ class WordLength:
 
 
 def word_length(model: LamplighterModel, g: WreathState, backend: MetricBackend) -> WordLength:
-    """Lamp cost plus TS(e_B -> position; supp f) under the chosen backend."""
-    lamps, pos = g
-    cost = lamp_cost(model, g)
-    support = frozenset(k for k, _v in lamps)
-    if backend.strategy == "petal":
-        # states hold normal-form payloads, so they are interned as they are
-        ts = tsp.ts_free_product_ids(*_petal_ids(model, pos, support), model._ts_fp_memo)
-        return WordLength(cost + ts, backend.exact)
-    key = (backend.strategy, pos, support)
-    ts = model._ts_cache.get(key)
-    if ts is None:
-        if backend.strategy == "tree":
-            ts = tsp.ts_tree((), pos, sorted(support), model.base)
-        else:
-            ts = _solve_walk(model, pos, support, backend)[0]
-        model._ts_cache[key] = ts
-    return WordLength(cost + ts, backend.exact)
+    """Lamp cost plus TS(e_B -> position; supp f) under the chosen backend,
+    priced on the interned state of g (see _config_lengths)."""
+    return WordLength(_state_length(model, model._encode(g), backend), backend.exact)
 
 
 def lamp_cost(model: LamplighterModel, g: WreathState) -> int:
@@ -872,15 +861,32 @@ def _config_lengths(
     model: LamplighterModel, c: int, ends: Sequence[int], backend: MetricBackend
 ) -> List[int]:
     """Word lengths of the interned states c << 32 | p for the position ids
-    p of ends, by the formula: the petal backend prices them all in one
-    tsp.ts_free_product_ends call on position ids, the other backends
-    decode each state and call word_length.
+    p of ends, by the formula: the lamp cost of the configuration's values
+    plus a TS term.  The petal backend prices every end in one
+    tsp.ts_free_product_ends call on position ids.  The other backends look
+    the term up in _ts_cache by (strategy, position id, support ids) and
+    decode the payloads only on a miss, for tsp.ts_tree or _solve_walk.
 
     On the petal backend the lamp cost and the root petals of the last
     configuration priced are kept, so calls on one configuration one after
     the other split its support once."""
     if backend.strategy != "petal":
-        return [word_length(model, model._decode(c << 32 | p), backend).value for p in ends]
+        config = model._configs[c]
+        cost, support = sum(map(model._lamp_len, config[1::2])), config[::2]
+        out = []
+        for p in ends:
+            key = (backend.strategy, p, support)
+            ts = model._ts_cache.get(key)
+            if ts is None:
+                payloads = model._positions.payloads
+                pos, points = payloads[p], [payloads[i] for i in support]
+                if backend.strategy == "tree":
+                    ts = tsp.ts_tree((), pos, sorted(points), model.base)
+                else:
+                    ts = _solve_walk(model, pos, frozenset(points), backend)[0]
+                model._ts_cache[key] = ts
+            out.append(cost + ts)
+        return out
     last = model._last_config
     if last[0] != c:
         config = model._configs[c]

@@ -412,6 +412,16 @@ class TestDepthProfileOutput:
         rc, out, err = run(argv)
         assert rc == 2 and out == "" and option in err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["export-graph", "--group", "z.json", "--radius", "-1"], "--radius"),
+        (["qh", "--group", "z12.json", "--nmax", "-1"], "--nmax"),
+        (["qh", "--group", "z12.json", "--nmax", "0"], "--nmax"),
+        (["qh", "--group", "z12.json", "--nmax", "1", "--M", "-1"], "--M"),
+    ], ids=["export-graph-radius", "qh-nmax-negative", "qh-nmax-zero", "qh-M"])
+    def test_size_below_its_minimum_is_usage_error(self, specs, argv, option):
+        rc, out, err = run([specs.get(a, a) for a in argv])
+        assert rc == 2 and out == "" and f"argument {option}: must be at least" in err
+
     @pytest.mark.parametrize("value", ["abc", "-5"])
     def test_bad_cap_variable_is_usage_error(self, specs, monkeypatch, value):
         monkeypatch.setenv("LAMPLIGHTER_CAP", value)
@@ -535,16 +545,16 @@ class TestDeterminism:
         assert rc == 0 and out == "" and target.read_text().startswith("graph G")
 
 
-# Runs depth-profile twice in one process: as shipped, then with word_length
-# off by one.  Prints the optimisation level and both exit codes.
+# Runs depth-profile twice in one process: as shipped, then with every word
+# length of the formula off by one.  Prints the optimisation level and both exit codes.
 OFF_BY_ONE_SCRIPT = """
 import os, sys
 from lamplighter import cli, wreath
 argv = ["depth-profile", "--group", sys.argv[1], "--radius", "2", "--kmax", "2",
         "--out", os.devnull]
 rc_ok = cli.main(argv)
-exact = wreath.word_length
-wreath.word_length = lambda m, g, b: wreath.WordLength(exact(m, g, b).value + 1, True)
+exact = wreath._config_lengths
+wreath._config_lengths = lambda m, c, ends, b: [L + 1 for L in exact(m, c, ends, b)]
 print(sys.flags.optimize, rc_ok, cli.main(argv))
 """
 

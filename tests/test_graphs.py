@@ -10,17 +10,25 @@ from lamplighter import graphs as Gr, groups as G
 from lamplighter.errors import ResourceCapError, VerificationError
 
 
+def edge_count(g):
+    return sum(len(nbrs) for nbrs in g.adj) // 2
+
+
+def diameter(g):
+    return max(max(g.distances_from(u)) for u in range(g.n))
+
+
 class TestCayleyBall:
     def test_line_radius_two(self):
         z = G.make_abelian(1, [], [[1]])
         ball = Gr.cayley_ball(z, 2)
-        assert ball.graph.n == 5 and ball.graph.edge_count() == 4
+        assert ball.graph.n == 5 and edge_count(ball.graph) == 4
         assert sorted(p[0] for p in ball.elements) == [-2, -1, 0, 1, 2]
 
     def test_z2_radius_one_diamond(self):
         z2 = G.make_abelian(2, [], [[1, 0], [0, 1]])
         ball = Gr.cayley_ball(z2, 1)
-        assert ball.graph.n == 5 and ball.graph.edge_count() == 4
+        assert ball.graph.n == 5 and edge_count(ball.graph) == 4
 
     def test_z_with_chords(self):
         z = G.make_abelian(1, [], [[1], [2]])
@@ -61,11 +69,11 @@ class TestFiniteCayley:
 
     def test_single_edge(self):
         g = Gr.finite_cayley_graph(G.make_cyclic(2, [1]))
-        assert g.n == 2 and g.edge_count() == 1
+        assert g.n == 2 and edge_count(g) == 1
 
     def test_all_gens_complete(self):
         g = Gr.finite_cayley_graph(G.make_cyclic(4, [1, 2, 3]))
-        assert g.edge_count() == 6
+        assert edge_count(g) == 6
 
 
 class TestPowerGraph:
@@ -75,7 +83,7 @@ class TestPowerGraph:
 
     def test_path_cubed_complete(self):
         g = Gr.power_graph(Gr.path_graph(4), 3)
-        assert g.edge_count() == 6
+        assert edge_count(g) == 6
 
     def test_cycle_squared_degrees(self):
         g = Gr.power_graph(Gr.cycle_graph(8), 2)
@@ -84,7 +92,7 @@ class TestPowerGraph:
     def test_monotone_and_complete_at_diameter(self):
         g = Gr.cube_graph([3, 2])
         prev = set(map(tuple, g.edges()))
-        for k in range(2, g.diameter() + 1):
+        for k in range(2, diameter(g) + 1):
             cur = set(map(tuple, Gr.power_graph(g, k).edges()))
             assert prev <= cur
             prev = cur
@@ -94,23 +102,23 @@ class TestPowerGraph:
 class TestProducts:
     def test_square(self):
         g = Gr.product_graph(Gr.path_graph(2), Gr.path_graph(2))
-        assert g.n == 4 and g.edge_count() == 4
+        assert g.n == 4 and edge_count(g) == 4
 
     def test_grid(self):
         g = Gr.product_graph(Gr.path_graph(3), Gr.path_graph(3))
-        assert g.n == 9 and g.edge_count() == 12
+        assert g.n == 9 and edge_count(g) == 12
 
     def test_counts_formula(self):
         g1, g2 = Gr.cycle_graph(5), Gr.path_graph(4)
         g = Gr.product_graph(g1, g2)
         assert g.n == g1.n * g2.n
-        assert g.edge_count() == g1.n * g2.edge_count() + g2.n * g1.edge_count()
+        assert edge_count(g) == g1.n * edge_count(g2) + g2.n * edge_count(g1)
 
     def test_cube_shapes(self):
-        assert Gr.cube_graph([5]).edge_count() == 4
+        assert edge_count(Gr.cube_graph([5])) == 4
         assert Gr.cube_graph([2, 2]).is_cycle_graph()
         g = Gr.cube_graph([4, 3])
-        assert g.n == 12 and g.edge_count() == 17
+        assert g.n == 12 and edge_count(g) == 17
 
     def test_all_outputs_validate(self):
         for g in (

@@ -72,6 +72,30 @@ class TestHamiltonianPath:
             H._dp_path(g, bad, 0, 1)
 
 
+class TestCapErrors:
+    """A cap error names its constant, the cap's value and the size reached;
+    "node cap N" stays in the wording."""
+
+    def test_analyze_names_dp_cap(self, monkeypatch):
+        monkeypatch.setattr(H, "_DP_CAP", 3)
+        with pytest.raises(ResourceCapError,
+                           match=r"analyze size cap 3 \(hamiltonian\._DP_CAP\) exceeded \(4\)"):
+            H.analyze(Gr.cycle_graph(4))
+
+    def test_path_names_backtrack_cap(self, monkeypatch):
+        monkeypatch.setattr(H, "_DP_CAP", 2)
+        monkeypatch.setattr(H, "_BACKTRACK_CAP", 3)
+        msg = r"hamiltonian_path size cap 3 \(hamiltonian\._BACKTRACK_CAP\) exceeded \(4\)"
+        with pytest.raises(ResourceCapError, match=msg):
+            H.hamiltonian_path(Gr.cycle_graph(4), 0, 1)
+
+    def test_search_names_node_cap(self, monkeypatch):
+        monkeypatch.setattr(H, "_SEARCH_NODE_CAP", 5)
+        with pytest.raises(ResourceCapError,
+                           match=r"node cap 5 \(hamiltonian\._SEARCH_NODE_CAP\) exceeded"):
+            H.spanning_walk_min_repeats(Gr.cube_graph([3, 4]), 0, 1, 0)
+
+
 class TestSpanningSearch:
     """The bitset search against independent oracles: the ends-DP for
     Hamiltonian paths, the exact TSP for walks with repeats."""
@@ -392,6 +416,24 @@ class TestQhCertificates:
         assert len(closed) == 10
         assert all(len(w) == 9 for key, w in wit.walks.items() if key != "0,0")
         H.verify_qh_certificate(model, cert)
+
+    # walks to the endpoint 2 in the radius-1 ball {-2, .., 2} of (Z, {1, 2})
+    # with M = 1, each failing exactly one check of the verifier
+    @pytest.mark.parametrize("walk, message", [
+        (("0", "-1", "-2", "1", "2"), "walk step is not a word of 1..1 generators"),  # -2 -> 1
+        (("0", "1", "2"), "walk does not cover its required points"),
+        (("0", "-1", "-2", "-1", "0", "1", "2"), "bound violated"),
+        (("-1", "-2", "0", "1", "2"), "walk does not start at the identity"),
+    ], ids=["tampered-step", "dropped-cover-element", "over-F-plus-M", "start-off-identity"])
+    def test_verifier_rejects(self, walk, message):
+        model = G.make_abelian(1, [], [[1], [2]])
+        cert = H.qh_certificate(model, 1, M=1, strategy="ball-exact")
+        wit = cert.witnesses[0]
+        assert wit.set_size == 5 and sorted(wit.elements) == ["-1", "-2", "0", "1", "2"]
+        H.verify_qh_certificate(model, cert)
+        wit.walks["2"] = walk
+        with pytest.raises(VerificationError, match=f"^qh certificate: {message}$"):
+            H.verify_qh_certificate(model, cert)
 
     def test_json_round_trip_is_deterministic(self):
         model = G.make_abelian(2, [], [[1, 0], [0, 1]])

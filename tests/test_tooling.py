@@ -1,11 +1,13 @@
-"""Repository tooling: the names the benchmark tracer patches, and the
-scripts the README documents.
+"""Repository tooling: the names the benchmark tracer patches, the scripts
+the README documents, and the public names of the program that no code uses.
 
 perfbench/layertrace.py replaces layer functions by name; a rename in the
 program makes `perfbench/run.py --trace 1` stop with a KeyError.  That test
 only reads perfbench/.
 """
 
+import ast
+import glob
 import importlib.util
 import os
 import subprocess
@@ -49,3 +51,63 @@ def test_documented_script_runs(script, args, expected):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert any(" ".join(line.split()).startswith(expected) for line in proc.stdout.splitlines())
+
+
+# Functions, classes and methods of src/ that no code in src/, scripts/ or
+# perfbench/ names, each with the reason it is kept.  The tracer names its
+# targets in strings, which the scan does not read.
+KEPT_UNNAMED = {
+    "hamiltonian.hamiltonian_path": "the Hamiltonian path decider README documents",
+    "hamiltonian.analyze": "the all-pairs Hamiltonicity decider README documents",
+    "tsp.brute_force_oracle": "the tests' independent oracle for the exact TSP solver",
+    "tsp.ts_free_product": "public payload-level petal TS (README); traced by layertrace.py",
+    "tsp.ts_free_product_walk": "public payload-level petal walk (README); traced by layertrace.py",
+    "wreath.enumerate_ball": "public payload-level ball (README); traced by layertrace.py",
+    "wreath.ts_walk": "public payload-level TS walk (README); traced by layertrace.py",
+    "wreath.LamplighterModel.multiply": "the payload group law, the tests' oracle for _steps",
+    "wreath.LamplighterModel.invert": "the payload inverse, the tests' oracle for the group law",
+    "wreath.cleary_taback_witness": "the Cleary-Taback deep element the tests check",
+    "wreath.bounded_depth_constant": "Theorem B's depth bound the acceptance tests check",
+    "wreath.DepthProfile.max_depth": "the profile maximum the acceptance tests compare",
+    "groups.abelian_table": "builds the finite abelian groups of the acceptance tables",
+}
+
+
+def _definitions_and_names():
+    """(module.name or module.Class.method of every top-level function,
+    class and method in src/ but dunders and cmd_*, every identifier that
+    src/, scripts/ and perfbench/ use)."""
+    defined, named = [], set()
+    for folder in ("src", "scripts", "perfbench"):
+        for path in sorted(glob.glob(os.path.join(ROOT, folder, "**", "*.py"), recursive=True)):
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.name.rpartition(".")[2])
+            if folder != "src":
+                continue
+            module = os.path.splitext(os.path.basename(path))[0]
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append(f"{module}.{node.name}")
+                if isinstance(node, ast.ClassDef):
+                    defined += [f"{module}.{node.name}.{sub.name}" for sub in node.body
+                                if isinstance(sub, ast.FunctionDef)]
+    last = lambda name: name.rpartition(".")[2]
+    defined = [d for d in defined
+               if not (last(d).startswith("__") and last(d).endswith("__") or last(d).startswith("cmd_"))]
+    return defined, named
+
+
+def test_no_dead_public_api():
+    defined, named = _definitions_and_names()
+    unnamed = {d for d in defined if d.rpartition(".")[2] not in named}
+    dead = sorted(unnamed - KEPT_UNNAMED.keys())
+    assert not dead, f"src/ defines names no code uses; delete them or keep them in KEPT_UNNAMED: {dead}"
+    stale = sorted(KEPT_UNNAMED.keys() - unnamed)
+    assert not stale, f"KEPT_UNNAMED lists names that are gone or now used: {stale}"

@@ -338,7 +338,7 @@ class TestFreeProductTs:
     def test_walk_matches_value(self, fp82):
         rng = random.Random(5)
         ball = Gr.cayley_ball(fp82, 4)
-        gens = set(fp82.gens.elements)
+        gens = set(fp82.gens)
         for _ in range(40):
             pool = [p for p in ball.elements if fp82.length_payload(p) <= 2]
             sup = rng.sample(pool, rng.randint(1, 4))

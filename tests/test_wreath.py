@@ -130,11 +130,11 @@ class TestWordLength:
         for model in (ll_line, ll_tree, ll_fp82):
             be = W.auto_backend(model)
             e = model.base.identity_payload()
-            keys = [model.base.gens.elements[0], e]
-            pos = model.base.gens.elements[0]
+            keys = [model.base.gens[0], e]
+            pos = model.base.gens[0]
             walk = W.ts_walk(model, pos, keys, be)
             assert walk[0] == e and walk[-1] == pos
-            gens = set(model.base.gens.elements)
+            gens = set(model.base.gens)
             for a, b in zip(walk, walk[1:]):
                 assert model.base.mul_payload(model.base.inv_payload(a), b) in gens
 
@@ -226,7 +226,7 @@ class TestDeadEnds:
 
     def test_inexact_backend_rejected(self, ll_line):
         with pytest.raises(ValueError):
-            W.depth(ll_line, ll_line.identity_state(), 2, W.MetricBackend("generic", False))
+            W.depth(ll_line, ll_line.identity_state(), 2, W.MetricBackend("generic"))
 
 
 class TestWitnesses:
@@ -461,14 +461,14 @@ def _ball_ts(model, orders, pos, support):
 def _petal_ts(ll, support, pos):
     """TS term of the petal word length (each Z/2 lamp costs one)."""
     g = ll.state({p: 1 for p in support}, pos)
-    return W.word_length(ll, g, W.MetricBackend("petal", True)).value - len(support)
+    return W.word_length(ll, g, W.MetricBackend("petal")).value - len(support)
 
 
 def _interned_ts(ll, support, pos):
     """The same term from the interned state, as the profile's formula check
     computes it (position ids, id-keyed memo)."""
     s = ll._encode(ll.state({p: 1 for p in support}, pos))
-    return W._state_length(ll, s, W.MetricBackend("petal", True)) - len(support)
+    return W._state_length(ll, s, W.MetricBackend("petal")) - len(support)
 
 
 class TestPetalNormalForm:
@@ -533,10 +533,10 @@ class TestPetalWalk:
         orders, support, pos, _shift, _seed = data.draw(petal_cases(key))
         base = _free_product(orders)
         ll = W.LamplighterModel(z2_lamps, base)
-        petal = W.MetricBackend("petal", True)
+        petal = W.MetricBackend("petal")
         g = ll.state({p: 1 for p in support}, pos)
         wl, walk = W.word_length_and_walk(ll, g, petal)
-        gens = set(base.gens.elements)
+        gens = set(base.gens)
         assert all(base.mul_payload(base.inv_payload(a), b) in gens for a, b in zip(walk, walk[1:]))
         assert walk[0] == () and walk[-1] == pos and set(support) <= set(walk)
         assert wl.value == W.lamp_cost(ll, g) + len(walk) - 1
@@ -549,7 +549,7 @@ class TestPetalWalk:
         exact = T._factor_ts_edges
         monkeypatch.setattr(T, "_factor_ts_edges", lambda *a: exact(*a) + 1)
         with pytest.raises(VerificationError, match="free-product walk has"):
-            W.word_length_and_walk(ll, g, W.MetricBackend("petal", True))
+            W.word_length_and_walk(ll, g, W.MetricBackend("petal"))
 
 
 class TestMemoOwner:
@@ -565,7 +565,7 @@ class TestMemoOwner:
         base = _free_product(FREE_PRODUCTS[key])
         before = self._snapshot(base)
         ll = W.LamplighterModel(z2_lamps, base)
-        petal = W.MetricBackend("petal", True)
+        petal = W.MetricBackend("petal")
         g = ll.state({((0, 1),): 1, ((1, 1), (0, 2)): 1}, ((0, 1), (1, 1)))
         assert W.word_length(ll, g, petal).value > 0
         W.word_length_and_walk(ll, g, petal)
@@ -582,9 +582,32 @@ class TestMemoOwner:
         ll = W.LamplighterModel(z2_lamps, base)
         W.depth_profile(ll, 4, 2)
         g = ll.state({2: 1, 4: 1}, 1)
-        for backend in (W.auto_backend(ll), W.MetricBackend("generic", False)):
+        for backend in (W.auto_backend(ll), W.MetricBackend("generic")):
             W.word_length_and_walk(ll, g, backend)  # generic reads base lengths
         assert (self._snapshot(base), self._snapshot(z2_lamps)) == before
+
+
+class TestOnePricer:
+    """word_length prices the interned state of its element, so _state_length
+    of that state after it is a hit in the same memo: one TS solve."""
+
+    @pytest.mark.parametrize("base, lamps, pos, owner, solver", [
+        (G.make_abelian(2, [], [[1, 0], [0, 1]]), {(1, 0): 1, (0, 2): 1, (-1, 1): 1}, (1, 1),
+         W, "_solve_walk"),
+        (G.make_cyclic(6, [1]), {2: 1, 4: 1}, 1, W, "_solve_walk"),
+        (G.make_free(2), {(1,): 1, (2, -1): 1}, (2,), T, "ts_tree"),
+    ], ids=["box", "finite", "tree"])
+    def test_word_length_then_state_length_solves_once(self, z2_lamps, monkeypatch,
+                                                       base, lamps, pos, owner, solver):
+        calls = []
+        real = getattr(owner, solver)
+        monkeypatch.setattr(owner, solver, lambda *a: calls.append(a) or real(*a))
+        ll = W.LamplighterModel(z2_lamps, base)
+        be = W.auto_backend(ll)
+        g = ll.state(lamps, pos)
+        L = W.word_length(ll, g, be).value
+        assert W._state_length(ll, ll._encode(g), be) == L
+        assert len(calls) == 1
 
 
 # -- depth profile: lookup on every shell vs a search on every candidate -----
