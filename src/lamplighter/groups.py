@@ -64,17 +64,25 @@ class FiniteGroupTable:
                 raise ValueError("identity law fails")
             if self.mul[x][self.inv[x]] != e:
                 raise ValueError("inverse law fails")
-        triples = (
-            itertools.product(range(n), repeat=3)
-            if n <= 64
-            else itertools.islice(
-                zip(
-                    itertools.cycle(range(n)),
-                    itertools.cycle(range(0, n, 3)),
-                    itertools.cycle(range(0, n, 7)),
-                ),
-                4096,
-            )
+        if n <= 64:
+            # every triple, one (a, b) at a time: row ab must be row b read
+            # through row a, as (ab)c = a(bc) for every c; with n <= 64 a row
+            # fits in bytes and bytes.translate reads it through another
+            rows = [bytes(row) for row in self.mul]
+            pad = bytes(256 - n)
+            for ra in rows:
+                through_a = ra + pad
+                for rb, ab in zip(rows, ra):
+                    if rows[ab] != rb.translate(through_a):
+                        raise ValueError("associativity fails")
+            return
+        triples = itertools.islice(
+            zip(
+                itertools.cycle(range(n)),
+                itertools.cycle(range(0, n, 3)),
+                itertools.cycle(range(0, n, 7)),
+            ),
+            4096,
         )
         for a, b, c in triples:
             if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:

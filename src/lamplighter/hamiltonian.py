@@ -927,6 +927,8 @@ def verify_qh_certificate(model: GroupModel, cert: QhCertificate) -> None:
         check(len(elems) == wit.set_size, "witness set size mismatch")
         ball = cayley_ball(model, wit.n)
         check(set(ball.elements) <= elems, "witness set misses the ball")
+        ends = {model.parse_payload(endpoint) for endpoint in wit.walks}
+        check(ends == elems, "walk endpoints are not the witness set")
         for endpoint, walk in wit.walks.items():
             payloads = [model.parse_payload(s) for s in walk]
             try:

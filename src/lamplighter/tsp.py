@@ -12,11 +12,14 @@ a constant to every feasible walk; they never change which walk is optimal.
 Every exact TS value except the tree closed form comes from one pure-Python
 Held-Karp kernel, reached through one setup that enforces MAX_REQUIRED and
 refuses a disconnected graph: solve_exact, solve_all_ends and the finite
-factor TSPs of the free-product recursion all go through it.  The kernel
-slices the subset DP by walk length: for each station, one int of 2**k bits
-holds the subsets of the k stations whose shortest walk from start ending
-there is at most the current length L, and the next length's subsets come
-from big-int OR, AND and shift, as in hamiltonian._ends_dp.  The subsets
+factor TSPs of the free-product recursion all go through it.  That setup,
+_held_karp_closure, yields both a row of values to every end (_closure_row)
+and an optimal walk to any one end (_closure_walk), so the petal walk takes
+the value and the walk of each factor station mask from one closure.  The
+kernel slices the subset DP by walk length: for each station, one int of
+2**k bits holds the subsets of the k stations whose shortest walk from start
+ending there is at most the current length L, and the next length's subsets
+come from big-int OR, AND and shift, as in hamiltonian._ends_dp.  The subsets
 reached at each length are written into bit planes, plane b holding those
 whose length has bit b set, so a lookup reads one bit per plane.  When the
 stations lie far apart, the pending lengths and the planes would hold more
@@ -91,23 +94,10 @@ def validate_solution(inst: TspInstance, sol: TspSolution) -> None:
 
 def solve_exact(inst: TspInstance) -> TspSolution:
     """Globally minimal walk; deterministic tie-breaks favor small vertices."""
-    g = inst.graph
     bonus = sum(inst.service_weight.get(r, 0) for r in inst.required)
-    others, dist, dp = _held_karp_closure(g, inst.start, inst.required)
-    if not others:
-        walk = _lex_shortest_path(g, inst.start, inst.end, dist.get(inst.end))
-        return TspSolution(len(walk) - 1 + bonus, tuple(walk))
-
-    # others is sorted, so the smallest index breaks ties by smallest vertex
-    full = (1 << len(others)) - 1
-    total, last = min((dp(full, i) + dist[r][inst.end], i) for i, r in enumerate(others))
-    order = _reconstruct_order(dp, dist, inst.start, others, last)
-    stations = [inst.start] + [others[i] for i in order] + [inst.end]
-    walk: List[int] = [inst.start]
-    for a, b in zip(stations, stations[1:]):
-        leg = _lex_shortest_path(g, a, b, dist.get(b))
-        walk.extend(leg[1:])
-    sol = TspSolution(total + bonus, tuple(walk))
+    closure = _held_karp_closure(inst.graph, inst.start, inst.required)
+    edges, walk = _closure_walk(inst.graph, inst.start, inst.end, closure)
+    sol = TspSolution(edges + bonus, walk)
     validate_solution(inst, sol)
     return sol
 
@@ -121,12 +111,37 @@ def solve_all_ends(
     """TS(start -> v; required) for every vertex v, in one DP sweep."""
     weights = service_weight or {}
     bonus = sum(weights.get(r, 0) for r in required)
-    others, dist, dp = _held_karp_closure(graph, start, required)
+    return _closure_row(graph.n, start, _held_karp_closure(graph, start, required), bonus)
+
+
+def _closure_row(n: int, start: int, closure, bonus: int = 0) -> List[int]:
+    """The edges of a shortest walk from start through the stations of a
+    _held_karp_closure to each of the n vertices, plus bonus."""
+    others, dist, dp = closure
     if not others:
-        return [dist[start][v] + bonus for v in range(graph.n)]
+        return [dist[start][v] + bonus for v in range(n)]
     full = (1 << len(others)) - 1
     last = [(dp(full, i), dist[r]) for i, r in enumerate(others)]
-    return [min(d + to[v] for d, to in last) + bonus for v in range(graph.n)]
+    return [min(d + to[v] for d, to in last) + bonus for v in range(n)]
+
+
+def _closure_walk(graph: FiniteGraph, start: int, end: int, closure) -> Tuple[int, Tuple[int, ...]]:
+    """(edges, walk): one shortest walk start -> end through the stations of
+    a _held_karp_closure, its value read from the table.  Ties go to the
+    smallest station, then to the lexicographically smallest leg."""
+    others, dist, dp = closure
+    if not others:
+        walk = _lex_shortest_path(graph, start, end, dist.get(end))
+        return len(walk) - 1, tuple(walk)
+    # others is sorted, so the smallest index breaks ties by smallest vertex
+    full = (1 << len(others)) - 1
+    total, last = min((dp(full, i) + dist[r][end], i) for i, r in enumerate(others))
+    order = _reconstruct_order(dp, dist, start, others, last)
+    stations = [start] + [others[i] for i in order] + [end]
+    walk: List[int] = [start]
+    for a, b in zip(stations, stations[1:]):
+        walk.extend(_lex_shortest_path(graph, a, b, dist.get(b))[1:])
+    return total, tuple(walk)
 
 
 def _held_karp_closure(graph: FiniteGraph, start: int, required):
@@ -455,7 +470,7 @@ def _factor_ts_edges(model: FreeProductModel, factor: int, end: int, stations: i
     """Edge-minimal walk on the finite factor Cayley graph from the identity
     to `end` visiting the stations of the bitmask `stations`; one
     solve_all_ends row per mask, kept in the factor's tables in memo."""
-    graph, rows, _walks = _factor_tables(model, factor, memo)
+    graph, rows = _factor_tables(model, factor, memo)
     row = rows.get(stations)
     if row is None:
         e = model.factors[factor].table.identity
@@ -463,23 +478,38 @@ def _factor_ts_edges(model: FreeProductModel, factor: int, end: int, stations: i
     return row[end]
 
 
-def _factor_walk(model: FreeProductModel, factor: int, end: int, stations: int, memo) -> Tuple[int, ...]:
-    """One optimal walk of that factor TSP (solve_exact), kept in the
-    factor's tables in memo under (stations, end)."""
-    graph, _rows, walks = _factor_tables(model, factor, memo)
-    walk = walks.get((stations, end))
+def _factor_walk(
+    model: FreeProductModel, factor: int, end: int, stations: int, memo, closures
+) -> Tuple[int, ...]:
+    """One optimal walk of that factor TSP, checked by validate_solution.
+
+    The mask's Held-Karp closure is built once per petal walk and kept in
+    closures under (factor, stations), with the walks to each end taken from
+    it so far.  It also fills the mask's row in memo when that is missing,
+    so the value recursion reads the row of the table the walk came from."""
+    e = model.factors[factor].table.identity
+    entry = closures.get((factor, stations))
+    if entry is None:
+        graph, rows = _factor_tables(model, factor, memo)
+        closure = _held_karp_closure(graph, e, _members(stations))
+        if stations not in rows:
+            rows[stations] = _closure_row(graph.n, e, closure)
+        entry = closures[factor, stations] = (graph, closure, {})
+    graph, closure, walks = entry
+    walk = walks.get(end)
     if walk is None:
-        e = model.factors[factor].table.identity
-        walk = walks[stations, end] = solve_exact(TspInstance(graph, e, end, _members(stations))).walk
+        edges, walk = _closure_walk(graph, e, end, closure)
+        validate_solution(TspInstance(graph, e, end, _members(stations)), TspSolution(edges, walk))
+        walks[end] = walk
     return walk
 
 
 def _factor_tables(model: FreeProductModel, factor: int, memo):
-    """(Cayley graph, TS rows by station mask, walks by (station mask, end))
-    of one factor, kept in memo under the factor."""
+    """(Cayley graph, TS rows by station mask) of one factor, kept in memo
+    under the factor."""
     tables = memo.get(factor)
     if tables is None:
-        tables = memo[factor] = (finite_cayley_graph(model.factors[factor]), {}, {})
+        tables = memo[factor] = (finite_cayley_graph(model.factors[factor]), {})
     return tables
 
 
@@ -551,11 +581,10 @@ def ts_free_product_ends(
     the dive.  memo is the caller's dict for this position table; _ts_fp
     keeps in it the sub-excursion values keyed by the flat tuple (factor,
     end id, *sorted required ids), and under the bare factor that factor's
-    tables (see _factor_tables): its Cayley graph, its TS rows keyed by the
-    bitmask of stations and its walks keyed by (bitmask, end station).  A
-    factor's tables are not in the flat key space, so a station mask never
-    meets a sub-excursion key such as (factor, end id) of an empty required
-    set.
+    tables (see _factor_tables): its Cayley graph and its TS rows keyed by
+    the bitmask of stations.  A factor's tables are not in the flat key
+    space, so a station mask never meets a sub-excursion key such as
+    (factor, end id) of an empty required set.
 
     A root key rarely recurs, so the root copy is not memoised.  Each end
     costs one route lookup, the sum of the closed excursions of every petal
@@ -599,11 +628,18 @@ def ts_free_product_ids_walk(
     positions: PositionTable, end: int, required: FrozenSet[int], memo: dict
 ) -> Tuple[int, List[Payload]]:
     """(ts_free_product_ids, one optimal walk e -> end as payloads), both on
-    memo.  The walk's edge count must equal the recursion's value."""
+    memo.  The walk goes first and fills the factor rows it uses; the value
+    recursion then runs apart from it, and the walk's edge count must equal
+    its value."""
+    letters = _walk_fp(positions, 0, end, required, memo, {})
     value = ts_free_product_ids(positions, end, required, memo)
-    walk = _walk_fp(positions, 0, end, required, memo)
-    if len(walk) - 1 != value:
-        raise VerificationError(f"free-product walk has {len(walk) - 1} edges but TS is {value}")
+    if len(letters) != value:
+        raise VerificationError(f"free-product walk has {len(letters)} edges but TS is {value}")
+    push, word = positions.model._push, []
+    walk: List[Payload] = [()]
+    for letter in letters:
+        push(word, letter)
+        walk.append(tuple(word))
     return value, walk
 
 
@@ -618,12 +654,6 @@ def ts_free_product_walk(
     start, positions, end_id, req_ids = _localise(model, start, end, required)
     value, local = ts_free_product_ids_walk(positions, end_id, req_ids, {})
     return value, [model.mul_payload(start, p) for p in local]
-
-
-def _attach(model: FreeProductModel, factor: int, station: int, sub: List[Payload]) -> List[Payload]:
-    if station == model.factors[factor].table.identity:
-        return sub
-    return [model.mul_payload(((factor, station),), p) for p in sub]
 
 
 def _split(positions: PositionTable, factor: int, end: int, required: Collection[int]):
@@ -650,32 +680,31 @@ def _split(positions: PositionTable, factor: int, end: int, required: Collection
     return (stations, beyond, *routes[end])
 
 
-def _walk_fp(positions: PositionTable, factor: int, end: int, required: Collection[int], memo):
-    """The petal walk from the identity of this `factor` copy: its factor walk,
-    each petal spliced in at its station's first visit, then the dive."""
+def _walk_fp(positions: PositionTable, factor: int, end: int, required: Collection[int], memo, closures):
+    """The petal walk from the identity of this `factor` copy as generator
+    letters, (factor, u^-1 v) for each factor edge u -> v: its factor walk,
+    each petal's letters spliced in at its station's first visit, then the
+    dive's.  A sub-walk starts and ends at its station, so its letters need
+    no translation."""
     if not required and not end:
-        return [()]
+        return []
     model = positions.model
     stations, beyond, end_idx, dive = _split(positions, factor, end, required)
     other = 1 - factor
-    dive_walk: List[Payload] = []
+    dive_letters: List[Tuple[int, int]] = []
     if dive:
-        sub = _walk_fp(positions, other, dive, beyond.pop(end_idx, ()), memo)
-        dive_walk = _attach(model, factor, end_idx, sub)
+        dive_letters = _walk_fp(positions, other, dive, beyond.pop(end_idx, ()), memo, closures)
         stations |= 1 << end_idx
-    excursions = {
-        s: _attach(model, factor, s, _walk_fp(positions, other, 0, sub, memo)) for s, sub in beyond.items()
-    }
+    excursions = {s: _walk_fp(positions, other, 0, sub, memo, closures) for s, sub in beyond.items()}
 
-    walk: List[Payload] = []
-    for v in _factor_walk(model, factor, end_idx, stations, memo):
-        # a petal's excursion starts and ends at v
-        walk.extend(excursions.pop(v, None) or _attach(model, factor, v, [()]))
-    if dive_walk:
-        if walk[-1] != dive_walk[0]:
-            raise VerificationError("dive must start at the end station")
-        walk.extend(dive_walk[1:])
-    return walk
+    table = model.factors[factor].table
+    mul, inv = table.mul, table.inv
+    fwalk = _factor_walk(model, factor, end_idx, stations, memo, closures)
+    letters = excursions.pop(fwalk[0], [])
+    for u, v in zip(fwalk, fwalk[1:]):
+        letters.append((factor, mul[inv[u]][v]))
+        letters += excursions.pop(v, ())
+    return letters + dive_letters
 
 
 def _ts_fp(positions: PositionTable, factor: int, end: int, required: Collection[int], memo) -> int:

@@ -321,10 +321,14 @@ def _solve_walk(
     model: LamplighterModel, pos: Payload, support: FrozenSet[Payload], backend: MetricBackend
 ) -> Tuple[int, List[Payload]]:
     """(TS length, walk as payloads) under any backend, the walk checked
-    against an independent value: the tree closed form, the petal recursion
-    on the model's memo, or the Held-Karp total of one exact TSP solve on the
-    finite Cayley graph, the bounding box or (generic, an upper bound) a
-    slack-padded ball."""
+    against a value computed apart from it: the tree closed form, the petal
+    value recursion on the model's memo, or the Held-Karp total of one exact
+    TSP solve on the finite Cayley graph, the bounding box or (generic, an
+    upper bound) a slack-padded ball.  The petal walk is built from
+    generator letters by its own recursion, taking the walk and the row of
+    each factor station mask from one Held-Karp closure; the value
+    recursion reads those rows, so the check compares the two recursions
+    over the factor copies, not two factor solves."""
     base, strategy = model.base, backend.strategy
     if strategy == "tree":
         return tsp.ts_tree_walk((), pos, sorted(support), base)
@@ -364,7 +368,8 @@ def _generic_radius(base: GroupModel, pos: Payload, support) -> int:
 
 @dataclass(frozen=True)
 class DepthReport:
-    element: WreathState
+    # None in the report that the rows of one shell of a k_max 0 profile share
+    element: Optional[WreathState]
     word_length: int
     depth: int
     depth_exact: bool  # False: depth is only known to be >= the stated value
@@ -920,12 +925,13 @@ def depth_profile(
     one shell further out).  Every shell up to the last one is complete,
     also after a cap cut, so a neighbour of a last-shell element that is not
     in the ball is one longer: with k_max >= 1 such an element is depth 0.
-    Only the rest trigger a depth search.  The word-length formula is
-    checked against the BFS distance on every last-shell and every searched
-    element.  The ball and the checks run on interned states; a state is
-    decoded only for a depth search or an error message.  The rows are
-    ProfileRows: one int each, with element ids built as rows are read or
-    written.
+    Only the rest trigger a depth search.  With k_max 0 nothing is searched:
+    the stuck and the last-shell elements are depth >= 0, the report of
+    depth() on each.  The word-length formula is checked against the BFS
+    distance on every last-shell and every stuck element.  The ball and the
+    checks run on interned states; a state is decoded only for a depth
+    search or an error message.  The rows are ProfileRows: one int each,
+    with element ids built as rows are read or written.
 
     The last shell is taken one lamp configuration at a time, in row order.
     Its leave test reads the base moves from the position table's rows and
@@ -937,28 +943,44 @@ def depth_profile(
     _require_exact(backend)
     dist, complete, stuck = _ball_shells(model, radius, cap, partial_ok)
     reached = max(dist.values(), default=0)
+    # depth() with k_max 0 expands nothing and reports depth >= 0 whatever
+    # the element, so such rows are only priced and one shell's rows share
+    # one report
+    lower = [DepthReport(None, L, 0, False) for L in range(reached + 1)]
     # a saturated finite ball finds its whole last shell stuck
-    below = {s: _search(model, s, dist[s], k_max, backend) for s in stuck if dist[s] < reached}
+    if k_max:
+        below = {s: _search(model, s, dist[s], k_max, backend) for s in stuck if dist[s] < reached}
+    else:
+        below = {}
+        stuck_below = sorted(s for s in stuck if dist[s] < reached)
+        for c, states in itertools.groupby(stuck_below, lambda s: s >> 32):
+            states = list(states)
+            for s, L in zip(states, _config_lengths(model, c, [s & _POS_MASK for s in states], backend)):
+                if L != dist[s]:
+                    _check_formula(model, s, L, dist[s])
+                below[s] = lower[L]
     rows = ProfileRows(model, dist, below)
     positions = model._positions
     for c, row_keys, ends in rows.shell_configs(reached):
         bits = c << 32
-        leaving = []
-        for k, p in zip(row_keys, ends):
-            out = False
-            if k_max >= 1:
+        if k_max:
+            priced = []
+            for k, p in zip(row_keys, ends):
                 for q in positions.rows[p] or positions.steps(p):
                     if bits | q not in dist:
                         out = True
                         break
                 else:
                     out = _lamp_moves_leave(model, bits | p, dist)
-            if out:
-                leaving.append(p)
-            else:
-                rows.searched[k] = _search(model, bits | p, reached, k_max, backend)
-        if leaving:
-            for p, L in zip(leaving, _config_lengths(model, c, leaving, backend)):
+                if out:
+                    priced.append(p)
+                else:
+                    rows.searched[k] = _search(model, bits | p, reached, k_max, backend)
+        else:
+            priced = ends
+            rows.searched.update(dict.fromkeys(row_keys, lower[reached]))
+        if priced:
+            for p, L in zip(priced, _config_lengths(model, c, priced, backend)):
                 if L != reached:
                     _check_formula(model, bits | p, L, reached)
     return DepthProfile(radius, k_max, rows, complete)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -202,18 +203,92 @@ class TestWordlenSolve:
         elem = tmp_path / "elem.json"
         elem.write_text('{"lamps": [[[[1, 1], [0, 1]], 1], [[[0, 1], [1, 1], [0, 1]], 1]],'
                         ' "position": [[0, 2]]}')
-        graphs, solves = [], []
-        build, solve = cli.wreath.tsp.finite_cayley_graph, cli.wreath.tsp.solve_exact
+        # and the value and the walk of each factor TSP share one Held-Karp
+        # closure: one per (graph, start, required) for the whole query
+        graphs, closures = [], []
+        build, close = cli.wreath.tsp.finite_cayley_graph, cli.wreath.tsp._held_karp_closure
         monkeypatch.setattr(cli.wreath.tsp, "finite_cayley_graph",
                             lambda model: graphs.append(model) or build(model))
-        monkeypatch.setattr(cli.wreath.tsp, "solve_exact",
-                            lambda inst: solves.append(inst) or solve(inst))
+        monkeypatch.setattr(cli.wreath.tsp, "_held_karp_closure",
+                            lambda graph, start, required: closures.append(
+                                (id(graph), start, tuple(required))) or close(graph, start, required))
         rc, _, err = run(["wordlen", "--group", specs["ll_fp82.json"], "--element", str(elem),
                           "--backend", "petal", "--verify"])
         assert rc == 0, err
         assert len(graphs) == len(set(map(id, graphs))) == 2
-        keys = [(id(i.graph), i.start, i.end, i.required) for i in solves]
-        assert keys and len(keys) == len(set(keys))
+        assert len(closures) == len(set(closures)) == 3
+
+
+def _s3_model():
+    """S3 from its table (permutation composition), generated by a
+    transposition and a 3-cycle; element 0 is the identity."""
+    import itertools as it
+
+    perms = list(it.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    mul = tuple(tuple(index[tuple(p[q[i]] for i in range(3))] for q in perms) for p in perms)
+    inv = tuple(index[tuple(sorted(range(3), key=lambda i: p[i]))] for p in perms)
+    table = cli.groups.FiniteGroupTable(6, mul, index[(0, 1, 2)], inv, name="S3")
+    return cli.groups.FiniteModel(table, [index[(1, 0, 2)], index[(1, 2, 0)]])
+
+
+PETAL_BASES = {
+    "z8*z2": lambda: (cli.groups.make_cyclic(8, [1]), cli.groups.make_cyclic(2, [1], letter="c")),
+    "z3*z4": lambda: (cli.groups.make_cyclic(3, [1]), cli.groups.make_cyclic(4, [1], letter="c")),
+    "s3*z2": lambda: (_s3_model(), cli.groups.make_cyclic(2, [1], letter="c")),
+}
+
+# sha256 of the 40 outputs of each base in TestPetalWalksFrozen, recorded
+# before the walks were built from generator letters
+PETAL_WORDLEN_SHA256 = {
+    "z8*z2": "b42f3e68eb2b907d10eeb63c7714b63162c51d54acf8531c02458595e243eefe",
+    "z3*z4": "4ed9f9c113cc66a2ffa79cbd8dc37064f1f5d6343f953dfd1994b9e9a8edfbd8",
+    "s3*z2": "88a51e9a0d51ba987537463b6e9783709ca8e35cbafd08de1d92ceb6ef93f97c",
+}
+
+
+def petal_wordlen_outputs(base, tmp_path, monkeypatch):
+    """`wordlen --backend petal --verify` on seeded elements of Z/2 wr
+    (H * K) with 1, 2, .., 40 lit lamps, each lamp and the position a word
+    of up to six alternating letters.  The queries share one model, so the
+    later ones also meet factor rows that earlier ones left in its memo."""
+    H, K = PETAL_BASES[base]()
+    model = cli.wreath.LamplighterModel(cli.groups.make_cyclic(2, [1], letter="a"),
+                                        cli.groups.make_free_product(H, K))
+    monkeypatch.setattr(cli, "_lamplighter_from_file", lambda path: model)
+    orders = (H.table.order, K.table.order)
+    rng = random.Random(base)
+
+    def word():
+        f = rng.randint(0, 1)
+        out = []
+        for _ in range(rng.randint(0, 6)):
+            out.append([f, rng.randrange(1, orders[f])])
+            f = 1 - f
+        return out
+
+    outputs = []
+    for size in range(1, 41):
+        lamps = {}
+        while len(lamps) < size:
+            w = word()
+            lamps[json.dumps(w)] = w
+        elem = tmp_path / f"{size}.json"
+        elem.write_text(json.dumps({"lamps": [[w, 1] for w in lamps.values()], "position": word()}))
+        rc, out, err = run(["wordlen", "--group", "spec", "--element", str(elem),
+                            "--backend", "petal", "--verify"])
+        assert rc == 0, err
+        outputs.append(out)
+    return outputs
+
+
+class TestPetalWalksFrozen:
+    @pytest.mark.parametrize("base", sorted(PETAL_BASES))
+    def test_outputs_frozen(self, base, tmp_path, monkeypatch):
+        # the non-abelian S3 factor tells the letter u^-1 v of a factor edge
+        # u -> v from v u^-1
+        outputs = petal_wordlen_outputs(base, tmp_path, monkeypatch)
+        assert hashlib.sha256("".join(outputs).encode()).hexdigest() == PETAL_WORDLEN_SHA256[base]
 
 
 class TestHamdiff:

@@ -40,6 +40,15 @@ class TestFiniteTables:
         with pytest.raises(ValueError, match=r"\(column\)"):
             G.FiniteGroupTable(3, rows, 0, (0, 2, 1))
 
+    def test_nonassociative_loop_rejected(self):
+        # a Latin square with identity 0 and x * x = 0 for every x: it passes
+        # every check but associativity, as no group of order 5 has all its
+        # elements of order 2; 36 of its 125 triples fail, the fewest of any
+        # such square of order 5
+        rows = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+        with pytest.raises(ValueError, match="associativity"):
+            G.FiniteGroupTable(5, rows, 0, (0, 1, 2, 3, 4))
+
     def test_direct_product(self):
         t = G.direct_product_table(G.cyclic_table(2), G.cyclic_table(3))
         assert t.order == 6 and t.is_abelian()

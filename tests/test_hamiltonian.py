@@ -435,6 +435,14 @@ class TestQhCertificates:
         with pytest.raises(VerificationError, match=f"^qh certificate: {message}$"):
             H.verify_qh_certificate(model, cert)
 
+    def test_verifier_rejects_missing_walk(self):
+        # the other four walks all check out, but nothing reaches 2
+        model = G.make_abelian(1, [], [[1], [2]])
+        cert = H.qh_certificate(model, 1, M=1, strategy="ball-exact")
+        del cert.witnesses[0].walks["2"]
+        with pytest.raises(VerificationError, match="^qh certificate: walk endpoints are not the witness set$"):
+            H.verify_qh_certificate(model, cert)
+
     def test_json_round_trip_is_deterministic(self):
         model = G.make_abelian(2, [], [[1, 0], [0, 1]])
         a = H.qh_certificate(model, 1, M=2).to_json()

@@ -714,6 +714,32 @@ class TestProfileLookup:
         prof = W.depth_profile(_model(key), radius, k_max, cap=cap, partial_ok=True)
         assert len(calls) == sum(1 for r in prof.rows if r.depth >= 1)
 
+    @pytest.mark.parametrize("key, radius, k_max, cap", [c for c in PROFILE_CASES if c[2] == 0])
+    def test_kmax_zero_searches_nothing(self, monkeypatch, key, radius, k_max, cap):
+        # depth() with k_max 0 expands nothing, so no row is searched and the
+        # lower-bound rows of one shell share one report
+        monkeypatch.setattr(W, "depth", lambda *a: pytest.fail("depth() ran"))
+        prof = W.depth_profile(_model(key), radius, k_max, cap=cap, partial_ok=True)
+        reports = list(prof.rows.searched.values())
+        assert len(reports) > len({r.word_length for r in reports}) == len(set(map(id, reports)))
+
+    @pytest.mark.parametrize("key, radius, below", [("fp82", 5, False), ("z3_wr_z4", 30, True)])
+    def test_kmax_zero_formula_check(self, monkeypatch, key, radius, below):
+        # with k_max 0 nothing is searched, yet the formula is still checked
+        # on every last-shell row and on every stuck row below the last shell
+        model = _model(key)
+        dist, _ = W.enumerate_ball(model, radius)
+        reached = max(dist.values())
+        off = {g for g, L in dist.items() if (L < reached) == below}
+        exact = W._config_lengths
+
+        def off_by_one(m, c, ends, be):
+            return [L + (m._decode(c << 32 | p) in off) for L, p in zip(exact(m, c, ends, be), ends)]
+
+        monkeypatch.setattr(W, "_config_lengths", off_by_one)
+        with pytest.raises(VerificationError, match="formula gives"):
+            W.depth_profile(model, radius, 0)
+
     def test_last_shell_formula_check(self, monkeypatch):
         # off by one on the last shell only: those rows are decided by
         # lookup, yet the formula is still checked on every one of them
@@ -838,9 +864,13 @@ class TestLastShellPass:
         be = W.auto_backend(model)
         prof = W.depth_profile(model, radius, k_max, cap=cap, partial_ok=True)
         rows = prof.rows
-        for rep in rows.searched.values():
-            W.depth(oracle, rep.element, k_max, be)
         reached = max(prof.max_depth_per_shell())  # the last shell
+        # the rows of one shell of a k_max 0 profile share one report, which
+        # holds no element: every searched state is decoded from its row
+        for L in range(reached + 1):
+            for k, s in _shell_states(rows, L):
+                if k in rows.searched:
+                    W.depth(oracle, model._decode(s), k_max, be)
         last = _shell_states(rows, reached)
         assert last and (k_max >= 1) == any(k not in rows.searched for k, _s in last)
         for k, s in last:
