@@ -175,21 +175,23 @@ def hamiltonian_difference_detail(model: FiniteModel) -> Tuple[int, int, int, Li
 @dataclass(frozen=True)
 class _GraphBits:
     """Bitset view of a graph shared by every spanning-walk search on it:
-    per-vertex adjacency masks and the bipartition side of each vertex
-    (None when the graph has an odd cycle)."""
+    per-vertex adjacency masks, the bipartition side of each vertex and the
+    number of vertices on each side (both None when the graph has an odd
+    cycle)."""
 
     g: FiniteGraph
     adjm: Tuple[int, ...]
     side: Optional[Tuple[int, ...]]
+    side_sizes: Optional[Tuple[int, int]]
 
 
 def _graph_bits(g: FiniteGraph) -> _GraphBits:
     adjm = tuple(sum(1 << v for v in nbrs) for nbrs in g.adj)
     parts = g.bipartition()
-    side = None
-    if parts is not None:
-        side = tuple(int(v in parts[1]) for v in range(g.n))
-    return _GraphBits(g, adjm, side)
+    if parts is None:
+        return _GraphBits(g, adjm, None, None)
+    side = tuple(int(v in parts[1]) for v in range(g.n))
+    return _GraphBits(g, adjm, side, (g.n - sum(side), sum(side)))
 
 
 def spanning_walk_min_repeats(
@@ -201,7 +203,10 @@ def spanning_walk_min_repeats(
     Budget 0 is a plain Hamiltonian-path search.  Raises ResourceCapError
     when a search gives up, so None always means "no such walk".
     """
-    bits = _graph_bits(g)
+    return _fewest_repeats(_graph_bits(g), s, t, max_repeats)
+
+
+def _fewest_repeats(bits: _GraphBits, s: int, t: int, max_repeats: int) -> Optional[Tuple[int, ...]]:
     for budget in range(max_repeats + 1):
         found = _spanning_walk_exact_repeats(bits, s, t, budget)
         if found is not None:
@@ -218,15 +223,11 @@ def _bipartite_infeasible(bits: _GraphBits, s: int, t: int, budget: int) -> bool
     side = bits.side
     if side is None:
         return False
-    n = bits.g.n
-    slots = n + budget
+    slots = bits.g.n + budget
     if (slots - 1) % 2 != (side[s] ^ side[t]):
         return True
-    c_start = (slots + 1) // 2
-    c_other = slots // 2
-    need_start = side.count(side[s])
-    need_other = n - need_start
-    return c_start < need_start or c_other < need_other
+    need = bits.side_sizes
+    return (slots + 1) // 2 < need[side[s]] or slots // 2 < need[side[s] ^ 1]
 
 
 def _spanning_walk_exact_repeats(
@@ -245,13 +246,12 @@ def _spanning_walk_exact_repeats(
     With no repeats left the parent's unvisited set was connected, so after
     a fresh move only the removed vertex's neighbours need to stay joined.
     """
-    g, adjm = bits.g, bits.adjm
-    n = g.n
+    adjm, adj = bits.adjm, bits.g.adj
+    n = bits.g.n
     if _bipartite_infeasible(bits, s, t, budget):
         return None
     cap = _SEARCH_NODE_CAP
-    slots = n + budget
-    walk = [s]
+    walk: List[int] = []  # filled end first as a found walk unwinds
     nodes = 0
 
     def flood(seed: int, within: int, goal: int) -> int:
@@ -278,7 +278,8 @@ def _spanning_walk_exact_repeats(
             unv &= ~flood(unv & -unv, unv, unv)
         return False
 
-    def dfs(cur: int, prev: int, unv: int, repeats: int, fresh: bool) -> bool:
+    def dfs(cur: int, prev: int, unv: int, repeats: int, fresh: bool, left: int) -> bool:
+        # left: the vertex slots still free after cur
         nonlocal nodes
         nodes += 1
         if nodes > cap:
@@ -287,42 +288,37 @@ def _spanning_walk_exact_repeats(
                 f"({s}->{t}, {budget} repeats, {unv.bit_count()} vertices unvisited)"
             )
         if not unv and cur == t:
+            walk.append(cur)
             return True
-        remaining_slots = slots - len(walk)
-        if unv.bit_count() > remaining_slots or remaining_slots <= 0:
+        if unv.bit_count() > left or left <= 0:
             return False
         if fresh and not repeats:
-            # only cur's unvisited neighbours can have come apart
+            # only cur's unvisited neighbours can have come apart; one or
+            # none cannot
             joined = adjm[cur] & unv
-            if joined & ~flood(joined & -joined, unv, joined):
+            if joined & (joined - 1) and joined & ~flood(joined & -joined, unv, joined):
                 return False
         elif components_exceed(unv, repeats + 1):
             return False
         if not repeats and prev >= 0:
             # prev is spent: its free neighbours lost a way in or out
             open_ = unv | (1 << cur)
-            for x in g.adj[prev]:
+            for x in adj[prev]:
                 if x != t and unv >> x & 1 and (adjm[x] & open_).bit_count() < 2:
                     return False
-        fresh_moves = sorted(
-            ((adjm[w] & unv).bit_count(), w) for w in g.adj[cur] if unv >> w & 1
-        )
-        for _, w in fresh_moves:
-            walk.append(w)
-            if dfs(w, cur, unv ^ (1 << w), repeats, True):
+        for _, w in sorted([((adjm[w] & unv).bit_count(), w) for w in adj[cur] if unv >> w & 1]):
+            if dfs(w, cur, unv ^ (1 << w), repeats, True, left - 1):
+                walk.append(cur)
                 return True
-            walk.pop()
         if repeats:
-            for w in g.adj[cur]:
-                if not unv >> w & 1:
-                    walk.append(w)
-                    if dfs(w, cur, unv, repeats - 1, False):
-                        return True
-                    walk.pop()
+            for w in adj[cur]:
+                if not unv >> w & 1 and dfs(w, cur, unv, repeats - 1, False, left - 1):
+                    walk.append(cur)
+                    return True
         return False
 
-    if dfs(s, -1, ((1 << n) - 1) ^ (1 << s), budget, False):
-        return tuple(walk)
+    if dfs(s, -1, ((1 << n) - 1) ^ (1 << s), budget, False, n + budget - 1):
+        return tuple(reversed(walk))
     return None
 
 
@@ -344,19 +340,20 @@ def grid_spanning_path(
     """
     if m1 < 2 or m2 < 2:
         raise ValueError("grid dimensions must be at least 2")
-    g = _grid_graph(m1, m2)
+    bits = _grid_bits(m1, m2)
+    g = bits.g
     si, ti = _grid_index(m1, m2, s), _grid_index(m1, m2, t)
     if g.n <= 20:
-        walk = spanning_walk_min_repeats(g, si, ti, max_repeats=2)
+        walk = _fewest_repeats(bits, si, ti, max_repeats=2)
     else:
-        walk = _large_grid_walk(g, si, ti)
+        walk = _large_grid_walk(bits, si, ti)
     if walk is None:
         raise AssertionError("no spanning walk within two repeats; bound violated")
     return tuple(g.labels[v] for v in walk)
 
 
-def _large_grid_walk(g: FiniteGraph, s: int, t: int) -> Optional[Tuple[int, ...]]:
-    bits = _graph_bits(g)
+def _large_grid_walk(bits: _GraphBits, s: int, t: int) -> Optional[Tuple[int, ...]]:
+    g = bits.g
     ham = _spanning_walk_exact_repeats(bits, s, t, 0)
     if ham is not None:
         return ham
@@ -396,6 +393,14 @@ def _grid_graph(m1: int, m2: int) -> FiniteGraph:
     return cube_graph([m1, m2])
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_bits(m1: int, m2: int) -> _GraphBits:
+    """The spanning-search context of Cube(m1, m2), built once per shape.
+    Only grids get one: a cache keyed by arbitrary graphs would grow
+    without bound, so other callers build theirs per call."""
+    return _graph_bits(_grid_graph(m1, m2))
+
+
 def _grid_index(m1: int, m2: int, p: Tuple[int, int]) -> int:
     i, j = p
     if not (1 <= i <= m1 and 1 <= j <= m2):
@@ -403,14 +408,16 @@ def _grid_index(m1: int, m2: int, p: Tuple[int, int]) -> int:
     return (i - 1) * m2 + (j - 1)
 
 
-def _snake_order(m1: int, m2: int) -> List[Tuple[int, int]]:
-    """Boustrophedon Hamiltonian path of Cube(m1, m2) starting at (1, 1)."""
+@functools.lru_cache(maxsize=None)
+def _snake_fold(m1: int, m2: int) -> Tuple[List[Tuple[int, int]], Dict[Tuple[int, int], int]]:
+    """Boustrophedon Hamiltonian path of Cube(m1, m2) starting at (1, 1), and
+    the 1-based place of each vertex on it; built once per shape."""
     out = []
     for j in range(1, m2 + 1):
         row = range(1, m1 + 1) if j % 2 == 1 else range(m1, 0, -1)
         for i in row:
             out.append((i, j))
-    return out
+    return out, {p: idx + 1 for idx, p in enumerate(out)}
 
 
 def cube_spanning_path(
@@ -456,8 +463,7 @@ def _cube_walk(dims: List[int], s: Tuple[int, ...], t: Tuple[int, ...]):
     if len(dims) == 2:
         return grid_spanning_path(dims[0], dims[1], s, t)
     m1, m2 = dims[-2], dims[-1]
-    snake = _snake_order(m1, m2)
-    pos = {p: idx + 1 for idx, p in enumerate(snake)}
+    snake, pos = _snake_fold(m1, m2)
     folded_dims = dims[:-2] + [m1 * m2]
     fold = lambda p: p[:-2] + (pos[p[-2:]],)
     walk = _cube_walk(folded_dims, fold(s), fold(t))

@@ -580,9 +580,11 @@ class ProfileRows(abc.Sequence):
     fields as wide as the numbers of distinct bodies and names need.  A
     ProfileRow, and with it the element id `body;name`, is built only when
     the row is read.  The searched rows keep their DepthReport in a small
-    dict keyed by row; every other row has depth 0, exact.  The writers
-    build no ProfileRow: text_blocks formats the rows in blocks straight
-    from the ints.
+    dict keyed by row.  Every other row of a shell in `bounds` reads that
+    shell's one report (the lower bounds of a k_max 0 profile's last
+    shell); every other row has depth 0, exact.  The writers build no
+    ProfileRow: text_blocks formats the rows in blocks straight from the
+    ints.
 
     Rows of one word length compare by body first and name second.  That
     is the string order of the element ids `body;name` as long as no
@@ -632,12 +634,13 @@ class ProfileRows(abc.Sequence):
                 raise ValueError("dist must list its states shell by shell")
             self.keys.fromlist(shell)
         self.searched = {key(s, rep.word_length): rep for s, rep in searched.items()}
+        self.bounds: Dict[int, DepthReport] = {}
 
     def _element_id(self, k: int) -> str:
         return self.bodies[k >> self._name_bits & self._body_mask] + self.names[k & self._name_mask]
 
     def _row(self, k: int) -> ProfileRow:
-        rep = self.searched.get(k)
+        rep = self.searched.get(k) or self.bounds.get(k >> self._shell_shift)
         if rep is None:
             return ProfileRow(self._element_id(k), k >> self._shell_shift, 0, True)
         return ProfileRow(self._element_id(k), rep.word_length, rep.depth, rep.depth_exact)
@@ -675,12 +678,13 @@ class ProfileRows(abc.Sequence):
     ) -> Iterator[List[str]]:
         """The rows as text, in row order and in lists of at most ROW_BLOCK.
 
-        A searched row is full(element id, its report).  Any other row of
-        word length L is head + the field of its element id + tail(L), with
-        tail called once per shell.  field(text) is text as one output field:
-        text itself, or text escaped between double quotes.  The field of
-        `body;name` is put together from the fields of the body and the name,
-        each made once, and is quoted when either of them is.
+        A searched row is full(element id, its report), and so is any other
+        row of a shell in bounds, with that shell's report.  Any other row
+        of word length L is head + the field of its element id + tail(L),
+        with tail called once per shell.  field(text) is text as one output
+        field: text itself, or text escaped between double quotes.  The
+        field of `body;name` is put together from the fields of the body and
+        the name, each made once, and is quoted when either of them is.
         """
         bodies, names = self.bodies, self.names
         body_fields, name_fields = list(map(field, bodies)), list(map(field, names))
@@ -698,14 +702,17 @@ class ProfileRows(abc.Sequence):
         marks = sorted(self.searched)
         m = 0
         for L in range((keys[-1] >> self._shell_shift) + 1):
-            t = tail(L)
+            t, bound = tail(L), self.bounds.get(L)
             lo, hi = self._shell_range(L)
             for i in range(lo, hi, ROW_BLOCK):
                 j = min(i + ROW_BLOCK, hi)
-                block = [
-                    opened[b] + closed[n] + t if quoted_body[b] or quoted_name[n] else plain[b] + names[n] + t
-                    for k in keys[i:j] for b, n in ((k >> nb & bm, k & nm),)
-                ]
+                if bound:
+                    block = [full(self._element_id(k), bound) for k in keys[i:j]]
+                else:
+                    block = [
+                        opened[b] + closed[n] + t if quoted_body[b] or quoted_name[n] else plain[b] + names[n] + t
+                        for k in keys[i:j] for b, n in ((k >> nb & bm, k & nm),)
+                    ]
                 while m < len(marks) and marks[m] <= keys[j - 1]:
                     k = marks[m]
                     row = full(self._element_id(k), self.searched[k])
@@ -736,7 +743,7 @@ class ProfileRows(abc.Sequence):
     def max_depth_per_shell(self) -> Dict[int, int]:
         # a ball has rows on every shell from 0 to its last one
         out = dict.fromkeys(range((self.keys[-1] >> self._shell_shift) + 1), 0)
-        for rep in self.searched.values():
+        for rep in itertools.chain(self.searched.values(), self.bounds.values()):
             out[rep.word_length] = max(out[rep.word_length], rep.depth)
         return out
 
@@ -960,6 +967,8 @@ def depth_profile(
                     _check_formula(model, s, L, dist[s])
                 below[s] = lower[L]
     rows = ProfileRows(model, dist, below)
+    if not k_max:
+        rows.bounds[reached] = lower[reached]
     positions = model._positions
     for c, row_keys, ends in rows.shell_configs(reached):
         bits = c << 32
@@ -978,7 +987,6 @@ def depth_profile(
                     rows.searched[k] = _search(model, bits | p, reached, k_max, backend)
         else:
             priced = ends
-            rows.searched.update(dict.fromkeys(row_keys, lower[reached]))
         if priced:
             for p, L in zip(priced, _config_lengths(model, c, priced, backend)):
                 if L != reached:

@@ -4,6 +4,7 @@ cubes of graphs, Nash-Williams bases, quasi-Hamiltonian certificates."""
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -140,6 +141,48 @@ class TestSpanningSearch:
                         assert len(best) == opt and _is_spanning_walk(g, best, s, t)
 
 
+# (m1, m2, s, t, nodes): DFS nodes of the budget-0 search from s to t on
+# Cube(m1, m2), counted on the search before its per-node costs were cut.
+# 3x9 is the grid that Cube(3,3,3) folds onto.  Every search finds a walk.
+GRID_NODE_COUNTS = [
+    (5, 6, 10, 11, 5251), (5, 6, 12, 6, 4120), (5, 6, 7, 13, 1611), (5, 6, 1, 11, 700),
+    (5, 6, 17, 7, 405), (5, 6, 13, 4, 282), (5, 6, 28, 8, 98), (5, 6, 28, 25, 59),
+    (3, 9, 26, 8, 1284), (3, 9, 8, 6, 1081), (3, 9, 20, 0, 306), (3, 9, 16, 6, 298),
+    (3, 9, 14, 0, 208), (3, 9, 2, 12, 150), (3, 9, 18, 6, 103), (3, 9, 22, 12, 79),
+]
+
+
+class TestSearchWork:
+    """The spanning search's order and pruning, pinned by its node counts."""
+
+    @pytest.mark.parametrize("m1, m2, s, t, nodes", GRID_NODE_COUNTS)
+    def test_node_count_pinned(self, monkeypatch, m1, m2, s, t, nodes):
+        bits = H._grid_bits(m1, m2)
+        monkeypatch.setattr(H, "_SEARCH_NODE_CAP", nodes)
+        walk = H._spanning_walk_exact_repeats(bits, s, t, 0)
+        assert walk is not None and _is_spanning_walk(bits.g, walk, s, t)
+        monkeypatch.setattr(H, "_SEARCH_NODE_CAP", nodes - 1)
+        with pytest.raises(ResourceCapError, match=f"node cap {nodes - 1} "):
+            H._spanning_walk_exact_repeats(bits, s, t, 0)
+
+    def test_one_free_neighbour_is_not_flooded(self):
+        # after a fresh move that leaves cur at most one free neighbour
+        # nothing can have come apart, so the search floods only from two
+        goals = []
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "flood" and frame.f_back.f_code.co_name == "dfs":
+                goals.append(frame.f_locals["goal"])
+
+        sys.setprofile(hook)
+        try:
+            for m1, m2, s, t, _nodes in GRID_NODE_COUNTS[-4:]:
+                H._spanning_walk_exact_repeats(H._grid_bits(m1, m2), s, t, 0)
+        finally:
+            sys.setprofile(None)
+        assert goals and all(goal & (goal - 1) for goal in goals)
+
+
 class TestAnalyze:
     def test_c5(self):
         r = H.analyze(Gr.cycle_graph(5))
@@ -238,10 +281,25 @@ class TestGridSpanning:
         with pytest.raises(ValueError):
             H.grid_spanning_path(1, 5, (1, 1), (1, 2))
 
-    def test_grid_graph_built_once_per_shape(self):
+    def test_grid_graph_built_once_per_shape(self, monkeypatch):
         g = H._grid_graph(4, 3)
         assert g is H._grid_graph(4, 3) and g == Gr.cube_graph([4, 3])
         assert H._grid_graph(3, 4) == Gr.cube_graph([3, 4])
+        # the search bits and the cube fold tables are kept beside the graph
+        bits = H._grid_bits(4, 3)
+        assert bits is H._grid_bits(4, 3) and bits.g is g and bits == H._graph_bits(g)
+        assert bits.side_sizes == (6, 6)
+        snake, pos = H._snake_fold(3, 3)
+        assert H._snake_fold(3, 3) == (snake, pos) and H._snake_fold(3, 3)[1] is pos
+        assert snake[0] == (1, 1) and [pos[p] for p in snake] == list(range(1, 10))
+        # once a shape is seen, no call rebuilds its bits or fold tables
+        H.cube_spanning_path([3, 3, 3], (1, 1, 1), (3, 3, 3))
+        H.grid_spanning_path(4, 3, (1, 1), (4, 2))
+        misses = H._grid_bits.cache_info().misses, H._snake_fold.cache_info().misses
+        monkeypatch.setattr(H, "_graph_bits", lambda g: pytest.fail("bits rebuilt"))
+        H.cube_spanning_path([3, 3, 3], (1, 2, 1), (3, 3, 2))
+        H.grid_spanning_path(4, 3, (2, 1), (4, 3))
+        assert (H._grid_bits.cache_info().misses, H._snake_fold.cache_info().misses) == misses
 
     def test_bound_and_validity_sample(self):
         rng = random.Random(2)

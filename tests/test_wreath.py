@@ -720,8 +720,19 @@ class TestProfileLookup:
         # lower-bound rows of one shell share one report
         monkeypatch.setattr(W, "depth", lambda *a: pytest.fail("depth() ran"))
         prof = W.depth_profile(_model(key), radius, k_max, cap=cap, partial_ok=True)
-        reports = list(prof.rows.searched.values())
-        assert len(reports) > len({r.word_length for r in reports}) == len(set(map(id, reports)))
+        reports = list(prof.rows.searched.values()) + list(prof.rows.bounds.values())
+        lower = sum(1 for r in prof.rows if not r.depth_exact)
+        assert lower > len({r.word_length for r in reports}) == len(set(map(id, reports)))
+
+    @pytest.mark.parametrize("key, radius, k_max, cap", [c for c in PROFILE_CASES if c[2] == 0])
+    def test_kmax_zero_last_shell_adds_no_searched_entry(self, key, radius, k_max, cap):
+        # the last shell's lower-bound rows read the one report kept for
+        # their shell: none of them holds an entry of its own in searched
+        rows = W.depth_profile(_model(key), radius, k_max, cap=cap, partial_ok=True).rows
+        reached = rows.keys[-1] >> rows._shell_shift
+        lo, hi = rows._shell_range(reached)
+        assert hi > lo and not any(k in rows.searched for k in rows.keys[lo:hi])
+        assert not any(r.depth_exact for r in rows[lo:hi])
 
     @pytest.mark.parametrize("key, radius, below", [("fp82", 5, False), ("z3_wr_z4", 30, True)])
     def test_kmax_zero_formula_check(self, monkeypatch, key, radius, below):
@@ -872,7 +883,9 @@ class TestLastShellPass:
                 if k in rows.searched:
                     W.depth(oracle, model._decode(s), k_max, be)
         last = _shell_states(rows, reached)
-        assert last and (k_max >= 1) == any(k not in rows.searched for k, _s in last)
+        # with k_max >= 1 some last-shell row leaves the ball and is depth 0
+        # unsearched; with k_max 0 every one is an unsearched lower bound
+        assert last and (k_max >= 1) == any(rows._row(k)[2:] == (0, True) for k, _s in last)
         for k, s in last:
             g = model._decode(s)
             if k not in rows.searched:
