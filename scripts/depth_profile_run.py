@@ -20,6 +20,7 @@ import sys
 import time
 
 from lamplighter import cli, groups as G, wreath as W
+from lamplighter.limits import CAPS
 
 BASES = {
     "line": lambda: G.make_abelian(1, [], [[1]]),
@@ -41,7 +42,8 @@ def main(argv=None) -> int:
     ap.add_argument("--base", choices=sorted(BASES), default="line")
     ap.add_argument("--radius", type=int, default=7)
     ap.add_argument("--kmax", type=int, default=8)
-    ap.add_argument("--cap", type=int, help="state cap (default: LAMPLIGHTER_CAP, else 2e6)")
+    ap.add_argument("--cap", type=int,
+                    help=f"state cap (default: LAMPLIGHTER_CAP, else {CAPS['WREATH_BALL_CAP']:,})")
     args = ap.parse_args(argv)
     # the malloc thresholds of the depth-profile command, for the same peak RSS
     cli._fix_malloc_thresholds()

@@ -24,6 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, TextIO
 
 from . import graphs, groups, hamiltonian, wreath
 from .errors import ResourceCapError, UsageError, VerificationError
+from .limits import CAPS
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ends
 
@@ -395,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kmax", type=_at_least(0), default=8)
     sp.add_argument("--backend", default="auto",
                     choices=["auto", "finite", "tree", "petal", "box", "generic"])
-    sp.add_argument("--cap", type=_at_least(0), help="state cap (default 2e6)")
+    sp.add_argument("--cap", type=_at_least(0),
+                    help=f"state cap (default: LAMPLIGHTER_CAP, else {CAPS['WREATH_BALL_CAP']:,})")
     sp.add_argument("--format", default="csv", choices=["csv", "json"])
     common(sp)
 
@@ -423,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 # where earlier blocks landed.  Fixed thresholds give every block over
 # _MMAP_THRESHOLD its own mapping, returned to the OS when freed, and trim the
 # heap top past glibc's default of 128 KiB.  The threshold lies just above the
-# largest int of the subset DPs (2**24 bits at hamiltonian._DP_CAP, 2.2 MB),
+# largest int of the subset DPs (2**24 bits at DP_CAP of limits.CAPS, 2.2 MB),
 # which stay on the heap, where a freed block is reused without page faults.
 _MMAP_THRESHOLD = 3 << 20
 _TRIM_THRESHOLD = 128 << 10

@@ -2,7 +2,14 @@
 
 
 class ResourceCapError(RuntimeError):
-    """A configured size/frontier cap was exceeded; message names the cap."""
+    """A size passed its cap: its limits.CAPS name, its value and how far the run got."""
+
+    def __init__(self, cap_name: str, cap_value: int, reached: str):
+        super().__init__(cap_name, cap_value, reached)
+        self.cap_name, self.cap_value, self.reached = cap_name, cap_value, reached
+
+    def __str__(self) -> str:
+        return f"{self.cap_name} = {self.cap_value} exceeded {self.reached}"
 
 
 class BoundExceededError(RuntimeError):

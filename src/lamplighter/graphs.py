@@ -8,25 +8,13 @@ checks that on any instance and raises VerificationError otherwise.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ResourceCapError, UsageError, VerificationError
+from .errors import ResourceCapError, VerificationError
 from .groups import GroupModel, Payload
-
-DEFAULT_BALL_CAP = 200_000
-
-
-def env_cap(default: int) -> int:
-    """LAMPLIGHTER_CAP if set (a non-negative integer), else `default`."""
-    text = os.environ.get("LAMPLIGHTER_CAP")
-    if text is None:
-        return default
-    if not text.strip().isdecimal():
-        raise UsageError(f"LAMPLIGHTER_CAP must be a non-negative integer, got {text!r}")
-    return int(text)
+from .limits import env_cap
 
 
 @dataclass(frozen=True)
@@ -177,7 +165,7 @@ def cayley_ball(model: GroupModel, radius: int, cap: Optional[int] = None) -> Ca
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    cap = env_cap(DEFAULT_BALL_CAP) if cap is None else cap
+    cap = env_cap("CAYLEY_BALL_CAP") if cap is None else cap
     e = model.identity_payload()
     order: List[Payload] = [e]
     index: Dict[Payload, int] = {e: 0}
@@ -192,11 +180,8 @@ def cayley_ball(model: GroupModel, radius: int, cap: Optional[int] = None) -> Ca
                     order.append(y)
                     nxt.append(y)
                     if len(order) > cap:
-                        raise ResourceCapError(
-                            f"cayley_ball vertex cap {cap} (cap argument or LAMPLIGHTER_CAP; default"
-                            f" graphs.DEFAULT_BALL_CAP = {DEFAULT_BALL_CAP}) exceeded at radius {d};"
-                            f" radii 0..{d - 1} are complete"
-                        )
+                        raise ResourceCapError("CAYLEY_BALL_CAP", cap,
+                                               f"at radius {d}; radii 0..{d - 1} are complete")
         frontier = nxt
     edges = set()
     for x in order:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ResourceCapError
+from .limits import CAPS
 
 Payload = object  # per-variant encoding, always hashable and orderable
 
@@ -421,9 +422,6 @@ def _in_lattice(basis: List[List[int]], v: Sequence[int], dim: int) -> bool:
     return not any(v)
 
 
-BFS_LENGTH_CAP = 2_000_000  # elements one BFS word-length measurement may keep
-
-
 def _bfs_length_infinite(model: GroupModel, target: Payload) -> int:
     """Graph distance from the identity by layered BFS over payloads."""
     target = model.normalize_payload(target)
@@ -432,7 +430,7 @@ def _bfs_length_infinite(model: GroupModel, target: Payload) -> int:
         return 0
     dist = {e: 0}
     frontier = [e]
-    d = 0
+    d, cap = 0, CAPS["BFS_LENGTH_CAP"]
     while frontier:
         d += 1
         nxt = []
@@ -444,13 +442,11 @@ def _bfs_length_infinite(model: GroupModel, target: Payload) -> int:
                         return d
                     dist[y] = d
                     nxt.append(y)
-        if len(dist) > BFS_LENGTH_CAP:
-            raise ResourceCapError(
-                f"length BFS cap groups.BFS_LENGTH_CAP = {BFS_LENGTH_CAP} exceeded after"
-                f" radius {d} ({len(dist)} elements); the length is > {d}"
-            )
+        if len(dist) > cap:
+            raise ResourceCapError("BFS_LENGTH_CAP", cap,
+                                   f"after radius {d} ({len(dist)} elements); the length is > {d}")
         frontier = nxt
-    raise ResourceCapError("target not reached; generators do not generate?")
+    raise AssertionError("target not reached; generators do not generate?")
 
 
 def make_abelian(rank: int, moduli: Sequence[int], gen_vectors: Sequence[Sequence[int]]) -> AbelianModel:

@@ -29,13 +29,7 @@ from .groups import (
     group_spec_of,
 )
 from . import tsp
-
-# the ends-DP holds about 3n ints of 2**n bits: at n = 24 hamiltonian_path peaks at about
-# 180 MB RSS (4x6 grid, 0.6 s) and 230 MB (Cay(Z/24, {1,2,3}), 2 s) on a 2-CPU x86 box
-_DP_CAP = 24
-_BACKTRACK_CAP = 40
-_SEARCH_NODE_CAP = 2_000_000
-_BASIS_CLASS_CAP = 8  # generator classes; the basis search tries C(classes, rank) splits
+from .limits import CAPS
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +83,14 @@ def hamiltonian_path(g: FiniteGraph, u: int, v: int) -> Optional[Tuple[int, ...]
     n = g.n
     if u == v:
         return (u,) if n == 1 else None
-    if n <= _DP_CAP:
+    if n <= CAPS["DP_CAP"]:
         reach = _ends_dp(g, u, _not_masks(n))
         if reach[v] >> ((1 << n) - 1) & 1:
             return _dp_path(g, reach, u, v)
         return None
-    if n <= _BACKTRACK_CAP:
+    if n <= CAPS["BACKTRACK_CAP"]:
         return spanning_walk_min_repeats(g, u, v, max_repeats=0)
-    raise ResourceCapError(
-        f"hamiltonian_path size cap {_BACKTRACK_CAP} (hamiltonian._BACKTRACK_CAP) exceeded ({n})"
-    )
+    raise ResourceCapError("BACKTRACK_CAP", CAPS["BACKTRACK_CAP"], f"by a path search on {n} vertices")
 
 
 @dataclass(frozen=True)
@@ -113,8 +105,8 @@ class HamiltonicityReport:
 def analyze(g: FiniteGraph) -> HamiltonicityReport:
     """All-pairs Hamiltonian path decisions with witnesses."""
     n = g.n
-    if n > _DP_CAP:
-        raise ResourceCapError(f"analyze size cap {_DP_CAP} (hamiltonian._DP_CAP) exceeded ({n})")
+    if n > CAPS["DP_CAP"]:
+        raise ResourceCapError("DP_CAP", CAPS["DP_CAP"], f"by analyze on {n} vertices")
     parts = g.bipartition()
     bipartite = parts is not None
     if n == 1:
@@ -154,10 +146,8 @@ def hamiltonian_difference_detail(model: FiniteModel) -> Tuple[int, int, int, Li
     table = model.table
     if table.order < 2:
         raise ValueError("Hamiltonian difference needs |G| >= 2")
-    if table.order > tsp.MAX_REQUIRED:
-        raise ResourceCapError(
-            f"group order {table.order} exceeds cap {tsp.MAX_REQUIRED} (tsp.MAX_REQUIRED)"
-        )
+    if table.order > CAPS["MAX_REQUIRED"]:
+        raise ResourceCapError("MAX_REQUIRED", CAPS["MAX_REQUIRED"], f"by group order {table.order}")
     graph = finite_cayley_graph(model)
     lengths = tsp.solve_all_ends(graph, table.identity, set(range(table.order)))
     closed = lengths[table.identity]
@@ -250,7 +240,7 @@ def _spanning_walk_exact_repeats(
     n = bits.g.n
     if _bipartite_infeasible(bits, s, t, budget):
         return None
-    cap = _SEARCH_NODE_CAP
+    cap = CAPS["SEARCH_NODE_CAP"]
     walk: List[int] = []  # filled end first as a found walk unwinds
     nodes = 0
 
@@ -283,10 +273,8 @@ def _spanning_walk_exact_repeats(
         nonlocal nodes
         nodes += 1
         if nodes > cap:
-            raise ResourceCapError(
-                f"spanning-walk search node cap {cap} (hamiltonian._SEARCH_NODE_CAP) exceeded "
-                f"({s}->{t}, {budget} repeats, {unv.bit_count()} vertices unvisited)"
-            )
+            raise ResourceCapError("SEARCH_NODE_CAP", cap, f"in the search {s}->{t} with {budget}"
+                                   f" repeats, {unv.bit_count()} vertices unvisited")
         if not unv and cur == t:
             walk.append(cur)
             return True
@@ -449,6 +437,8 @@ def cube_spanning_path(
     t_small = tuple(t[i] for i in keep)
 
     walk_small = _cube_walk(small, s_small, t_small)
+    if len(keep) == len(dims):
+        return walk_small
 
     def lift(p: Tuple[int, ...]) -> Tuple[int, ...]:
         full = [1] * len(dims)
@@ -587,9 +577,8 @@ def nash_williams_basis(model: AbelianModel) -> NashWilliamsBasis:
     if model.rank < 1:
         raise ValueError("Nash-Williams basis needs an infinite abelian group")
     reps = _generator_classes(model)
-    if len(reps) > _BASIS_CLASS_CAP:
-        raise ResourceCapError(f"basis search generator-class cap _BASIS_CLASS_CAP = "
-                               f"{_BASIS_CLASS_CAP} exceeded ({len(reps)} classes found)")
+    if len(reps) > CAPS["BASIS_CLASS_CAP"]:
+        raise ResourceCapError("BASIS_CLASS_CAP", CAPS["BASIS_CLASS_CAP"], f"by {len(reps)} classes")
     r = model.rank
     candidates = []
     for a_combo in itertools.combinations(reps, r):
@@ -598,7 +587,7 @@ def nash_williams_basis(model: AbelianModel) -> NashWilliamsBasis:
         if combo is not None:
             candidates.append(combo)
     if not candidates:
-        raise RuntimeError("no valid Nash-Williams labeling found (internal error)")
+        raise AssertionError("no valid Nash-Williams labeling found")
     for cand in candidates:
         if not cand.degenerate:
             return cand
@@ -865,11 +854,9 @@ def _qh_ball_exact(model: GroupModel, n_max: int, M: int) -> QhCertificate:
     # every vertex of a ball is required and the balls are nested, so the
     # largest one is checked before any TSP is solved
     largest = cayley_ball(model, n_max).graph.n
-    if largest > tsp.MAX_REQUIRED:
-        raise ResourceCapError(
-            f"ball-exact: the ball of radius n = {n_max} has {largest} vertices, over"
-            f" the exact TSP cap tsp.MAX_REQUIRED = {tsp.MAX_REQUIRED}"
-        )
+    if largest > CAPS["MAX_REQUIRED"]:
+        raise ResourceCapError("MAX_REQUIRED", CAPS["MAX_REQUIRED"],
+                               f"by the {largest} vertices of the ball of radius n = {n_max}")
     witnesses = []
     for n in range(1, n_max + 1):
         g = cayley_ball(model, n).graph

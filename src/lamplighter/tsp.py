@@ -38,11 +38,7 @@ from typing import Callable, Collection, Dict, FrozenSet, List, Optional, Sequen
 from .errors import BoundExceededError, ResourceCapError, VerificationError
 from .graphs import FiniteGraph, _not_masks, finite_cayley_graph
 from .groups import FreeModel, FreeProductModel, Payload, PositionTable
-
-# hamdiff on Z/22 (k = 21 stations, level kernel) takes about 0.6 s and 95 MB
-# peak RSS on a 2-CPU x86 box with Python 3.11; the packed table alone took
-# 17-23 s and 162 MB
-MAX_REQUIRED = 22
+from .limits import CAPS
 
 
 @dataclass(frozen=True)
@@ -152,12 +148,10 @@ def _held_karp_closure(graph: FiniteGraph, start: int, required):
     Raises ValueError when the graph is disconnected, which the BFS from
     start shows as a negative distance.
     """
-    reqs = sorted(required)
-    if len(reqs) > MAX_REQUIRED:
-        raise ResourceCapError(
-            f"required set of size {len(reqs)} exceeds cap tsp.MAX_REQUIRED = {MAX_REQUIRED};"
-            " no Held-Karp table was built"
-        )
+    reqs, cap = sorted(required), CAPS["MAX_REQUIRED"]
+    if len(reqs) > cap:
+        raise ResourceCapError("MAX_REQUIRED", cap,
+                               f"by a required set of size {len(reqs)}; no Held-Karp table was built")
     others = [r for r in reqs if r != start]
     dist = {v: graph.distances_from(v) for v in set(others) | {start}}
     if min(dist[start]) < 0:

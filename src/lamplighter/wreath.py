@@ -25,7 +25,6 @@ from .errors import ResourceCapError, VerificationError
 from .graphs import (
     cayley_ball,
     cycle_graph,
-    env_cap,
     finite_cayley_graph,
     path_graph,
     product_graph,
@@ -40,6 +39,7 @@ from .groups import (
     PositionTable,
 )
 from . import hamiltonian, tsp
+from .limits import CAPS, env_cap
 
 WreathState = Tuple[Tuple[Tuple[Payload, Payload], ...], Payload]
 
@@ -428,9 +428,6 @@ def _unlink(link: Optional[tuple]) -> Tuple[str, ...]:
     return tuple(reversed(labels))
 
 
-RETREAT_SEARCH_CAP = 500_000  # states one retreat search (one k) may keep
-
-
 def retreat_depth(
     model: LamplighterModel, g: WreathState, k_max: int, backend: MetricBackend
 ) -> Tuple[int, bool]:
@@ -442,7 +439,7 @@ def retreat_depth(
     dead, L = _dead_end_length(model, s, backend)
     if not dead:
         raise ValueError("retreat depth is defined for dead ends only")
-    steps = model._steps
+    steps, cap = model._steps, CAPS["RETREAT_SEARCH_CAP"]
     for k in range(0, k_max + 1):
         seen: Set[int] = {s}
         frontier = [s]
@@ -458,11 +455,9 @@ def retreat_depth(
                     if lt >= L - k:
                         seen.add(t)
                         nxt.append(t)
-                        if len(seen) > RETREAT_SEARCH_CAP:
-                            raise ResourceCapError(
-                                f"retreat search cap RETREAT_SEARCH_CAP = {RETREAT_SEARCH_CAP}"
-                                f" exceeded at k = {k}; retreat depth >= {k}"
-                            )
+                        if len(seen) > cap:
+                            raise ResourceCapError("RETREAT_SEARCH_CAP", cap,
+                                                   f"at k = {k}; retreat depth >= {k}")
             frontier = nxt
     return k_max + 1, False
 
@@ -624,10 +619,9 @@ class ProfileRows(abc.Sequence):
         states = iter(dist.items())
         for L, n in sorted(Counter(dist.values()).items()):
             if L.bit_length() + shift > 63:
-                raise ResourceCapError(
-                    f"profile row keys of word length {L} need {L.bit_length() + shift} bits"
-                    f" ({len(self.bodies)} bodies, {len(self.names)} names), over the 63 of array('q')"
-                )
+                raise ResourceCapError("array('q') key bits", 63, f"by word length {L}: its row keys"
+                                       f" need {L.bit_length() + shift} bits ({len(self.bodies)}"
+                                       f" bodies, {len(self.names)} names)")
             shell = [key(s, d) for s, d in itertools.islice(states, n)]
             shell.sort()
             if shell[0] >> shift != L or shell[-1] >> shift != L:
@@ -791,9 +785,6 @@ class DepthProfile:
         return max(self.max_depth_per_shell().values())
 
 
-DEFAULT_WREATH_BALL_CAP = 2_000_000
-
-
 def enumerate_ball(
     model: LamplighterModel, radius: int, cap: Optional[int] = None, partial_ok: bool = False
 ) -> Tuple[Dict[WreathState, int], bool]:
@@ -815,7 +806,7 @@ def _ball_shells(
     builds at most cap plus one element's neighbours.  It then drops the
     partial shell d and the elements found stuck while expanding into it, so
     the stuck set lies below the last shell of a capped ball."""
-    cap = env_cap(DEFAULT_WREATH_BALL_CAP) if cap is None else cap
+    cap = env_cap("WREATH_BALL_CAP") if cap is None else cap
     e = model._encode(model.identity_state())
     dist: Dict[int, int] = {e: 0}
     stuck: Set[int] = set()
@@ -838,10 +829,8 @@ def _ball_shells(
                 shell_stuck.append(s)
             if len(dist) > cap:
                 if not partial_ok:
-                    raise ResourceCapError(
-                        f"wreath ball cap (LAMPLIGHTER_CAP or --cap) {cap} exceeded "
-                        f"in shell {d}; shells 0..{d - 1} are complete"
-                    )
+                    raise ResourceCapError("WREATH_BALL_CAP", cap,
+                                           f"in shell {d}; shells 0..{d - 1} are complete")
                 for t in nxt:
                     del dist[t]
                 return dist, False, stuck

@@ -14,6 +14,7 @@ from contextlib import redirect_stdout, redirect_stderr
 import pytest
 
 from lamplighter import cli
+from lamplighter.limits import CAPS
 
 
 def run(argv):
@@ -317,7 +318,7 @@ class TestHamdiff:
         # the guard names the group order, not the required set inside tsp
         rc, out, err = run(["hamdiff", "--cyclic-range", "23:23"])
         assert rc == 3 and out == ""
-        assert "group order 23 exceeds cap 22" in err and "required set" not in err
+        assert "MAX_REQUIRED = 22 exceeded by group order 23" in err and "required set" not in err
         assert run(["hamdiff", "--cyclic-range", "22:22"])[0] == 0
 
 
@@ -521,11 +522,11 @@ class TestQh:
 
     def test_walk_search_cap_exits_3(self, specs, monkeypatch):
         # a spanning-walk search that gives up is a cap, not "no walk"
-        monkeypatch.setattr(cli.hamiltonian, "_SEARCH_NODE_CAP", 5)
+        monkeypatch.setitem(CAPS, "SEARCH_NODE_CAP", 5)
         rc, out, err = run(
             ["qh", "--group", specs["z2.json"], "--nmax", "1", "--strategy", "abelian-box"]
         )
-        assert rc == 3 and out == "" and "node cap 5" in err
+        assert rc == 3 and out == "" and "SEARCH_NODE_CAP = 5 exceeded" in err
 
     def test_ball_exact_cap_before_any_solve(self, specs, monkeypatch):
         # the radius-11 ball of Z has 23 vertices, one over the TSP cap; the
@@ -538,8 +539,7 @@ class TestQh:
         rc, out, err = run(["qh", "--group", specs["z.json"], "--nmax", "11", "--M", "30",
                             "--strategy", "ball-exact"])
         assert rc == 3 and out == ""
-        assert ("the ball of radius n = 11 has 23 vertices, over the exact TSP cap"
-                " tsp.MAX_REQUIRED = 22") in err
+        assert "MAX_REQUIRED = 22 exceeded by the 23 vertices of the ball of radius n = 11" in err
         assert time.perf_counter() - start < 10
 
     def test_refutation_table(self, specs):
@@ -547,6 +547,33 @@ class TestQh:
         payload = json.loads(out)
         assert rc == 0 and payload["kind"] == "qh_refutation"
         assert [r[3] for r in payload["rows"]] == [1, 3, 5, 7]
+
+
+class TestCapErrors:
+    """A cap error exits 3 with nothing on stdout and one stderr line that
+    names the limits.CAPS entry, its value and how far the run got."""
+
+    @pytest.mark.parametrize("cap, value, argv, reached", [
+        ("SEARCH_NODE_CAP", 5, ["qh", "--group", "z2.json", "--nmax", "1", "--strategy", "abelian-box"],
+         "in the search "),
+        ("MAX_REQUIRED", 3, ["hamdiff", "--group", "c4.json"], "by group order 4\n"),
+        ("CAYLEY_BALL_CAP", 10, ["export-graph", "--group", "z.json", "--radius", "8"],
+         "at radius 5; radii 0..4 are complete\n"),
+    ], ids=["node-cap-qh", "max-required-hamdiff", "cayley-ball-export-graph"])
+    def test_exit_3_names_cap_value_and_reach(self, specs, monkeypatch, cap, value, argv, reached):
+        monkeypatch.delenv("LAMPLIGHTER_CAP", raising=False)
+        monkeypatch.setitem(CAPS, cap, value)
+        rc, out, err = run([specs.get(a, a) for a in argv])
+        assert rc == 3 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"resource cap: {cap} = {value} exceeded {reached}")
+
+    def test_retreat_cap_is_a_cell(self, specs, monkeypatch):
+        # depth-profile keeps the profile and writes "cap" as the retreat depth
+        argv = ["depth-profile", "--group", specs["ll_line.json"], "--radius", "8", "--kmax", "4"]
+        assert "\na@-1+a@0+a@1;0,7,2,1,exact\n" in run(argv)[1]
+        monkeypatch.setitem(CAPS, "RETREAT_SEARCH_CAP", 1)
+        rc, out, err = run(argv)
+        assert rc == 0 and err == "" and "\na@-1+a@0+a@1;0,7,2,cap,exact\n" in out
 
 
 class TestUnfitRequests:
@@ -855,7 +882,7 @@ class TestMallocThresholds:
         assert outputs == {"plain": "0", "main": "1"}
 
     def test_subset_dp_ints_stay_on_the_heap(self):
-        from lamplighter import hamiltonian, tsp
+        from lamplighter import tsp
 
         assert cli._fix_malloc_thresholds()
-        assert tsp._int_bytes(1 << hamiltonian._DP_CAP) < cli._MMAP_THRESHOLD
+        assert tsp._int_bytes(1 << CAPS["DP_CAP"]) < cli._MMAP_THRESHOLD

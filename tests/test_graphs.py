@@ -8,6 +8,7 @@ import pytest
 
 from lamplighter import graphs as Gr, groups as G
 from lamplighter.errors import ResourceCapError, VerificationError
+from lamplighter.limits import CAPS
 
 
 def edge_count(g):
@@ -50,10 +51,11 @@ class TestCayleyBall:
 
     def test_cap_error_names_cap_and_complete_radius(self):
         # F2 balls hold 1, 5, 17, 53, 161 elements: radius 4 takes it over 100
-        msg = (r"cayley_ball vertex cap 100 \(cap argument or LAMPLIGHTER_CAP; default"
-               r" graphs.DEFAULT_BALL_CAP = 200000\) exceeded at radius 4; radii 0..3 are complete")
+        msg = r"^CAYLEY_BALL_CAP = 100 exceeded at radius 4; radii 0..3 are complete$"
         with pytest.raises(ResourceCapError, match=msg):
             Gr.cayley_ball(G.make_free(2), 10, cap=100)
+        # the cap argument and LAMPLIGHTER_CAP override this default
+        assert CAPS["CAYLEY_BALL_CAP"] == 200_000
 
     def test_lookup_bijection(self):
         f2 = G.make_free(2)

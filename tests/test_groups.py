@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lamplighter import groups as G
 from lamplighter.errors import ResourceCapError
+from lamplighter.limits import CAPS
 
 
 @pytest.fixture(scope="module")
@@ -105,9 +106,9 @@ class TestWordLength:
 
     def test_bfs_cap_error_names_cap_and_radius(self, monkeypatch):
         # with gens +-2, +-3 the radius-2 ball of Z holds 13 elements
-        monkeypatch.setattr(G, "BFS_LENGTH_CAP", 5)
+        monkeypatch.setitem(CAPS, "BFS_LENGTH_CAP", 5)
         z = G.make_abelian(1, [], [[2], [3]])
-        msg = r"groups.BFS_LENGTH_CAP = 5 exceeded after radius 2 \(13 elements\); the length is > 2"
+        msg = r"^BFS_LENGTH_CAP = 5 exceeded after radius 2 \(13 elements\); the length is > 2$"
         with pytest.raises(ResourceCapError, match=msg):
             z.length_payload((100,))
 

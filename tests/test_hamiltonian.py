@@ -10,6 +10,7 @@ import pytest
 
 from lamplighter import graphs as Gr, groups as G, hamiltonian as H, tsp as T
 from lamplighter.errors import ResourceCapError, VerificationError
+from lamplighter.limits import CAPS
 
 
 def _random_connected(rng, n):
@@ -59,8 +60,8 @@ class TestHamiltonianPath:
         # 26 vertices: past the DP, so the backtracking search decides
         g = Gr.cube_graph([2, 13])
         assert H.hamiltonian_path(g, 0, 1) is not None
-        monkeypatch.setattr(H, "_SEARCH_NODE_CAP", 5)
-        with pytest.raises(ResourceCapError, match="node cap 5"):
+        monkeypatch.setitem(CAPS, "SEARCH_NODE_CAP", 5)
+        with pytest.raises(ResourceCapError, match="SEARCH_NODE_CAP = 5 exceeded"):
             H.hamiltonian_path(g, 0, 1)
 
     def test_corrupt_ends_dp_fails_verification(self):
@@ -74,27 +75,26 @@ class TestHamiltonianPath:
 
 
 class TestCapErrors:
-    """A cap error names its constant, the cap's value and the size reached;
-    "node cap N" stays in the wording."""
+    """A cap error names its limits.CAPS entry, the cap's value and the size
+    reached."""
 
     def test_analyze_names_dp_cap(self, monkeypatch):
-        monkeypatch.setattr(H, "_DP_CAP", 3)
-        with pytest.raises(ResourceCapError,
-                           match=r"analyze size cap 3 \(hamiltonian\._DP_CAP\) exceeded \(4\)"):
+        monkeypatch.setitem(CAPS, "DP_CAP", 3)
+        with pytest.raises(ResourceCapError, match=r"^DP_CAP = 3 exceeded by analyze on 4 vertices$"):
             H.analyze(Gr.cycle_graph(4))
 
     def test_path_names_backtrack_cap(self, monkeypatch):
-        monkeypatch.setattr(H, "_DP_CAP", 2)
-        monkeypatch.setattr(H, "_BACKTRACK_CAP", 3)
-        msg = r"hamiltonian_path size cap 3 \(hamiltonian\._BACKTRACK_CAP\) exceeded \(4\)"
+        monkeypatch.setitem(CAPS, "DP_CAP", 2)
+        monkeypatch.setitem(CAPS, "BACKTRACK_CAP", 3)
+        msg = r"^BACKTRACK_CAP = 3 exceeded by a path search on 4 vertices$"
         with pytest.raises(ResourceCapError, match=msg):
             H.hamiltonian_path(Gr.cycle_graph(4), 0, 1)
 
     def test_search_names_node_cap(self, monkeypatch):
-        monkeypatch.setattr(H, "_SEARCH_NODE_CAP", 5)
-        with pytest.raises(ResourceCapError,
-                           match=r"node cap 5 \(hamiltonian\._SEARCH_NODE_CAP\) exceeded"):
+        monkeypatch.setitem(CAPS, "SEARCH_NODE_CAP", 5)
+        with pytest.raises(ResourceCapError, match=r"^SEARCH_NODE_CAP = 5 exceeded in the search 0->1") as info:
             H.spanning_walk_min_repeats(Gr.cube_graph([3, 4]), 0, 1, 0)
+        assert (info.value.cap_name, info.value.cap_value) == ("SEARCH_NODE_CAP", 5)
 
 
 class TestSpanningSearch:
@@ -158,11 +158,11 @@ class TestSearchWork:
     @pytest.mark.parametrize("m1, m2, s, t, nodes", GRID_NODE_COUNTS)
     def test_node_count_pinned(self, monkeypatch, m1, m2, s, t, nodes):
         bits = H._grid_bits(m1, m2)
-        monkeypatch.setattr(H, "_SEARCH_NODE_CAP", nodes)
+        monkeypatch.setitem(CAPS, "SEARCH_NODE_CAP", nodes)
         walk = H._spanning_walk_exact_repeats(bits, s, t, 0)
         assert walk is not None and _is_spanning_walk(bits.g, walk, s, t)
-        monkeypatch.setattr(H, "_SEARCH_NODE_CAP", nodes - 1)
-        with pytest.raises(ResourceCapError, match=f"node cap {nodes - 1} "):
+        monkeypatch.setitem(CAPS, "SEARCH_NODE_CAP", nodes - 1)
+        with pytest.raises(ResourceCapError, match=f"SEARCH_NODE_CAP = {nodes - 1} "):
             H._spanning_walk_exact_repeats(bits, s, t, 0)
 
     def test_one_free_neighbour_is_not_flooded(self):
@@ -413,7 +413,7 @@ class TestNashWilliams:
 
     def test_class_cap_named_in_error(self):
         model = G.make_abelian(1, [], [[i] for i in range(1, 10)])
-        with pytest.raises(ResourceCapError, match=r"_BASIS_CLASS_CAP = 8 .*\(9 classes found\)"):
+        with pytest.raises(ResourceCapError, match=r"^BASIS_CLASS_CAP = 8 exceeded by 9 classes$"):
             H.nash_williams_basis(model)
 
     def test_decomposition_unique(self):

@@ -1,5 +1,6 @@
 """Repository tooling: the names the benchmark tracer patches, the scripts
-the README documents, and the public names of the program that no code uses.
+the README documents, the public names of the program that no code uses,
+and the resource caps, which live in one table.
 
 perfbench/layertrace.py replaces layer functions by name; a rename in the
 program makes `perfbench/run.py --trace 1` stop with a KeyError.  That test
@@ -10,10 +11,13 @@ import ast
 import glob
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+
+from lamplighter.limits import CAPS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LAYERTRACE = os.path.join(ROOT, "perfbench", "layertrace.py")
@@ -111,3 +115,67 @@ def test_no_dead_public_api():
     assert not dead, f"src/ defines names no code uses; delete them or keep them in KEPT_UNNAMED: {dead}"
     stale = sorted(KEPT_UNNAMED.keys() - unnamed)
     assert not stale, f"KEPT_UNNAMED lists names that are gone or now used: {stale}"
+
+
+CAP_NAME = re.compile(r"_CAP$|^_?MAX_")
+
+
+def _int_literal(node) -> bool:
+    """True when node is an expression of literals only that evaluates to an int."""
+    if any(isinstance(n, (ast.Name, ast.Attribute, ast.Call, ast.Lambda)) for n in ast.walk(node)):
+        return False
+    return type(eval(compile(ast.Expression(node), "<constant>", "eval"), {})) is int
+
+
+def _cap_constants(tree):
+    """Names of the module-level int constants of tree named like a cap."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        names += [t.id for t in targets
+                  if isinstance(t, ast.Name) and CAP_NAME.search(t.id) and _int_literal(node.value)]
+    return names
+
+
+def _caps_read(tree):
+    """The CAPS keys that tree reads: CAPS["NAME"] and env_cap("NAME")."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            owner, key = node.value, node.slice
+        elif isinstance(node, ast.Call) and node.args:
+            owner, key = node.func, node.args[0]
+        else:
+            continue
+        name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+        if name in ("CAPS", "env_cap") and isinstance(key, ast.Constant):
+            read.add(key.value)
+    return read
+
+
+def test_caps_live_in_the_limits_table():
+    # the detectors themselves, on the shapes the caps had before the table
+    old = ast.parse("_DP_CAP = 24\nMAX_REQUIRED: int = 22\nDEFAULT_BALL_CAP = 2 * 10**5\nMAX_NAME = 'x'")
+    assert _cap_constants(old) == ["_DP_CAP", "MAX_REQUIRED", "DEFAULT_BALL_CAP"]
+    assert _caps_read(ast.parse("CAPS['A'] + limits.CAPS['B'] + env_cap('C')")) == {"A", "B", "C"}
+
+    stray, env_readers, read = [], [], set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "lamplighter", "*.py"))):
+        module = os.path.basename(path)
+        if module == "limits.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        stray += [f"{module}: {name}" for name in _cap_constants(tree)]
+        if any(isinstance(n, ast.Constant) and n.value == "LAMPLIGHTER_CAP" for n in ast.walk(tree)):
+            env_readers.append(module)
+        read |= _caps_read(tree)
+    assert not stray, f"cap constants outside limits.CAPS: {stray}"
+    assert not env_readers, f"LAMPLIGHTER_CAP read outside limits.py: {env_readers}"
+    dead = sorted(CAPS.keys() - read)
+    assert not dead, f"limits.CAPS entries that no module reads: {dead}"
