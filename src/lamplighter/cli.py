@@ -208,8 +208,10 @@ def cmd_depth_profile(args) -> int:
         try:
             k, exact = wreath.retreat_depth(model, g, row.depth, backend)
             retreat[row.element_id] = str(k) if exact else f">{k - 1}"
-        except ResourceCapError:
+        except ResourceCapError as exc:
+            # the row keeps "cap"; the cap, its value and the k reached go to stderr
             retreat[row.element_id] = "cap"
+            print(f"resource cap: {exc} (retreat search of {row.element_id})", file=sys.stderr)
     with _output(args.out) as fh:
         write = _write_json_profile if args.format == "json" else _write_csv_profile
         write(fh, profile, retreat)

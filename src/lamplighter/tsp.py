@@ -546,28 +546,15 @@ def ts_free_product_ids(
     positions: PositionTable, end: int, required: FrozenSet[int], memo: dict
 ) -> int:
     """Exact TS(e -> end; required) for position ids of a free product:
-    ts_free_product_ends for one end over the root petals of required."""
-    return ts_free_product_ends(positions, root_petals(positions, required), (end,), memo)[0]
-
-
-def root_petals(positions: PositionTable, required: Collection[int]):
-    """(stations, petals, sums) of the required ids in the root copy, the
-    factor 0 copy at the identity, for any end: the bitmask of the stations
-    of the required elements in the copy and of the petals, the ids beyond
-    each petal station as one sorted list, and an empty dict for the sums
-    of closed excursions that ts_free_product_ends keeps per leaving
-    station."""
-    stations, petals, _x, _dive = _split(positions, 0, 0, required)
-    for sub in petals.values():
-        sub.sort()
-    return stations, petals, {}
+    ts_free_product_ends for one end."""
+    return ts_free_product_ends(positions, required, (end,), memo)[0]
 
 
 def ts_free_product_ends(
-    positions: PositionTable, root, ends: Sequence[int], memo: dict
+    positions: PositionTable, required: Collection[int], ends: Sequence[int], memo: dict, base: int = 0
 ) -> List[int]:
-    """Exact TS(e -> end; required) for each position id `end` of ends,
-    where root is root_petals(positions, required).
+    """base + exact TS(e -> end; required) for each position id `end` of
+    ends; base lets a caller add a fixed cost without a second list.
 
     Recursion over the tree of factor copies: each copy contributes a finite
     TSP whose station weights are the closed-excursion costs of its nonempty
@@ -580,15 +567,17 @@ def ts_free_product_ends(
     space, so a station mask never meets a sub-excursion key such as
     (factor, end id) of an empty required set.
 
-    A root key rarely recurs, so the root copy is not memoised.  Each end
-    costs one route lookup, the sum of the closed excursions of every petal
-    but the one it leaves from (kept in root per leaving station), one memo
-    lookup for its dive and one factor row lookup; _ts_fp and
-    _factor_ts_edges run only on a miss.
+    A root key rarely recurs, so the root copy is not memoised.  required
+    is split once at the root copy, the factor 0 copy at the identity, for
+    all ends.  Each end then costs one route lookup, the sum of the closed
+    excursions of every petal but the one it leaves from (summed once per
+    leaving station), one memo lookup for its dive and one factor row
+    lookup; _ts_fp and _factor_ts_edges run only on a miss.
     """
-    stations, petals, sums = root
+    stations, petals, _x, _dive = _split(positions, 0, 0, required)
     routes = positions.routes[0]
     rows = (memo.get(0) or _factor_tables(positions.model, 0, memo))[1]
+    sums: Dict[Optional[int], int] = {}
     out = []
     for end in ends:
         x, dive = routes[end]
@@ -597,17 +586,22 @@ def ts_free_product_ends(
         skip = x if dive else None
         total = sums.get(skip)
         if total is None:
-            total = 0
+            total = base
             for s, sub in petals.items():
                 if s != skip:
-                    val = memo.get((1, 0, *sub))
-                    total += _ts_fp(positions, 1, 0, sub, memo) if val is None else val
+                    sub.sort()
+                    key = (1, 0, *sub)
+                    val = memo.get(key)
+                    total += _ts_fp(positions, 1, 0, sub, memo, key) if val is None else val
             sums[skip] = total
         mask = stations
         if dive:
             tail = petals.get(x, ())
-            val = memo.get((1, dive, *tail))
-            total += _ts_fp(positions, 1, dive, tail, memo) if val is None else val
+            if tail:
+                tail.sort()
+            key = (1, dive, *tail)
+            val = memo.get(key)
+            total += _ts_fp(positions, 1, dive, tail, memo, key) if val is None else val
             mask |= 1 << x
         row = rows.get(mask)
         if row is None:
@@ -701,24 +695,29 @@ def _walk_fp(positions: PositionTable, factor: int, end: int, required: Collecti
     return letters + dive_letters
 
 
-def _ts_fp(positions: PositionTable, factor: int, end: int, required: Collection[int], memo) -> int:
+def _ts_fp(
+    positions: PositionTable, factor: int, end: int, required: Collection[int], memo, key: Optional[tuple] = None
+) -> int:
     """TS from the identity of this `factor` copy to `end` over the ids
     `required`, memoised: its factor TS over the stations of the copy, the
     dive into the petal at the end station, and a closed excursion into
-    every other petal."""
-    if not required and not end:
-        return 0
-    # one flat tuple; the sort makes the key independent of set order
-    key = (factor, end, *sorted(required))
-    val = memo.get(key)
-    if val is None:
-        stations, beyond, x, dive = _split(positions, factor, end, required)
-        other = 1 - factor
-        val = 0
-        if dive:
-            val = _ts_fp(positions, other, dive, beyond.pop(x, ()), memo)
-            stations |= 1 << x
-        for sub in beyond.values():
-            val += _ts_fp(positions, other, 0, sub, memo)
-        val = memo[key] = val + _factor_ts_edges(positions.model, factor, x, stations, memo)
+    every other petal.  A caller that has looked the memo key up and missed
+    passes it as key, and the value is computed at once."""
+    if key is None:
+        if not required and not end:
+            return 0
+        # one flat tuple; the sort makes the key independent of set order
+        key = (factor, end, *sorted(required))
+        val = memo.get(key)
+        if val is not None:
+            return val
+    stations, beyond, x, dive = _split(positions, factor, end, required)
+    other = 1 - factor
+    val = 0
+    if dive:
+        val = _ts_fp(positions, other, dive, beyond.pop(x, ()), memo)
+        stations |= 1 << x
+    for sub in beyond.values():
+        val += _ts_fp(positions, other, 0, sub, memo)
+    val = memo[key] = val + _factor_ts_edges(positions.model, factor, x, stations, memo)
     return val

@@ -107,10 +107,11 @@ class LamplighterModel:
         self._positions = PositionTable(base)
         self._configs: List[tuple] = [()]
         self._config_ids: Dict[tuple, int] = {(): 0}
-        # (config id, lamp cost, tsp.root_petals of its support) of the
-        # configuration that _config_lengths priced last; no configuration
-        # has id -1
-        self._last_config: tuple = (-1, 0, None)
+        # lamp value -> its products by the lamp generators in order, None
+        # for the identity (see _lamp_moves); filled as values are met, so
+        # it holds at most the lamp values of the states built
+        self._e_a = lamps.identity_payload()
+        self._lamp_table: Dict[Payload, tuple] = {}
 
     # -- states ------------------------------------------------------------
     def identity_state(self) -> WreathState:
@@ -156,39 +157,45 @@ class LamplighterModel:
         lamps = sorted(zip(map(payloads.__getitem__, config[::2]), config[1::2]))
         return tuple(lamps), payloads[s & _POS_MASK]
 
-    def _lamp_configs(self, s: int) -> List[tuple]:
-        """The lamp configuration of s times each lamp generator, as tuples;
-        nothing is interned."""
-        config, p = self._configs[s >> 32], s & _POS_MASK
-        i = 2 * bisect.bisect_left(config[::2], p)
-        lit = i < len(config) and config[i] == p
-        e_a = self.lamps.identity_payload()
-        cur = config[i + 1] if lit else e_a
-        before, after = config[:i], config[i + 2 * lit:]
-        out = []
-        for a in self.lamps.gens:
-            v = self.lamps.mul_payload(cur, a)
-            out.append(before + after if v == e_a else before + (p, v) + after)
-        return out
+    def _lamp_moves(self, v: Payload) -> tuple:
+        """The row of _lamp_table for the lamp value v, filled on first use."""
+        row = self._lamp_table.get(v)
+        if row is None:
+            e_a, mul = self._e_a, self.lamps.mul_payload
+            products = (mul(v, a) for a in self.lamps.gens)
+            row = self._lamp_table[v] = tuple(None if w == e_a else w for w in products)
+        return row
 
-    def _steps(self, s: int) -> List[int]:
+    def _steps(self, s: int, intern: bool = True) -> List[int]:
         """The interned neighbours of s: lamp generators first, then base
-        generators."""
+        generators.  One bisect finds the lamp at s's position, and the lamp
+        products come from _lamp_table.  With intern False nothing is
+        interned, and a lamp move to a configuration never interned is -1."""
         p = s & _POS_MASK
         ids, positions = self._config_ids, self._positions
+        config = self._configs[s >> 32]
+        i = 2 * bisect.bisect_left(config[::2], p)
+        if i < len(config) and config[i] == p:
+            before, cur, after = config[:i], config[i + 1], config[i + 2:]
+        else:
+            before, cur, after = config[:i], self._e_a, config[i:]
         out = []
-        for config in self._lamp_configs(s):
+        for v in self._lamp_table.get(cur) or self._lamp_moves(cur):
+            config = before + after if v is None else before + (p, v) + after
             c = ids.get(config)
             if c is None:
-                # a new configuration holds the position table's own int for
-                # p, not the new one of s & _POS_MASK
-                i = 2 * bisect.bisect_left(config[::2], p)
-                if i < len(config) and config[i] == p:
-                    config = config[:i] + (positions.ids[positions.payloads[p]],) + config[i + 1:]
+                if not intern:
+                    out.append(-1)
+                    continue
+                if v is not None:
+                    # a new configuration holds the position table's own int
+                    # for p, not the new one of s & _POS_MASK
+                    config = before + (positions.ids[positions.payloads[p]], v) + after
                 c = self._config_id(config)
             out.append(c << 32 | p)
         config_bits = s ^ p
-        out += [config_bits | q for q in positions.rows[p] or positions.steps(p)]
+        for q in positions.rows[p] or positions.steps(p):
+            out.append(config_bits | q)
         return out
 
     # -- group law ----------------------------------------------------------
@@ -599,35 +606,42 @@ class ProfileRows(abc.Sequence):
         searched holds the reports of the searched states.  dist lists its
         states shell by shell, as _ball_shells builds it."""
         payloads = model._positions.payloads
-        self.bodies, body_rank, self._config_of = _ranked(
-            {s >> 32 for s in dist}, len(model._configs), _body_text(model)
+        # the body ranks come shifted into the field above the names; the
+        # bodies are still ranked first: ranking the names first read up to
+        # 1.6 MB higher in the radius-10 octagon profile's peak RSS
+        position_ids = {s & _POS_MASK for s in dist}
+        nb = (len(position_ids) - 1).bit_length()
+        self.bodies, body_bits, self._config_of = _ranked(
+            {s >> 32 for s in dist}, len(model._configs), _body_text(model), nb
         )
         self.names, name_rank, self._position_of = _ranked(
-            {s & _POS_MASK for s in dist}, len(payloads), lambda p: model._base_str(payloads[p])
+            position_ids, len(payloads), lambda p: model._base_str(payloads[p])
         )
-        nb, bb = (len(self.names) - 1).bit_length(), (len(self.bodies) - 1).bit_length()
+        del position_ids
+        bb = (len(self.bodies) - 1).bit_length()
         shift = nb + bb
         self._name_bits, self._shell_shift = nb, shift
         self._name_mask, self._body_mask = (1 << nb) - 1, (1 << bb) - 1
 
-        def key(s: int, L: int) -> int:
-            return L << shift | body_rank[s >> 32] << nb | name_rank[s & _POS_MASK]
-
         # one shell at a time: each is one run of dist, and only its keys are
         # ever held as a list
         self.keys = array("q")
-        states = iter(dist.items())
+        states, lengths = iter(dist), iter(dist.values())
         for L, n in sorted(Counter(dist.values()).items()):
             if L.bit_length() + shift > 63:
                 raise ResourceCapError("array('q') key bits", 63, f"by word length {L}: its row keys"
                                        f" need {L.bit_length() + shift} bits ({len(self.bodies)}"
                                        f" bodies, {len(self.names)} names)")
-            shell = [key(s, d) for s, d in itertools.islice(states, n)]
-            shell.sort()
-            if shell[0] >> shift != L or shell[-1] >> shift != L:
+            if any(map(L.__ne__, itertools.islice(lengths, n))):
                 raise ValueError("dist must list its states shell by shell")
+            top = L << shift
+            shell = [top | body_bits[s >> 32] | name_rank[s & _POS_MASK] for s in itertools.islice(states, n)]
+            shell.sort()
             self.keys.fromlist(shell)
-        self.searched = {key(s, rep.word_length): rep for s, rep in searched.items()}
+        self.searched = {
+            rep.word_length << shift | body_bits[s >> 32] | name_rank[s & _POS_MASK]: rep
+            for s, rep in searched.items()
+        }
         self.bounds: Dict[int, DepthReport] = {}
 
     def _element_id(self, k: int) -> str:
@@ -761,13 +775,14 @@ def _body_text(model: LamplighterModel) -> Callable[[int], str]:
     return body
 
 
-def _ranked(ids: Set[int], size: int, text) -> Tuple[List[str], List[int], array]:
+def _ranked(ids: Set[int], size: int, text, shift: int = 0) -> Tuple[List[str], List[int], array]:
     """The strings text(i) of ids in sorted order, a list of `size` slots
-    holding the rank of each id's string at the id, and the ids by rank."""
+    holding the rank of each id's string, shifted left by `shift`, at the
+    id, and the ids by rank."""
     pairs = sorted([(text(i), i) for i in ids])
     rank = [0] * size
     for r, (_t, i) in enumerate(pairs):
-        rank[i] = r
+        rank[i] = r << shift
     return [t for t, _i in pairs], rank, array("q", [i for _t, i in pairs])
 
 
@@ -843,13 +858,7 @@ def _lamp_moves_leave(model: LamplighterModel, s: int, dist: Dict[int, int]) -> 
     """True iff some lamp move of the interned state s is not in dist.  A
     configuration that was never interned is not in the ball, so nothing is
     interned."""
-    p = s & _POS_MASK
-    ids = model._config_ids
-    for config in model._lamp_configs(s):
-        c = ids.get(config)
-        if c is None or c << 32 | p not in dist:
-            return True
-    return False
+    return not all(t in dist for t in model._steps(s, False)[:len(model.lamps.gens)])
 
 
 def _state_length(model: LamplighterModel, s: int, backend: MetricBackend) -> int:
@@ -868,34 +877,26 @@ def _config_lengths(
     the term up in _ts_cache by (strategy, position id, support ids) and
     decode the payloads only on a miss, for tsp.ts_tree or _solve_walk.
 
-    On the petal backend the lamp cost and the root petals of the last
-    configuration priced are kept, so calls on one configuration one after
-    the other split its support once."""
-    if backend.strategy != "petal":
-        config = model._configs[c]
-        cost, support = sum(map(model._lamp_len, config[1::2])), config[::2]
-        out = []
-        for p in ends:
-            key = (backend.strategy, p, support)
-            ts = model._ts_cache.get(key)
-            if ts is None:
-                payloads = model._positions.payloads
-                pos, points = payloads[p], [payloads[i] for i in support]
-                if backend.strategy == "tree":
-                    ts = tsp.ts_tree((), pos, sorted(points), model.base)
-                else:
-                    ts = _solve_walk(model, pos, frozenset(points), backend)[0]
-                model._ts_cache[key] = ts
-            out.append(cost + ts)
-        return out
-    last = model._last_config
-    if last[0] != c:
-        config = model._configs[c]
-        petals = tsp.root_petals(model._positions, config[::2])
-        last = model._last_config = (c, sum(map(model._lamp_len, config[1::2])), petals)
-    cost = last[1]
-    ts = tsp.ts_free_product_ends(model._positions, last[2], ends, model._ts_fp_memo)
-    return [cost + t for t in ts]
+    The petal backend adds the lamp cost inside that call, so one
+    configuration costs one call and no list of its own."""
+    config = model._configs[c]
+    cost = sum(map(model._lamp_len, config[1::2]))
+    if backend.strategy == "petal":
+        return tsp.ts_free_product_ends(model._positions, config[::2], ends, model._ts_fp_memo, cost)
+    support, out = config[::2], []
+    for p in ends:
+        key = (backend.strategy, p, support)
+        ts = model._ts_cache.get(key)
+        if ts is None:
+            payloads = model._positions.payloads
+            pos, points = payloads[p], [payloads[i] for i in support]
+            if backend.strategy == "tree":
+                ts = tsp.ts_tree((), pos, sorted(points), model.base)
+            else:
+                ts = _solve_walk(model, pos, frozenset(points), backend)[0]
+            model._ts_cache[key] = ts
+        out.append(cost + ts)
+    return out
 
 
 def _check_formula(model: LamplighterModel, s: int, formula: int, L: int) -> None:
@@ -966,19 +967,20 @@ def depth_profile(
             for k, p in zip(row_keys, ends):
                 for q in positions.rows[p] or positions.steps(p):
                     if bits | q not in dist:
-                        out = True
+                        priced.append(p)
                         break
                 else:
-                    out = _lamp_moves_leave(model, bits | p, dist)
-                if out:
-                    priced.append(p)
-                else:
-                    rows.searched[k] = _search(model, bits | p, reached, k_max, backend)
+                    if _lamp_moves_leave(model, bits | p, dist):
+                        priced.append(p)
+                    else:
+                        rows.searched[k] = _search(model, bits | p, reached, k_max, backend)
         else:
             priced = ends
         if priced:
-            for p, L in zip(priced, _config_lengths(model, c, priced, backend)):
-                if L != reached:
+            lengths = _config_lengths(model, c, priced, backend)
+            # one count compares every state; the loop runs on a mismatch
+            if lengths.count(reached) != len(priced):
+                for p, L in zip(priced, lengths):
                     _check_formula(model, bits | p, L, reached)
     return DepthProfile(radius, k_max, rows, complete)
 

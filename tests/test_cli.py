@@ -568,12 +568,15 @@ class TestCapErrors:
         assert err.startswith(f"resource cap: {cap} = {value} exceeded {reached}")
 
     def test_retreat_cap_is_a_cell(self, specs, monkeypatch):
-        # depth-profile keeps the profile and writes "cap" as the retreat depth
+        # depth-profile keeps the profile and writes "cap" as the retreat
+        # depth; stderr names the cap, its value and the k reached
         argv = ["depth-profile", "--group", specs["ll_line.json"], "--radius", "8", "--kmax", "4"]
         assert "\na@-1+a@0+a@1;0,7,2,1,exact\n" in run(argv)[1]
         monkeypatch.setitem(CAPS, "RETREAT_SEARCH_CAP", 1)
         rc, out, err = run(argv)
-        assert rc == 0 and err == "" and "\na@-1+a@0+a@1;0,7,2,cap,exact\n" in out
+        assert rc == 0 and "\na@-1+a@0+a@1;0,7,2,cap,exact\n" in out
+        assert err == ("resource cap: RETREAT_SEARCH_CAP = 1 exceeded at k = 1; retreat depth >= 1"
+                       " (retreat search of a@-1+a@0+a@1;0)\n")
 
 
 class TestUnfitRequests:

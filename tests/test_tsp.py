@@ -365,19 +365,19 @@ class TestFreeProductTs:
         assert set(memo) == keys
 
     def test_ends_of_one_required_set(self, fp82):
-        # one root split priced at many ends, which reuse the closed sums
-        # and petal tails of their leaving stations, against a fresh
-        # ts_free_product per end
+        # one call splits the required set once and prices many ends, which
+        # reuse the closed sums and petal tails of their leaving stations,
+        # against a fresh ts_free_product per end; base is added to each
         rng = random.Random(5)
         ball = Gr.cayley_ball(fp82, 4)
         pool = list(ball.elements)
-        for _ in range(30):
+        for base in range(30):
             sup = rng.sample(pool, rng.randint(0, 6))
             ends = rng.sample(pool, 12)
             positions, memo = G.PositionTable(fp82), {}
-            root = T.root_petals(positions, frozenset(map(positions.intern, sup)))
-            got = T.ts_free_product_ends(positions, root, [positions.intern(e) for e in ends], memo)
-            assert got == [T.ts_free_product(fp82, (), e, sup) for e in ends]
+            required = frozenset(map(positions.intern, sup))
+            got = T.ts_free_product_ends(positions, required, [positions.intern(e) for e in ends], memo, base)
+            assert got == [base + T.ts_free_product(fp82, (), e, sup) for e in ends]
 
     def test_factor_rows_apart_from_sub_excursions(self, fp82):
         # a dive with an empty required set is memoised under (factor, end

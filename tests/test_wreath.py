@@ -669,6 +669,8 @@ def _model(key):
         return W.LamplighterModel(z2, G.make_abelian(1, [4], [[1, 0], [0, 1]]))
     if key == "z3_wr_z4":
         return W.LamplighterModel(G.make_cyclic(3, [1], letter="a"), G.make_cyclic(4, [1]))
+    if key == "z_wr_z4":  # unbounded lamps: the lamp-move table grows with the values met
+        return W.LamplighterModel(G.make_abelian(1, [], [[1]]), G.make_cyclic(4, [1]))
     raise KeyError(key)
 
 
@@ -796,20 +798,21 @@ class TestProfileLookup:
         assert got == want == [reached] * len(got)
 
     def test_last_shell_split_once_per_configuration(self, monkeypatch):
+        # k_max 0 searches nothing and prices every last-shell and stuck
+        # state, grouped by lamp configuration; once the sub-excursion memo
+        # is full, every split left is a split of the root copy, one per
+        # configuration priced
         model = _model("fp82")
-        be = W.auto_backend(model)
-        dist, _complete, _stuck = W._ball_shells(model, 7, None, False)
-        rows = W.ProfileRows(model, dist, {})
-        states = [s for _k, s in _shell_states(rows, 7)]
-        for s in states:  # fills the sub-excursion memo
-            W._state_length(model, s, be)
+        W.depth_profile(model, 7, 0)  # fills the sub-excursion memo
+        dist, _complete, stuck = W._ball_shells(model, 7, None, False)
+        priced = {s for s, L in dist.items() if L == 7} | {s for s in stuck if dist[s] < 7}
         splits = []
-        split = T.root_petals
-        # one 0 per split of the root copy, the factor 0 copy
-        monkeypatch.setattr(T, "root_petals", lambda *a: splits.append(0) or split(*a))
-        model._last_config = (-1, 0, None)
-        assert [W._state_length(model, s, be) for s in states] == [7] * len(states)
-        assert splits == [0] * len({s >> 32 for s in states}) and len(splits) < len(states)
+        split = T._split
+        # (factor, end) of every split: the root copy is (0, 0)
+        monkeypatch.setattr(T, "_split", lambda *a: splits.append(a[1:3]) or split(*a))
+        W.depth_profile(model, 7, 0)
+        configs = {(s >> 32, dist[s] < 7) for s in priced}
+        assert splits == [(0, 0)] * len(configs) and len(splits) < len(priced)
 
     @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES)
     def test_shell_configs_partition_each_shell(self, key, radius, k_max, cap):
@@ -1088,7 +1091,7 @@ class TestInternedStates:
         assert got == _payload_ball(_model(key), radius, cap)
         assert got[1] == (cap is None)
 
-    @pytest.mark.parametrize("key", ["fp82", "tree", "box_z2", "z3_wr_z4"])
+    @pytest.mark.parametrize("key", ["fp82", "tree", "box_z2", "z3_wr_z4", "z_wr_z4"])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_encode_decode_round_trip(self, key, data):
