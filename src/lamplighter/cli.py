@@ -81,14 +81,18 @@ def _element_from_spec(model: wreath.LamplighterModel, spec: dict) -> wreath.Wre
         raise UsageError(f"malformed element spec: {exc}")
 
 
-def _backend(model: wreath.LamplighterModel, name: str, exact: bool = False) -> wreath.MetricBackend:
-    try:
-        backend = wreath.backend_by_name(model, name)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    if exact and not backend.exact:
+def _backend(model: wreath.LamplighterModel, name: str, exact: bool = False) -> bool:
+    """--backend as the generic flag of the word-length entry points.  auto
+    and the base's own strategy price by that strategy, generic by the ball
+    upper bound; any other name, and with exact any generic pricing, is a
+    usage error."""
+    if name not in ("auto", "generic", model.strategy):
+        raise UsageError(f"backend {name!r} does not fit the {model.base.variant} base"
+                         f" (auto picks {model.strategy})")
+    generic = name == "generic"
+    if exact and (generic or model.strategy == "generic"):
         raise UsageError("depth needs an exact backend; 'generic' is an upper bound")
-    return backend
+    return generic
 
 
 def _check_out_dir(out: Optional[str]) -> None:
@@ -126,8 +130,7 @@ def cmd_wordlen(args) -> int:
     model = _lamplighter_from_file(args.group)
     element_spec = _load_json(args.element)
     g = _element_from_spec(model, element_spec)
-    backend = _backend(model, args.backend)
-    wl, walk = wreath.word_length_and_walk(model, g, backend)
+    wl, walk = wreath.word_length_and_walk(model, g, _backend(model, args.backend))
     lines = []
     if wl.exact:
         lines.append(f"{wl.value} exact")
@@ -198,15 +201,13 @@ def cmd_verdict(args) -> int:
 
 def cmd_depth_profile(args) -> int:
     model = _lamplighter_from_file(args.group)
-    backend = _backend(model, args.backend, exact=True)
-    profile = wreath.depth_profile(
-        model, args.radius, args.kmax, backend=backend, cap=args.cap, partial_ok=True
-    )
+    _backend(model, args.backend, exact=True)
+    profile = wreath.depth_profile(model, args.radius, args.kmax, cap=args.cap, partial_ok=True)
     dead_ends = profile.rows.dead_ends()
     retreat: Dict[str, str] = {}
     for row, g in dead_ends:
         try:
-            k, exact = wreath.retreat_depth(model, g, row.depth, backend)
+            k, exact = wreath.retreat_depth(model, g, row.depth)
             retreat[row.element_id] = str(k) if exact else f">{k - 1}"
         except ResourceCapError as exc:
             # the row keeps "cap"; the cap, its value and the k reached go to stderr
@@ -217,7 +218,7 @@ def cmd_depth_profile(args) -> int:
         write(fh, profile, retreat)
     if args.verify:
         for row, g in dead_ends:
-            if not wreath.is_dead_end(model, g, backend):
+            if not wreath.is_dead_end(model, g):
                 raise VerificationError(f"row {row.element_id} is not a dead end")
     return 0 if profile.complete else 3
 

@@ -12,10 +12,6 @@ class ResourceCapError(RuntimeError):
         return f"{self.cap_name} = {self.cap_value} exceeded {self.reached}"
 
 
-class BoundExceededError(RuntimeError):
-    """The brute-force oracle found no walk within its length budget."""
-
-
 class VerificationError(RuntimeError):
     """An emitted answer failed its independent re-check."""
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .errors import BoundExceededError, ResourceCapError, VerificationError
+from .errors import ResourceCapError, VerificationError
 from .graphs import FiniteGraph, _not_masks, finite_cayley_graph
 from .groups import FreeModel, FreeProductModel, Payload, PositionTable
 from .limits import CAPS
@@ -352,54 +352,6 @@ def _lex_shortest_path(g: FiniteGraph, a: int, b: int, dist_b: Optional[List[int
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle (tests only): exhaustive walk enumeration
-
-
-def brute_force_oracle(inst: TspInstance, max_len: int) -> TspSolution:
-    """Iterative-deepening enumeration of walks; independent of solve_exact.
-
-    Raises BoundExceededError when no walk of at most max_len edges works.
-    """
-    g = inst.graph
-    reqs = sorted(inst.required)
-    bit = {r: 1 << i for i, r in enumerate(reqs)}
-    full = (1 << len(reqs)) - 1
-    bonus = sum(inst.service_weight.get(r, 0) for r in inst.required)
-    dist_end = g.distances_from(inst.end)
-    dist_req = {r: g.distances_from(r) for r in reqs}
-
-    start_mask = bit.get(inst.start, 0)
-
-    def lower_bound(v: int, mask: int) -> int:
-        lb = dist_end[v]
-        for r in reqs:
-            if not mask & bit[r]:
-                lb = max(lb, dist_req[r][v])
-        return lb
-
-    for budget in range(max_len + 1):
-        walk = [inst.start]
-
-        def dfs(v: int, mask: int, used: int) -> bool:
-            if mask == full and v == inst.end:
-                return True
-            if used + lower_bound(v, mask) > budget:
-                return False
-            for w in g.adj[v]:
-                walk.append(w)
-                if dfs(w, mask | bit.get(w, 0), used + 1):
-                    return True
-                walk.pop()
-            return False
-
-        if dfs(inst.start, start_mask, 0):
-            sol = TspSolution(len(walk) - 1 + bonus, tuple(walk))
-            validate_solution(inst, sol)
-            return sol
-    raise BoundExceededError(f"no covering walk within {max_len} edges")
-
-
-# ---------------------------------------------------------------------------
 # trees: the closed-form TS value
 
 
@@ -520,10 +472,10 @@ def ts_free_product(
     """Exact TS(start -> end; required) in Cay(H*K, S_H u S_K).
 
     Normalises the input and translates it by start^-1, then evaluates
-    ts_free_product_ids on a fresh position table and memo.
+    ts_free_product_ends for the one end on a fresh position table and memo.
     """
     _start, positions, end_id, req_ids = _localise(model, start, end, required)
-    return ts_free_product_ids(positions, end_id, req_ids, {})
+    return ts_free_product_ends(positions, req_ids, (end_id,), {})[0]
 
 
 def _localise(model: FreeProductModel, start: Payload, end: Payload, required: Sequence[Payload]):
@@ -540,14 +492,6 @@ def _localise(model: FreeProductModel, start: Payload, end: Payload, required: S
         intern(model.mul_payload(inv, model.normalize_payload(r))) for r in required
     )
     return start, positions, end_id, req_ids
-
-
-def ts_free_product_ids(
-    positions: PositionTable, end: int, required: FrozenSet[int], memo: dict
-) -> int:
-    """Exact TS(e -> end; required) for position ids of a free product:
-    ts_free_product_ends for one end."""
-    return ts_free_product_ends(positions, required, (end,), memo)[0]
 
 
 def ts_free_product_ends(
@@ -615,12 +559,12 @@ def ts_free_product_ends(
 def ts_free_product_ids_walk(
     positions: PositionTable, end: int, required: FrozenSet[int], memo: dict
 ) -> Tuple[int, List[Payload]]:
-    """(ts_free_product_ids, one optimal walk e -> end as payloads), both on
-    memo.  The walk goes first and fills the factor rows it uses; the value
+    """(exact TS(e -> end; required) for position ids of a free product, one
+    optimal walk e -> end as payloads), both on memo.  The walk goes first and fills the factor rows it uses; the value
     recursion then runs apart from it, and the walk's edge count must equal
     its value."""
     letters = _walk_fp(positions, 0, end, required, memo, {})
-    value = ts_free_product_ids(positions, end, required, memo)
+    value = ts_free_product_ends(positions, required, (end,), memo)[0]
     if len(letters) != value:
         raise VerificationError(f"free-product walk has {len(letters)} edges but TS is {value}")
     push, word = positions.model._push, []

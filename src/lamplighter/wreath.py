@@ -8,6 +8,12 @@ A wreath state is (lamps, position): lamps is a sorted tuple of
 Ball enumeration, depth profiles and the dead-end, depth and retreat
 searches run on interned states instead: one int
 `config id << 32 | position id` (see LamplighterModel._encode).
+
+The TS solver that prices a base is fixed when the model is built:
+LamplighterModel.strategy is finite, tree, petal or box, the one exact
+solver of the base, or generic, a slack-padded ball that gives only an
+upper bound.  The word-length entry points can ask for the generic bound
+on any base; the depth layer refuses a base whose strategy is generic.
 """
 
 from __future__ import annotations
@@ -43,46 +49,9 @@ from .limits import CAPS, env_cap
 
 WreathState = Tuple[Tuple[Tuple[Payload, Payload], ...], Payload]
 
-GENERIC_SLACK = 4  # generic backend: ball radius = longest point length + slack
+GENERIC_SLACK = 4  # generic strategy: ball radius = longest point length + slack
 
 _POS_MASK = (1 << 32) - 1  # an interned state is config id << 32 | position id
-
-
-@dataclass(frozen=True)
-class MetricBackend:
-    """Dispatch over the exactly solved regimes; `generic` is an upper bound."""
-
-    strategy: str  # finite | tree | petal | box | generic
-
-    @property
-    def exact(self) -> bool:
-        return self.strategy != "generic"
-
-
-def auto_backend(model: "LamplighterModel") -> MetricBackend:
-    base = model.base
-    if isinstance(base, FiniteModel):
-        return MetricBackend("finite")
-    if isinstance(base, FreeModel):
-        return MetricBackend("tree")
-    if isinstance(base, FreeProductModel):
-        return MetricBackend("petal")
-    if isinstance(base, AbelianModel) and base.is_standard_gens():
-        return MetricBackend("box")
-    return MetricBackend("generic")
-
-
-def backend_by_name(model: "LamplighterModel", name: str) -> MetricBackend:
-    """The named backend.  A base has one exact backend, the one auto picks;
-    naming another exact backend raises ValueError."""
-    if name == "generic":
-        return MetricBackend(name)
-    auto = auto_backend(model)
-    if name in ("auto", auto.strategy):
-        return auto
-    raise ValueError(
-        f"backend {name!r} does not fit the {model.base.variant} base (auto picks {auto.strategy})"
-    )
 
 
 class LamplighterModel:
@@ -91,14 +60,22 @@ class LamplighterModel:
     def __init__(self, lamps: GroupModel, base: GroupModel):
         self.lamps = lamps
         self.base = base
+        # the TS solver of the base, the one place that chooses it
+        self.strategy = (
+            "finite" if isinstance(base, FiniteModel)
+            else "tree" if isinstance(base, FreeModel)
+            else "petal" if isinstance(base, FreeProductModel)
+            else "box" if isinstance(base, AbelianModel) and base.is_standard_gens()
+            else "generic"
+        )
         self._lamp_len = functools.lru_cache(maxsize=None)(lamps.length_payload)
         self._base_str = functools.lru_cache(maxsize=None)(base.payload_str)
-        # every word-length memo: _ts_cache keyed by (backend strategy,
-        # position id, support ids), and the petal recursion's own, both on
-        # ids of _positions (see _config_lengths)
+        # every word-length memo: _ts_cache keyed by (position id, support
+        # ids), and the petal recursion's own, both on ids of _positions (see
+        # _config_lengths)
         self._ts_cache: Dict[tuple, int] = {}
         self._ts_fp_memo: dict = {}
-        self._finite_graph = finite_cayley_graph(base) if isinstance(base, FiniteModel) else None
+        self._finite_graph = finite_cayley_graph(base) if self.strategy == "finite" else None
         self._generator_states = self._build_generator_states()
         # the intern tables of the states met (see _encode): base positions,
         # and lamp configurations as flat tuples (p1, v1, p2, v2, ...) of
@@ -246,10 +223,13 @@ class WordLength:
     exact: bool
 
 
-def word_length(model: LamplighterModel, g: WreathState, backend: MetricBackend) -> WordLength:
-    """Lamp cost plus TS(e_B -> position; supp f) under the chosen backend,
-    priced on the interned state of g (see _config_lengths)."""
-    return WordLength(_state_length(model, model._encode(g), backend), backend.exact)
+def word_length(model: LamplighterModel, g: WreathState, generic: bool = False) -> WordLength:
+    """Lamp cost plus TS(e_B -> position; supp f) by the model's strategy,
+    priced on the interned state of g (see _config_lengths), or with generic
+    by the slack-padded ball, an upper bound."""
+    if generic:
+        return word_length_and_walk(model, g, True)[0]
+    return WordLength(_state_length(model, model._encode(g)), model.strategy != "generic")
 
 
 def lamp_cost(model: LamplighterModel, g: WreathState) -> int:
@@ -259,13 +239,13 @@ def lamp_cost(model: LamplighterModel, g: WreathState) -> int:
 
 
 def word_length_and_walk(
-    model: LamplighterModel, g: WreathState, backend: MetricBackend
+    model: LamplighterModel, g: WreathState, generic: bool = False
 ) -> Tuple[WordLength, List[Payload]]:
     """word_length(g) and a TS walk for it (see ts_walk), both from one
     _solve_walk call, which certifies the walk against its value."""
     lamps, pos = g
-    ts, walk = _solve_walk(model, pos, frozenset(k for k, _v in lamps), backend)
-    return WordLength(lamp_cost(model, g) + ts, backend.exact), walk
+    ts, walk = _solve_walk(model, pos, frozenset(k for k, _v in lamps), generic)
+    return WordLength(lamp_cost(model, g) + ts, not generic and model.strategy != "generic"), walk
 
 
 def _petal_ids(model: LamplighterModel, pos: Payload, support: FrozenSet[Payload]):
@@ -281,8 +261,6 @@ def _box_instance(base: AbelianModel, pos: Payload, support: FrozenSet[Payload])
     walk into the box is 1-Lipschitz and fixes endpoints and support, so the
     box-restricted optimum equals the unrestricted one.
     """
-    if not isinstance(base, AbelianModel) or not base.is_standard_gens():
-        raise ValueError("box backend needs an abelian base with standard generators")
     pts = set(support) | {base.identity_payload(), pos}
     r = base.rank
     lows = [min(p[i] for p in pts) for i in range(r)]
@@ -317,41 +295,40 @@ def _box_instance(base: AbelianModel, pos: Payload, support: FrozenSet[Payload])
     return inst, payload_of
 
 
-def ts_walk(model: LamplighterModel, pos: Payload, support: Sequence[Payload], backend: MetricBackend) -> List[Payload]:
+def ts_walk(
+    model: LamplighterModel, pos: Payload, support: Sequence[Payload], generic: bool = False
+) -> List[Payload]:
     """A TS-optimal (or, for generic, ball-optimal) base walk e -> pos
     covering the support, as group payloads."""
     normal = model.base.normalize_payload
-    return _solve_walk(model, normal(pos), frozenset(map(normal, support)), backend)[1]
+    return _solve_walk(model, normal(pos), frozenset(map(normal, support)), generic)[1]
 
 
 def _solve_walk(
-    model: LamplighterModel, pos: Payload, support: FrozenSet[Payload], backend: MetricBackend
+    model: LamplighterModel, pos: Payload, support: FrozenSet[Payload], generic: bool = False
 ) -> Tuple[int, List[Payload]]:
-    """(TS length, walk as payloads) under any backend, the walk checked
-    against a value computed apart from it: the tree closed form, the petal
-    value recursion on the model's memo, or the Held-Karp total of one exact
-    TSP solve on the finite Cayley graph, the bounding box or (generic, an
-    upper bound) a slack-padded ball.  The petal walk is built from
-    generator letters by its own recursion, taking the walk and the row of
-    each factor station mask from one Held-Karp closure; the value
-    recursion reads those rows, so the check compares the two recursions
-    over the factor copies, not two factor solves."""
-    base, strategy = model.base, backend.strategy
+    """(TS length, walk as payloads) by the model's strategy, or by the
+    generic one with generic, the walk checked against a value computed
+    apart from it: the tree closed form, the petal value recursion on the
+    model's memo, or the Held-Karp total of one exact TSP solve on the
+    finite Cayley graph, the bounding box or (generic, an upper bound) a
+    slack-padded ball.  The petal walk is built from generator letters by
+    its own recursion, taking the walk and the row of each factor station
+    mask from one Held-Karp closure; the value recursion reads those rows,
+    so the check compares the two recursions over the factor copies, not
+    two factor solves."""
+    base, strategy = model.base, "generic" if generic else model.strategy
     if strategy == "tree":
         return tsp.ts_tree_walk((), pos, sorted(support), base)
     if strategy == "petal":
         return tsp.ts_free_product_ids_walk(*_petal_ids(model, pos, support), model._ts_fp_memo)
     if strategy == "finite":
-        if model._finite_graph is None:
-            raise ValueError("finite backend needs a finite base group")
         sol = tsp.solve_exact(tsp.TspInstance(model._finite_graph, base.table.identity, pos, support))
         return sol.length, list(sol.walk)
     if strategy == "box":
         inst, payload_of = _box_instance(base, pos, support)
         sol = tsp.solve_exact(inst)
         return sol.length, [payload_of[v] for v in sol.walk]
-    if strategy != "generic":
-        raise ValueError(f"unknown backend {strategy!r}")
     ball = cayley_ball(base, _generic_radius(base, pos, support))
     inst = tsp.TspInstance(
         ball.graph,
@@ -385,29 +362,29 @@ class DepthReport:
     retreat_exact: bool = True
 
 
-def _require_exact(backend: MetricBackend) -> None:
-    if not backend.exact:
-        raise ValueError("depth analysis requires an exact metric backend")
+def _require_exact(model: LamplighterModel) -> None:
+    if model.strategy == "generic":
+        raise ValueError(f"depth analysis needs an exact strategy; the {model.base.variant} base has none")
 
 
-def is_dead_end(model: LamplighterModel, g: WreathState, backend: MetricBackend) -> bool:
+def is_dead_end(model: LamplighterModel, g: WreathState) -> bool:
     """True iff no single generator extends g to a longer element."""
-    _require_exact(backend)
-    return _dead_end_length(model, model._encode(g), backend)[0]
+    _require_exact(model)
+    return _dead_end_length(model, model._encode(g))[0]
 
 
-def _dead_end_length(model: LamplighterModel, s: int, backend: MetricBackend) -> Tuple[bool, int]:
+def _dead_end_length(model: LamplighterModel, s: int) -> Tuple[bool, int]:
     """(the interned state s is a dead end, its word length)."""
-    L = _state_length(model, s, backend)
-    return all(_state_length(model, t, backend) <= L for t in model._steps(s)), L
+    L = _state_length(model, s)
+    return all(_state_length(model, t) <= L for t in model._steps(s)), L
 
 
-def depth(model: LamplighterModel, g: WreathState, k_max: int, backend: MetricBackend) -> DepthReport:
+def depth(model: LamplighterModel, g: WreathState, k_max: int) -> DepthReport:
     """Largest n <= k_max with ||gh|| <= ||g|| for every ||h|| <= n, by BFS
     over multiplier words on interned states."""
-    _require_exact(backend)
+    _require_exact(model)
     s = model._encode(g)
-    L = _state_length(model, s, backend)
+    L = _state_length(model, s)
     labels = [label for label, _state in model.generator_states()]
     steps = model._steps
     seen: Set[int] = {s}
@@ -420,7 +397,7 @@ def depth(model: LamplighterModel, g: WreathState, k_max: int, backend: MetricBa
                 if t in seen:
                     continue
                 seen.add(t)
-                if _state_length(model, t, backend) > L:
+                if _state_length(model, t) > L:
                     return DepthReport(g, L, n - 1, True, _unlink((link, label)))
                 nxt.append((t, (link, label)))
         frontier = nxt
@@ -435,15 +412,13 @@ def _unlink(link: Optional[tuple]) -> Tuple[str, ...]:
     return tuple(reversed(labels))
 
 
-def retreat_depth(
-    model: LamplighterModel, g: WreathState, k_max: int, backend: MetricBackend
-) -> Tuple[int, bool]:
+def retreat_depth(model: LamplighterModel, g: WreathState, k_max: int) -> Tuple[int, bool]:
     """Minimal k such that the sphere ||g||+1 is reachable from g through
     elements of word length >= ||g|| - k.  Returns (k_max + 1, False) when
     every k <= k_max fails."""
-    _require_exact(backend)
+    _require_exact(model)
     s = model._encode(g)
-    dead, L = _dead_end_length(model, s, backend)
+    dead, L = _dead_end_length(model, s)
     if not dead:
         raise ValueError("retreat depth is defined for dead ends only")
     steps, cap = model._steps, CAPS["RETREAT_SEARCH_CAP"]
@@ -456,7 +431,7 @@ def retreat_depth(
                 for t in steps(state):
                     if t in seen:
                         continue
-                    lt = _state_length(model, t, backend)
+                    lt = _state_length(model, t)
                     if lt == L + 1:
                         return k, True
                     if lt >= L - k:
@@ -861,39 +836,37 @@ def _lamp_moves_leave(model: LamplighterModel, s: int, dist: Dict[int, int]) -> 
     return not all(t in dist for t in model._steps(s, False)[:len(model.lamps.gens)])
 
 
-def _state_length(model: LamplighterModel, s: int, backend: MetricBackend) -> int:
+def _state_length(model: LamplighterModel, s: int) -> int:
     """Word length of the interned state s by the formula, never the BFS
     distance (see _config_lengths)."""
-    return _config_lengths(model, s >> 32, (s & _POS_MASK,), backend)[0]
+    return _config_lengths(model, s >> 32, (s & _POS_MASK,))[0]
 
 
-def _config_lengths(
-    model: LamplighterModel, c: int, ends: Sequence[int], backend: MetricBackend
-) -> List[int]:
+def _config_lengths(model: LamplighterModel, c: int, ends: Sequence[int]) -> List[int]:
     """Word lengths of the interned states c << 32 | p for the position ids
     p of ends, by the formula: the lamp cost of the configuration's values
-    plus a TS term.  The petal backend prices every end in one
-    tsp.ts_free_product_ends call on position ids.  The other backends look
-    the term up in _ts_cache by (strategy, position id, support ids) and
-    decode the payloads only on a miss, for tsp.ts_tree or _solve_walk.
+    plus a TS term by the model's strategy.  The petal strategy prices every
+    end in one tsp.ts_free_product_ends call on position ids.  The others
+    look the term up in _ts_cache by (position id, support ids) and decode
+    the payloads only on a miss, for tsp.ts_tree or _solve_walk.
 
-    The petal backend adds the lamp cost inside that call, so one
+    The petal strategy adds the lamp cost inside that call, so one
     configuration costs one call and no list of its own."""
     config = model._configs[c]
     cost = sum(map(model._lamp_len, config[1::2]))
-    if backend.strategy == "petal":
+    if model.strategy == "petal":
         return tsp.ts_free_product_ends(model._positions, config[::2], ends, model._ts_fp_memo, cost)
     support, out = config[::2], []
     for p in ends:
-        key = (backend.strategy, p, support)
+        key = (p, support)
         ts = model._ts_cache.get(key)
         if ts is None:
             payloads = model._positions.payloads
             pos, points = payloads[p], [payloads[i] for i in support]
-            if backend.strategy == "tree":
+            if model.strategy == "tree":
                 ts = tsp.ts_tree((), pos, sorted(points), model.base)
             else:
-                ts = _solve_walk(model, pos, frozenset(points), backend)[0]
+                ts = _solve_walk(model, pos, frozenset(points))[0]
             model._ts_cache[key] = ts
         out.append(cost + ts)
     return out
@@ -911,7 +884,6 @@ def depth_profile(
     model: LamplighterModel,
     radius: int,
     k_max: int,
-    backend: Optional[MetricBackend] = None,
     cap: Optional[int] = None,
     partial_ok: bool = False,
 ) -> DepthProfile:
@@ -936,8 +908,7 @@ def depth_profile(
     states that leave are priced in one _config_lengths call, which splits
     the configuration's support once.
     """
-    backend = backend or auto_backend(model)
-    _require_exact(backend)
+    _require_exact(model)
     dist, complete, stuck = _ball_shells(model, radius, cap, partial_ok)
     reached = max(dist.values(), default=0)
     # depth() with k_max 0 expands nothing and reports depth >= 0 whatever
@@ -946,13 +917,13 @@ def depth_profile(
     lower = [DepthReport(None, L, 0, False) for L in range(reached + 1)]
     # a saturated finite ball finds its whole last shell stuck
     if k_max:
-        below = {s: _search(model, s, dist[s], k_max, backend) for s in stuck if dist[s] < reached}
+        below = {s: _search(model, s, dist[s], k_max) for s in stuck if dist[s] < reached}
     else:
         below = {}
         stuck_below = sorted(s for s in stuck if dist[s] < reached)
         for c, states in itertools.groupby(stuck_below, lambda s: s >> 32):
             states = list(states)
-            for s, L in zip(states, _config_lengths(model, c, [s & _POS_MASK for s in states], backend)):
+            for s, L in zip(states, _config_lengths(model, c, [s & _POS_MASK for s in states])):
                 if L != dist[s]:
                     _check_formula(model, s, L, dist[s])
                 below[s] = lower[L]
@@ -973,11 +944,11 @@ def depth_profile(
                     if _lamp_moves_leave(model, bits | p, dist):
                         priced.append(p)
                     else:
-                        rows.searched[k] = _search(model, bits | p, reached, k_max, backend)
+                        rows.searched[k] = _search(model, bits | p, reached, k_max)
         else:
             priced = ends
         if priced:
-            lengths = _config_lengths(model, c, priced, backend)
+            lengths = _config_lengths(model, c, priced)
             # one count compares every state; the loop runs on a mismatch
             if lengths.count(reached) != len(priced):
                 for p, L in zip(priced, lengths):
@@ -985,8 +956,8 @@ def depth_profile(
     return DepthProfile(radius, k_max, rows, complete)
 
 
-def _search(model: LamplighterModel, s: int, L: int, k_max: int, backend: MetricBackend) -> DepthReport:
+def _search(model: LamplighterModel, s: int, L: int, k_max: int) -> DepthReport:
     """depth() of the interned state s, its word length checked against L."""
-    rep = depth(model, model._decode(s), k_max, backend)
+    rep = depth(model, model._decode(s), k_max)
     _check_formula(model, s, rep.word_length, L)
     return rep

@@ -1,0 +1,52 @@
+"""Independent oracles the tests check the solvers against: the exhaustive
+walk enumeration for the exact TSP solver."""
+
+from lamplighter.tsp import TspInstance, TspSolution, validate_solution
+
+
+class BoundExceededError(RuntimeError):
+    """The brute-force oracle found no walk within its length budget."""
+
+
+def brute_force_oracle(inst: TspInstance, max_len: int) -> TspSolution:
+    """Iterative-deepening enumeration of walks; independent of solve_exact.
+
+    Raises BoundExceededError when no walk of at most max_len edges works.
+    """
+    g = inst.graph
+    reqs = sorted(inst.required)
+    bit = {r: 1 << i for i, r in enumerate(reqs)}
+    full = (1 << len(reqs)) - 1
+    bonus = sum(inst.service_weight.get(r, 0) for r in inst.required)
+    dist_end = g.distances_from(inst.end)
+    dist_req = {r: g.distances_from(r) for r in reqs}
+
+    start_mask = bit.get(inst.start, 0)
+
+    def lower_bound(v: int, mask: int) -> int:
+        lb = dist_end[v]
+        for r in reqs:
+            if not mask & bit[r]:
+                lb = max(lb, dist_req[r][v])
+        return lb
+
+    for budget in range(max_len + 1):
+        walk = [inst.start]
+
+        def dfs(v: int, mask: int, used: int) -> bool:
+            if mask == full and v == inst.end:
+                return True
+            if used + lower_bound(v, mask) > budget:
+                return False
+            for w in g.adj[v]:
+                walk.append(w)
+                if dfs(w, mask | bit.get(w, 0), used + 1):
+                    return True
+                walk.pop()
+            return False
+
+        if dfs(inst.start, start_mask, 0):
+            sol = TspSolution(len(walk) - 1 + bonus, tuple(walk))
+            validate_solution(inst, sol)
+            return sol
+    raise BoundExceededError(f"no covering walk within {max_len} edges")

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from lamplighter import graphs as Gr, groups as G, hamiltonian as H, tsp as T, wreath as W
+from oracles import brute_force_oracle
 
 
 def report(criterion: int, message: str) -> None:
@@ -84,7 +85,6 @@ def test_c03_theorem_dichotomy(lamps, fp82_profile_r12):
     # later radii use exactly verified witness elements (lower bounds for
     # the ball maxima), per the desk-scale substitution note.
     fp44 = W.LamplighterModel(lamps, G.make_free_product(cyc(4), cyc(4, "c")))
-    be44 = W.auto_backend(fp44)
     exhaustive = W.depth_profile(fp44, 8, 6)
     assert exhaustive.complete and exhaustive.max_depth() == 0
 
@@ -92,14 +92,14 @@ def test_c03_theorem_dichotomy(lamps, fp82_profile_r12):
         {(): 1, ((0, 1),): 1, ((0, 2),): 1, ((0, 3),): 1, ((0, 2), (1, 2)): 1},
         ((0, 2),),
     )
-    wl13 = W.word_length(fp44, g13, be44)
-    rep13 = W.depth(fp44, g13, 6, be44)
+    wl13 = W.word_length(fp44, g13)
+    rep13 = W.depth(fp44, g13, 6)
     assert wl13.value == 13 and rep13.depth == 2 and rep13.depth_exact
 
     ball3 = Gr.cayley_ball(fp44.base, 3)
     g103 = fp44.state({p: 1 for p in ball3.elements}, ())
-    wl103 = W.word_length(fp44, g103, be44)
-    rep103 = W.depth(fp44, g103, 8, be44)
+    wl103 = W.word_length(fp44, g103)
+    rep103 = W.depth(fp44, g103, 8)
     assert wl103.value == 103 and rep103.depth == 4 and rep103.depth_exact
 
     ladder44 = [(8, 0), (13, 2), (103, 4)]
@@ -125,7 +125,6 @@ def test_c03_theorem_dichotomy(lamps, fp82_profile_r12):
 
 def test_c04_prop33_biconditional(lamps):
     model = W.LamplighterModel(lamps, G.make_free(1, "t"))
-    backend = W.auto_backend(model)
     free = model.base
     ball = [free.normalize_payload((1,) * k if k >= 0 else (-1,) * -k) for k in range(-3, 4)]
 
@@ -139,7 +138,7 @@ def test_c04_prop33_biconditional(lamps):
         for pos in ball:
             state = model.state({k: 1 for k in support}, pos)
             total += 1
-            observed = W.is_dead_end(model, state, backend)
+            observed = W.is_dead_end(model, state)
             lamp_at_pos_deep = pos in support  # f(x) = a, the deep element
             hull = hull_edges(support)
             edges_at_pos = set()
@@ -166,12 +165,11 @@ def test_c05_word_length_oracle_equivalence(lamps):
     counts = {}
     for name, base in bases.items():
         model = W.LamplighterModel(lamps, base)
-        backend = W.auto_backend(model)
-        assert backend.exact, name
+        assert model.strategy != "generic", name
         dist, complete = W.enumerate_ball(model, 6)
         assert complete
         for g, L in dist.items():
-            value = W.word_length(model, g, backend).value
+            value = W.word_length(model, g).value
             assert value == L, (name, model.state_str(g), value, L)
         counts[name] = len(dist)
     elapsed = time.time() - t0
@@ -197,7 +195,7 @@ def test_c06_tsp_cross_validation():
             weights = {r: rng.randint(1, 4) for r in chosen}
         inst = T.TspInstance(g, rng.randrange(n), rng.randrange(n), req, weights)
         fast = T.solve_exact(inst)
-        slow = T.brute_force_oracle(inst, 44)
+        slow = brute_force_oracle(inst, 44)
         assert fast.length == slow.length, (sorted(edges), dict(inst.service_weight))
         trials += 1
     report(6, "solve_exact == brute-force oracle on 500 randomized instances")
@@ -322,7 +320,6 @@ def test_c10_qh_certificates_and_refutations():
 def test_c11_example58_positions(lamps):
     base = G.make_free_product(G.make_cyclic(4, [1]), G.make_cyclic(4, [1], letter="c"))
     model = W.LamplighterModel(lamps, base)
-    backend = W.auto_backend(model)
     Hc = lambda i: (0, i)
     Kc = lambda i: (1, i)
 
@@ -343,8 +340,8 @@ def test_c11_example58_positions(lamps):
     for pos, config, pos_len in cases:
         assert base.length_payload(base.normalize_payload(pos)) == pos_len
         state = model.state(config, pos)
-        assert W.is_dead_end(model, state, backend), model.state_str(state)
-        rep = W.depth(model, state, 4, backend)
+        assert W.is_dead_end(model, state), model.state_str(state)
+        rep = W.depth(model, state, 4)
         assert rep.depth >= 1
         found.append((model.base.payload_str(base.normalize_payload(pos)), rep.depth))
     report(11, f"dead ends at positions {found} (word lengths 2, 2, 4)")

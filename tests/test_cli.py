@@ -594,6 +594,13 @@ class TestUnfitRequests:
                             "--backend", "generic"])
         assert rc == 2 and out == "" and "exact backend" in err
 
+    def test_depth_profile_refuses_generic_only_base(self, specs):
+        # Z/2 wr (Z, {±1, ±2}): auto picks generic, the only strategy of the base
+        rc, out, err = run(["depth-profile", "--group", specs["ll_z12.json"], "--radius", "2",
+                            "--backend", "auto"])
+        assert rc == 2 and out == ""
+        assert "usage error: depth needs an exact backend; 'generic' is an upper bound" in err
+
     @pytest.mark.parametrize("strategy", ["abelian-box", "refute"])
     def test_qh_strategy_off_its_group(self, specs, strategy):
         rc, out, err = run(["qh", "--group", specs["c6.json"], "--nmax", "1",
@@ -659,7 +666,7 @@ argv = ["depth-profile", "--group", sys.argv[1], "--radius", "2", "--kmax", "2",
         "--out", os.devnull]
 rc_ok = cli.main(argv)
 exact = wreath._config_lengths
-wreath._config_lengths = lambda m, c, ends, b: [L + 1 for L in exact(m, c, ends, b)]
+wreath._config_lengths = lambda m, c, ends: [L + 1 for L in exact(m, c, ends)]
 print(sys.flags.optimize, rc_ok, cli.main(argv))
 """
 

@@ -63,7 +63,6 @@ def test_documented_script_runs(script, args, expected):
 KEPT_UNNAMED = {
     "hamiltonian.hamiltonian_path": "the Hamiltonian path decider README documents",
     "hamiltonian.analyze": "the all-pairs Hamiltonicity decider README documents",
-    "tsp.brute_force_oracle": "the tests' independent oracle for the exact TSP solver",
     "tsp.ts_free_product": "public payload-level petal TS (README); traced by layertrace.py",
     "tsp.ts_free_product_walk": "public payload-level petal walk (README); traced by layertrace.py",
     "wreath.enumerate_ball": "public payload-level ball (README); traced by layertrace.py",

@@ -69,10 +69,9 @@ class TestWreathLaw:
 
     @given(line_states, line_states)
     def test_length_subadditive(self, ll_line, a, b):
-        be = W.auto_backend(ll_line)
-        la = W.word_length(ll_line, a, be).value
-        lb = W.word_length(ll_line, b, be).value
-        lab = W.word_length(ll_line, ll_line.multiply(a, b), be).value
+        la = W.word_length(ll_line, a).value
+        lb = W.word_length(ll_line, b).value
+        lab = W.word_length(ll_line, ll_line.multiply(a, b)).value
         assert lab <= la + lb
 
 
@@ -92,48 +91,45 @@ class TestNeighbors:
 
     def test_bipartite_length_steps(self, ll_fp82):
         # Cay(Z8*Z2) has no odd cycles, so every step changes length by 1
-        be = W.auto_backend(ll_fp82)
         rng = random.Random(4)
         ball_items = list(W.enumerate_ball(ll_fp82, 5)[0].items())
         for g, L in rng.sample(ball_items, 40):
             for h in _neighbors(ll_fp82, g):
-                lh = W.word_length(ll_fp82, h, be).value
+                lh = W.word_length(ll_fp82, h).value
                 assert abs(lh - L) == 1
 
 
 class TestWordLength:
     def test_identity(self, ll_line):
-        assert W.word_length(ll_line, ll_line.identity_state(), W.auto_backend(ll_line)).value == 0
+        assert W.word_length(ll_line, ll_line.identity_state()).value == 0
 
     def test_two_lamps_around_origin(self, ll_line):
         g = ll_line.state({(-1,): 1, (1,): 1}, (0,))
-        assert W.word_length(ll_line, g, W.auto_backend(ll_line)).value == 6
+        assert W.word_length(ll_line, g).value == 6
 
     def test_free_rank2_ball_lamps(self, z2_lamps):
         model = W.LamplighterModel(z2_lamps, G.make_free(2))
         keys = [(), (1,), (-1,), (2,), (-2,)]
         g = model.state({k: 1 for k in keys}, ())
-        assert W.word_length(model, g, W.auto_backend(model)).value == 13
+        assert W.word_length(model, g).value == 13
 
     def test_generic_backend_upper_bound(self, z2_lamps):
-        # king's-move generators: not standard, so only the generic backend
+        # king's-move generators: not standard, so only the generic strategy
         model = W.LamplighterModel(
             z2_lamps,
             G.make_abelian(2, [], [[1, 0], [0, 1], [1, 1], [1, -1]]),
         )
-        be = W.auto_backend(model)
-        assert not be.exact
+        assert model.strategy == "generic"
         g = model.state({(1, 1): 1}, (0, 0))
-        res = W.word_length(model, g, be)
+        res = W.word_length(model, g)
         assert res.value == 3 and not res.exact
 
     def test_ts_walk_all_backends(self, ll_line, ll_tree, ll_fp82):
         for model in (ll_line, ll_tree, ll_fp82):
-            be = W.auto_backend(model)
             e = model.base.identity_payload()
             keys = [model.base.gens[0], e]
             pos = model.base.gens[0]
-            walk = W.ts_walk(model, pos, keys, be)
+            walk = W.ts_walk(model, pos, keys)
             assert walk[0] == e and walk[-1] == pos
             gens = set(model.base.gens)
             for a, b in zip(walk, walk[1:]):
@@ -155,79 +151,76 @@ class TestOracleEquivalence:
             ),
         }
         model = W.LamplighterModel(z2_lamps, bases[base_key])
-        be = W.auto_backend(model)
-        assert be.exact
+        assert model.strategy != "generic"
         dist, complete = W.enumerate_ball(model, 4)
         assert complete
         for g, L in dist.items():
-            assert W.word_length(model, g, be).value == L
+            assert W.word_length(model, g).value == L
 
 
 class TestDeadEnds:
     def test_identity_is_not(self, ll_tree):
-        assert not W.is_dead_end(ll_tree, ll_tree.identity_state(), W.auto_backend(ll_tree))
+        assert not W.is_dead_end(ll_tree, ll_tree.identity_state())
 
     def test_prop33_witness(self, ll_tree):
-        be = W.auto_backend(ll_tree)
         w = W.cleary_taback_witness(ll_tree, 1)
-        assert W.is_dead_end(ll_tree, w, be)
+        assert W.is_dead_end(ll_tree, w)
 
     def test_prop33_shifted_position_fails(self, ll_tree):
-        be = W.auto_backend(ll_tree)
         g = ll_tree.state({(-1,): 1, (): 1, (1,): 1}, (1,))
-        assert not W.is_dead_end(ll_tree, g, be)
+        assert not W.is_dead_end(ll_tree, g)
 
     def test_depth_of_identity(self, ll_tree):
-        rep = W.depth(ll_tree, ll_tree.identity_state(), 5, W.auto_backend(ll_tree))
+        rep = W.depth(ll_tree, ll_tree.identity_state(), 5)
         assert rep.depth == 0 and rep.depth_exact
 
     def test_ct_witness_depths_grow(self, ll_tree):
-        be = W.auto_backend(ll_tree)
         depths = []
         for n in (1, 2):
-            rep = W.depth(ll_tree, W.cleary_taback_witness(ll_tree, n), 2 * n + 3, be)
+            rep = W.depth(ll_tree, W.cleary_taback_witness(ll_tree, n), 2 * n + 3)
             assert rep.depth_exact
             depths.append(rep.depth)
         assert depths == [2, 4]
 
     def test_ct_witness_words(self, ll_tree):
         # the first word (BFS order) whose product leaves the sphere
-        be = W.auto_backend(ll_tree)
-        rep = W.depth(ll_tree, W.cleary_taback_witness(ll_tree, 1), 5, be)
+        rep = W.depth(ll_tree, W.cleary_taback_witness(ll_tree, 1), 5)
         assert rep.witness == ("B:t", "B:t", "A:a")
-        rep = W.depth(ll_tree, W.cleary_taback_witness(ll_tree, 2), 7, be)
+        rep = W.depth(ll_tree, W.cleary_taback_witness(ll_tree, 2), 7)
         assert rep.witness == ("B:t", "B:t", "B:t", "A:a", "B:t")
 
     def test_depth_monotone_in_kmax(self, ll_tree):
-        be = W.auto_backend(ll_tree)
         w = W.cleary_taback_witness(ll_tree, 2)
-        reported = [W.depth(ll_tree, w, k, be).depth for k in (1, 2, 3, 4, 5)]
+        reported = [W.depth(ll_tree, w, k).depth for k in (1, 2, 3, 4, 5)]
         assert reported == sorted(reported)
 
     def test_retreat_at_most_depth(self, ll_tree):
-        be = W.auto_backend(ll_tree)
         for n in (1, 2):
             w = W.cleary_taback_witness(ll_tree, n)
-            rep = W.depth(ll_tree, w, 2 * n + 3, be)
-            rd, exact = W.retreat_depth(ll_tree, w, rep.depth, be)
+            rep = W.depth(ll_tree, w, 2 * n + 3)
+            rd, exact = W.retreat_depth(ll_tree, w, rep.depth)
             assert exact and rd <= rep.depth
 
     def test_retreat_cap_error_names_cap_and_k(self, ll_tree, monkeypatch):
-        be = W.auto_backend(ll_tree)
         w = W.cleary_taback_witness(ll_tree, 2)
-        assert W.retreat_depth(ll_tree, w, 4, be) == (2, True)
+        assert W.retreat_depth(ll_tree, w, 4) == (2, True)
         monkeypatch.setitem(CAPS, "RETREAT_SEARCH_CAP", 5)
         msg = "^RETREAT_SEARCH_CAP = 5 exceeded at k = 2; retreat depth >= 2$"
         with pytest.raises(ResourceCapError, match=msg):
-            W.retreat_depth(ll_tree, w, 4, be)
+            W.retreat_depth(ll_tree, w, 4)
 
     def test_retreat_requires_dead_end(self, ll_tree):
         with pytest.raises(ValueError):
-            W.retreat_depth(ll_tree, ll_tree.identity_state(), 3, W.auto_backend(ll_tree))
+            W.retreat_depth(ll_tree, ll_tree.identity_state(), 3)
 
-    def test_inexact_backend_rejected(self, ll_line):
-        with pytest.raises(ValueError):
-            W.depth(ll_line, ll_line.identity_state(), 2, W.MetricBackend("generic"))
+    def test_inexact_backend_rejected(self, z2_lamps):
+        # Z/2 wr (Z, {±1, ±2}): the generic strategy is the base's only one
+        model = W.LamplighterModel(z2_lamps, G.make_abelian(1, [], [[1], [2]]))
+        g = model.state({(0,): 1}, (0,))
+        for run in (lambda: W.is_dead_end(model, g), lambda: W.depth(model, g, 2),
+                    lambda: W.retreat_depth(model, g, 2), lambda: W.depth_profile(model, 2, 1)):
+            with pytest.raises(ValueError, match="exact strategy"):
+                run()
 
 
 class TestWitnesses:
@@ -340,8 +333,7 @@ class TestFiniteBase:
     """Lamplighters over a finite base: depth is dominated by the lamps."""
 
     def test_backend_is_exact(self, ll_oct):
-        be = W.auto_backend(ll_oct)
-        assert be.strategy == "finite" and be.exact
+        assert ll_oct.strategy == "finite"
 
     def test_group_is_finite_with_known_diameter(self, ll_oct):
         dist, complete = W.enumerate_ball(ll_oct, 20)
@@ -349,10 +341,9 @@ class TestFiniteBase:
         assert max(dist.values()) == 18  # 8 lamps + (8 + 8//2 - 2)
 
     def test_formula_matches_bfs(self, ll_oct):
-        be = W.auto_backend(ll_oct)
         dist, _ = W.enumerate_ball(ll_oct, 20)
         for g, L in dist.items():
-            assert W.word_length(ll_oct, g, be).value == L
+            assert W.word_length(ll_oct, g).value == L
 
     def test_depth_maximum_is_fully_lit_ts_max(self, ll_oct):
         # the profile's deepest element has every lamp lit and sits at the
@@ -462,14 +453,14 @@ def _ball_ts(model, orders, pos, support):
 def _petal_ts(ll, support, pos):
     """TS term of the petal word length (each Z/2 lamp costs one)."""
     g = ll.state({p: 1 for p in support}, pos)
-    return W.word_length(ll, g, W.MetricBackend("petal")).value - len(support)
+    return W.word_length(ll, g).value - len(support)
 
 
 def _interned_ts(ll, support, pos):
     """The same term from the interned state, as the profile's formula check
     computes it (position ids, id-keyed memo)."""
     s = ll._encode(ll.state({p: 1 for p in support}, pos))
-    return W._state_length(ll, s, W.MetricBackend("petal")) - len(support)
+    return W._state_length(ll, s) - len(support)
 
 
 class TestPetalNormalForm:
@@ -534,14 +525,13 @@ class TestPetalWalk:
         orders, support, pos, _shift, _seed = data.draw(petal_cases(key))
         base = _free_product(orders)
         ll = W.LamplighterModel(z2_lamps, base)
-        petal = W.MetricBackend("petal")
         g = ll.state({p: 1 for p in support}, pos)
-        wl, walk = W.word_length_and_walk(ll, g, petal)
+        wl, walk = W.word_length_and_walk(ll, g)
         gens = set(base.gens)
         assert all(base.mul_payload(base.inv_payload(a), b) in gens for a, b in zip(walk, walk[1:]))
         assert walk[0] == () and walk[-1] == pos and set(support) <= set(walk)
         assert wl.value == W.lamp_cost(ll, g) + len(walk) - 1
-        assert wl == W.word_length(W.LamplighterModel(z2_lamps, base), g, petal)
+        assert wl == W.word_length(W.LamplighterModel(z2_lamps, base), g)
         assert walk == T.ts_free_product_walk(base, (), pos, support)[1]
 
     def test_root_certificate(self, z2_lamps, monkeypatch):
@@ -550,7 +540,7 @@ class TestPetalWalk:
         exact = T._factor_ts_edges
         monkeypatch.setattr(T, "_factor_ts_edges", lambda *a: exact(*a) + 1)
         with pytest.raises(VerificationError, match="free-product walk has"):
-            W.word_length_and_walk(ll, g, W.MetricBackend("petal"))
+            W.word_length_and_walk(ll, g)
 
 
 class TestMemoOwner:
@@ -566,10 +556,9 @@ class TestMemoOwner:
         base = _free_product(FREE_PRODUCTS[key])
         before = self._snapshot(base)
         ll = W.LamplighterModel(z2_lamps, base)
-        petal = W.MetricBackend("petal")
         g = ll.state({((0, 1),): 1, ((1, 1), (0, 2)): 1}, ((0, 1), (1, 1)))
-        assert W.word_length(ll, g, petal).value > 0
-        W.word_length_and_walk(ll, g, petal)
+        assert W.word_length(ll, g).value > 0
+        W.word_length_and_walk(ll, g)
         W.depth_profile(ll, 4, 2)
         support = [((0, 1),), ((1, 1), (0, 2))]
         assert T.ts_free_product(base, (), ((1, 1),), support) > 0
@@ -577,14 +566,31 @@ class TestMemoOwner:
         assert ll._ts_fp_memo
         assert self._snapshot(base) == before
 
-    def test_finite_and_lamp_models_untouched(self, z2_lamps):
-        base = G.make_cyclic(6, [1])
+    # (base, lamps, position) per strategy: the bases and elements of the
+    # CLI's wordlen queries, one base of each variant
+    STRATEGY_CASES = {
+        "finite": (G.make_cyclic(16, [1]), {2: 1, 4: 1}, 0),
+        "box": (G.make_abelian(1, [], [[1]]), {(-1,): 1, (1,): 1}, (0,)),
+        "generic": (G.make_abelian(1, [], [[1], [2]]), {(-1,): 1, (1,): 1}, (0,)),
+        "tree": (G.make_free(1), {(-1,): 1, (1, 1): 1}, (1,)),
+        "petal": (_free_product((8, 2)), {((0, 3),): 1, (): 1, ((1, 1), (0, 2)): 1}, ((0, 5),)),
+    }
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGY_CASES))
+    def test_base_and_lamp_models_untouched(self, z2_lamps, strategy):
+        # the base fixes the strategy; generic prices any base, flagged as
+        # an upper bound and never below the strategy's value
+        base, lamps, pos = self.STRATEGY_CASES[strategy]
         before = self._snapshot(base), self._snapshot(z2_lamps)
         ll = W.LamplighterModel(z2_lamps, base)
-        W.depth_profile(ll, 4, 2)
-        g = ll.state({2: 1, 4: 1}, 1)
-        for backend in (W.auto_backend(ll), W.MetricBackend("generic")):
-            W.word_length_and_walk(ll, g, backend)  # generic reads base lengths
+        assert ll.strategy == strategy
+        if strategy != "generic":
+            W.depth_profile(ll, 4, 2)
+        g = ll.state(lamps, pos)
+        value = W.word_length(ll, g)
+        bound, _walk = W.word_length_and_walk(ll, g, generic=True)  # generic reads base lengths
+        assert value.exact == (strategy != "generic") and not bound.exact
+        assert bound.value >= value.value
         assert (self._snapshot(base), self._snapshot(z2_lamps)) == before
 
 
@@ -604,10 +610,9 @@ class TestOnePricer:
         real = getattr(owner, solver)
         monkeypatch.setattr(owner, solver, lambda *a: calls.append(a) or real(*a))
         ll = W.LamplighterModel(z2_lamps, base)
-        be = W.auto_backend(ll)
         g = ll.state(lamps, pos)
-        L = W.word_length(ll, g, be).value
-        assert W._state_length(ll, ll._encode(g), be) == L
+        L = W.word_length(ll, g).value
+        assert W._state_length(ll, ll._encode(g)) == L
         assert len(calls) == 1
 
 
@@ -641,7 +646,6 @@ def _searched_profile(model, radius, k_max, cap=None):
     longer neighbour inside the ball: every dead-end candidate below the last
     shell and every element of the last shell.  The ball comes from the
     payload BFS, not from the interned enumeration."""
-    be = W.auto_backend(model)
     dist, complete = _payload_ball(model, radius, cap)
     reached = max(dist.values())
     rows = []
@@ -650,7 +654,7 @@ def _searched_profile(model, radius, k_max, cap=None):
         if L < reached and any(dist.get(h, -1) > L for h in nbrs):
             rows.append(W.ProfileRow(model.state_str(g), L, 0, True))
             continue
-        rep = W.depth(model, g, k_max, be)
+        rep = W.depth(model, g, k_max)
         assert rep.word_length == L
         rows.append(W.ProfileRow(model.state_str(g), L, rep.depth, rep.depth_exact))
     rows.sort(key=lambda r: (r.word_length, r.element_id))
@@ -709,9 +713,9 @@ class TestProfileLookup:
         calls = []
         search = W.depth
 
-        def counting(model, g, k, be):
+        def counting(model, g, k):
             calls.append(g)
-            return search(model, g, k, be)
+            return search(model, g, k)
 
         monkeypatch.setattr(W, "depth", counting)
         prof = W.depth_profile(_model(key), radius, k_max, cap=cap, partial_ok=True)
@@ -747,8 +751,8 @@ class TestProfileLookup:
         off = {g for g, L in dist.items() if (L < reached) == below}
         exact = W._config_lengths
 
-        def off_by_one(m, c, ends, be):
-            return [L + (m._decode(c << 32 | p) in off) for L, p in zip(exact(m, c, ends, be), ends)]
+        def off_by_one(m, c, ends):
+            return [L + (m._decode(c << 32 | p) in off) for L, p in zip(exact(m, c, ends), ends)]
 
         monkeypatch.setattr(W, "_config_lengths", off_by_one)
         with pytest.raises(VerificationError, match="formula gives"):
@@ -762,8 +766,8 @@ class TestProfileLookup:
         last = {g for g, L in dist.items() if L == 5}
         exact = W._config_lengths
 
-        def off_on_last(m, c, ends, be):
-            return [L + (m._decode(c << 32 | p) in last) for L, p in zip(exact(m, c, ends, be), ends)]
+        def off_on_last(m, c, ends):
+            return [L + (m._decode(c << 32 | p) in last) for L, p in zip(exact(m, c, ends), ends)]
 
         monkeypatch.setattr(W, "_config_lengths", off_on_last)
         with pytest.raises(VerificationError, match="formula gives 6 but BFS distance is 5"):
@@ -775,7 +779,7 @@ class TestProfileLookup:
         # only a check of every state of a configuration catches it
         exact = W._config_lengths
         monkeypatch.setattr(
-            W, "_config_lengths", lambda m, c, ends, be: [L + (i > 0) for i, L in enumerate(exact(m, c, ends, be))]
+            W, "_config_lengths", lambda m, c, ends: [L + (i > 0) for i, L in enumerate(exact(m, c, ends))]
         )
         with pytest.raises(VerificationError, match="formula gives 6 but BFS distance is 5"):
             W.depth_profile(_model("fp82"), 5, 3)
@@ -787,14 +791,13 @@ class TestProfileLookup:
         # lamp cost and root split, against word_length on a second model,
         # which splits the support on every call
         model, fresh = _model(key), _model(key)
-        be = W.auto_backend(model)
         dist, _complete, _stuck = W._ball_shells(model, radius, cap, True)
         reached = max(dist.values())
         rows = W.ProfileRows(model, dist, {})
         got, want = [], []
         for _k, s in _shell_states(rows, reached):
-            got.append(W._state_length(model, s, be))
-            want.append(W.word_length(fresh, model._decode(s), be).value)
+            got.append(W._state_length(model, s))
+            want.append(W.word_length(fresh, model._decode(s)).value)
         assert got == want == [reached] * len(got)
 
     def test_last_shell_split_once_per_configuration(self, monkeypatch):
@@ -876,7 +879,6 @@ class TestLastShellPass:
         # with the same entries, and every last-shell length must be the
         # word length on a third model
         model, oracle, fresh = _model(key), _model(key), _model(key)
-        be = W.auto_backend(model)
         prof = W.depth_profile(model, radius, k_max, cap=cap, partial_ok=True)
         rows = prof.rows
         reached = max(prof.max_depth_per_shell())  # the last shell
@@ -885,7 +887,7 @@ class TestLastShellPass:
         for L in range(reached + 1):
             for k, s in _shell_states(rows, L):
                 if k in rows.searched:
-                    W.depth(oracle, model._decode(s), k_max, be)
+                    W.depth(oracle, model._decode(s), k_max)
         last = _shell_states(rows, reached)
         # with k_max >= 1 some last-shell row leaves the ball and is depth 0
         # unsearched; with k_max 0 every one is an unsearched lower bound
@@ -893,8 +895,8 @@ class TestLastShellPass:
         for k, s in last:
             g = model._decode(s)
             if k not in rows.searched:
-                assert W._state_length(oracle, oracle._encode(g), be) == reached
-            assert W.word_length(fresh, g, be).value == reached
+                assert W._state_length(oracle, oracle._encode(g)) == reached
+            assert W.word_length(fresh, g).value == reached
         assert _payload_memo(model) == _payload_memo(oracle)
         assert _payload_memo(model)[0]
 
@@ -984,8 +986,7 @@ def _payload_steps(model, g):
 def _payload_depth(model, g, k_max):
     """(depth, depth_exact, witness) as depth() defines them, by a BFS over
     payload states with multiply and word_length."""
-    be = W.auto_backend(model)
-    L = W.word_length(model, g, be).value
+    L = W.word_length(model, g).value
     seen, frontier = {g}, [(g, ())]
     for n in range(1, k_max + 1):
         nxt = []
@@ -994,7 +995,7 @@ def _payload_depth(model, g, k_max):
                 if h in seen:
                     continue
                 seen.add(h)
-                if W.word_length(model, h, be).value > L:
+                if W.word_length(model, h).value > L:
                     return n - 1, True, word + (label,)
                 nxt.append((h, word + (label,)))
         frontier = nxt
@@ -1002,15 +1003,13 @@ def _payload_depth(model, g, k_max):
 
 
 def _payload_dead_end(model, g):
-    be = W.auto_backend(model)
-    L = W.word_length(model, g, be).value
-    return all(W.word_length(model, h, be).value <= L for _label, h in _payload_steps(model, g))
+    L = W.word_length(model, g).value
+    return all(W.word_length(model, h).value <= L for _label, h in _payload_steps(model, g))
 
 
 def _payload_retreat(model, g, k_max):
     """retreat_depth() by the same payload BFS, one search per k."""
-    be = W.auto_backend(model)
-    L = W.word_length(model, g, be).value
+    L = W.word_length(model, g).value
     for k in range(k_max + 1):
         seen, frontier = {g}, [g]
         while frontier:
@@ -1019,7 +1018,7 @@ def _payload_retreat(model, g, k_max):
                 for _label, h in _payload_steps(model, x):
                     if h in seen:
                         continue
-                    lh = W.word_length(model, h, be).value
+                    lh = W.word_length(model, h).value
                     if lh == L + 1:
                         return k, True
                     if lh >= L - k:
@@ -1033,13 +1032,12 @@ class TestSearchesAgainstPayloadBfs:
     def _check(self, model, oracle, g, k_max):
         """The interned searches on model against the payload BFS on oracle,
         a second model of the same group that shares no memo with it."""
-        be = W.auto_backend(model)
-        rep = W.depth(model, g, k_max, be)
+        rep = W.depth(model, g, k_max)
         assert (rep.depth, rep.depth_exact, rep.witness) == _payload_depth(oracle, g, k_max)
-        dead = W.is_dead_end(model, g, be)
+        dead = W.is_dead_end(model, g)
         assert dead == _payload_dead_end(oracle, g) == (rep.depth >= 1)
         if dead:
-            assert W.retreat_depth(model, g, rep.depth, be) == _payload_retreat(oracle, g, rep.depth)
+            assert W.retreat_depth(model, g, rep.depth) == _payload_retreat(oracle, g, rep.depth)
 
     @pytest.mark.parametrize("key, radius, k_max, cap", [c for c in PROFILE_CASES if c[2] >= 1])
     def test_every_state_of_the_profile_ball(self, key, radius, k_max, cap):
@@ -1175,7 +1173,7 @@ class TestBackendsAgainstBallTsp:
         pos = data.draw(point)
         ll = W.LamplighterModel(z2_lamps, base)
         g = ll.state({p: 1 for p in support}, pos)
-        box = W.word_length(ll, g, W.auto_backend(ll)).value - len(support)
+        box = W.word_length(ll, g).value - len(support)
         # every point of the bounding box lies within this radius of e
         pts = support + [pos]
         radius = sum(max(abs(p[i]) for p in pts) for i in range(base.rank))
