@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -228,11 +229,15 @@ def _spanning_walk_exact_repeats(
     (ties by index), then moves back onto visited vertices while repeats
     remain; the first walk found in this order is returned.
 
-    The unvisited set is an int mask.  A node is cut only when its subtree
+    The unvisited set is an int mask.  A move is cut only when its subtree
     holds no walk, so pruning never changes which walk is returned:
     - more unvisited components than the remaining repeats can bridge;
-    - with no repeats left, a free vertex other than t that can be entered
-      but not left (fewer than two free neighbours, counting cur).
+    - with no repeats left, a free vertex other than t that could be entered
+      but not left (fewer than two free neighbours, counting the vertex it
+      is entered from).  A fresh move spends cur, so each node finds such
+      stranded neighbours of cur once, before its fresh moves: two end them,
+      and one is the only fresh move tried.  After a repeat move the child
+      checks the neighbours of the vertex it came from.
     With no repeats left the parent's unvisited set was connected, so after
     a fresh move only the removed vertex's neighbours need to stay joined.
     """
@@ -288,13 +293,22 @@ def _spanning_walk_exact_repeats(
                 return False
         elif components_exceed(unv, repeats + 1):
             return False
-        if not repeats and prev >= 0:
-            # prev is spent: its free neighbours lost a way in or out
+        if not repeats and not fresh and prev >= 0:
+            # prev, left by a repeat move, is spent: its free neighbours
+            # lost a way in or out
             open_ = unv | (1 << cur)
             for x in adj[prev]:
                 if x != t and unv >> x & 1 and (adjm[x] & open_).bit_count() < 2:
                     return False
-        for _, w in sorted([((adjm[w] & unv).bit_count(), w) for w in adj[cur] if unv >> w & 1]):
+        moves = sorted([((adjm[w] & unv).bit_count(), w) for w in adj[cur] if unv >> w & 1])
+        if not repeats:
+            # cur is spent by any fresh move: a free neighbour other than t
+            # with under two free neighbours must be the next vertex
+            stranded = [m for m in moves if m[0] < 2 and m[1] != t]
+            if len(stranded) > 1:
+                return False
+            moves = stranded or moves
+        for _, w in moves:
             if dfs(w, cur, unv ^ (1 << w), repeats, True, left - 1):
                 walk.append(cur)
                 return True
@@ -577,9 +591,11 @@ def nash_williams_basis(model: AbelianModel) -> NashWilliamsBasis:
     if model.rank < 1:
         raise ValueError("Nash-Williams basis needs an infinite abelian group")
     reps = _generator_classes(model)
-    if len(reps) > CAPS["BASIS_CLASS_CAP"]:
-        raise ResourceCapError("BASIS_CLASS_CAP", CAPS["BASIS_CLASS_CAP"], f"by {len(reps)} classes")
     r = model.rank
+    splits = math.comb(len(reps), r)
+    if splits > CAPS["BASIS_SPLIT_CAP"]:
+        raise ResourceCapError("BASIS_SPLIT_CAP", CAPS["BASIS_SPLIT_CAP"],
+                               f"by {splits} splits ({len(reps)} classes at rank {r})")
     candidates = []
     for a_combo in itertools.combinations(reps, r):
         rest = [g for g in reps if g not in a_combo]

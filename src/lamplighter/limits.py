@@ -21,13 +21,14 @@ CAPS = {
     # ends-DP vertices, 3n ints of 2**n bits: n = 24 peaks at 180 MB (4x6 grid), 230 MB (Z/24, 1,2,3)
     "DP_CAP": 24,
     # vertices of a Hamiltonian path search past the DP; on the 5x8 grid the slowest of the 39
-    # searches from a corner (to its neighbour) takes 0.57 s and no RSS beyond start-up (17 MB)
+    # searches from a corner (to its neighbour) takes 0.21-0.37 s, no RSS beyond start-up (17.6 MB)
     "BACKTRACK_CAP": 40,
-    # nodes of one spanning-walk search, at about 320k nodes/s; the largest 6x6 one takes 42.7k
+    # nodes of one spanning-walk search, at about 450k nodes/s; the largest 6x6 one takes 29.3k
     "SEARCH_NODE_CAP": 2_000_000,
-    # generator classes of the basis search, which tries C(classes, rank) splits; 8 classes
-    # take 0.23 s / 17.5 MB peak on Z (1..8) and 87 s / 112 MB on Z^2 (28 splits)
-    "BASIS_CLASS_CAP": 8,
+    # C(classes, rank) splits the basis search tries, each checked on a box; 8 splits take
+    # 0.14 s / 17.6 MB peak on Z (1..8), Z^2 takes 2.6 s / 38 MB with 6 splits (4 classes),
+    # 7.9 s / 55 MB with 10 and 87 s / 112 MB with 28 (8 classes)
+    "BASIS_SPLIT_CAP": 8,
 }
 
 

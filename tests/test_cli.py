@@ -567,6 +567,16 @@ class TestCapErrors:
         assert rc == 3 and out == "" and err.count("\n") == 1
         assert err.startswith(f"resource cap: {cap} = {value} exceeded {reached}")
 
+    def test_qh_refuses_basis_splits_over_cap(self, tmp_path):
+        # Z^2 with eight generator classes: the basis search would try
+        # C(8, 2) = 28 splits (87 s, 112 MB); the default cap refuses it
+        gens = [[1, 0], [0, 1], [1, 1], [1, -1], [2, 1], [1, 2], [2, -1], [1, -2]]
+        path = tmp_path / "z2_eight.json"
+        path.write_text(json.dumps({"variant": "abelian", "rank": 2, "moduli": [], "gens": gens}))
+        rc, out, err = run(["qh", "--group", str(path), "--nmax", "1"])
+        assert (rc, out) == (3, "")
+        assert err == "resource cap: BASIS_SPLIT_CAP = 8 exceeded by 28 splits (8 classes at rank 2)\n"
+
     def test_retreat_cap_is_a_cell(self, specs, monkeypatch):
         # depth-profile keeps the profile and writes "cap" as the retreat
         # depth; stderr names the cap, its value and the k reached
