@@ -161,39 +161,36 @@ def cayley_ball(model: GroupModel, radius: int, cap: Optional[int] = None) -> Ca
     """Ball B(e, radius) in Cay(model, gens), BFS discovery order.
 
     Vertices are ordered by BFS layer with generator order as tie-break, so
-    vertex v's BFS layer equals the word length of its element.
+    vertex v's BFS layer equals the word length of its element.  Each vertex
+    is multiplied by each generator once, and its row of neighbours is those
+    products that lie in the ball: the generators are symmetric.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     cap = env_cap("CAYLEY_BALL_CAP") if cap is None else cap
+    gens, mul = model.gens, model.mul_payload
     e = model.identity_payload()
     order: List[Payload] = [e]
     index: Dict[Payload, int] = {e: 0}
-    frontier = [e]
-    for d in range(1, radius + 1):
-        nxt = []
-        for x in frontier:
-            for s in model.gens:
-                y = model.mul_payload(x, s)
-                if y not in index:
-                    index[y] = len(order)
+    adj: List[Tuple[int, ...]] = []
+    for d in range(radius + 1):
+        for x in order[len(adj):]:  # layer d
+            row = []
+            for s in gens:
+                y = mul(x, s)
+                j = index.get(y)
+                if j is None:
+                    if d == radius:
+                        continue
+                    j = index[y] = len(order)
                     order.append(y)
-                    nxt.append(y)
-                    if len(order) > cap:
+                    if j >= cap:
                         raise ResourceCapError("CAYLEY_BALL_CAP", cap,
-                                               f"at radius {d}; radii 0..{d - 1} are complete")
-        frontier = nxt
-    edges = set()
-    for x in order:
-        i = index[x]
-        for s in model.gens:
-            y = model.mul_payload(x, s)
-            j = index.get(y)
-            if j is not None and i != j:
-                edges.add((min(i, j), max(i, j)))
+                                               f"at radius {d + 1}; radii 0..{d} are complete")
+                row.append(j)
+            adj.append(tuple(sorted(row)))
     labels = tuple(model.payload_str(p) for p in order)
-    graph = from_edges(len(order), sorted(edges), labels)
-    return CayleyBall(graph, model, radius, tuple(order), index)
+    return CayleyBall(FiniteGraph(len(order), tuple(adj), labels), model, radius, tuple(order), index)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ Payload encodings
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -270,7 +271,7 @@ class AbelianModel(GroupModel):
             raise ValueError("group must have at least one coordinate")
         self.rank = rank
         self.moduli = tuple(int(m) for m in moduli)
-        dim = rank + len(self.moduli)
+        self.dim = dim = rank + len(self.moduli)
         vecs = []
         for v in gen_vectors:
             v = tuple(int(c) for c in v)
@@ -290,8 +291,12 @@ class AbelianModel(GroupModel):
                 f"generators do not generate: coset of {witness} is not reached"
             )
         self.gens = tuple(gens)
+        units = [self._reduce(tuple(int(i == j) for j in range(dim))) for i in range(dim)]
+        self._standard = set(gens) == set(units + [self._neg(u) for u in units])
 
     def _reduce(self, v: Sequence[int]) -> Tuple[int, ...]:
+        if not self.moduli:
+            return tuple(v)
         r = self.rank
         return tuple(v[:r]) + tuple(c % m for c, m in zip(v[r:], self.moduli))
 
@@ -299,30 +304,27 @@ class AbelianModel(GroupModel):
         return self._reduce(tuple(-c for c in v))
 
     def identity_payload(self) -> Tuple[int, ...]:
-        return (0,) * (self.rank + len(self.moduli))
+        return (0,) * self.dim
 
     def mul_payload(self, a, b) -> Tuple[int, ...]:
-        return self._reduce(tuple(x + y for x, y in zip(a, b)))
+        v = tuple(map(operator.add, a, b))
+        return self._reduce(v) if self.moduli else v
 
     def inv_payload(self, a) -> Tuple[int, ...]:
         return self._neg(a)
 
     def normalize_payload(self, a) -> Tuple[int, ...]:
-        return self._reduce(tuple(int(c) for c in a))
+        a = tuple(int(c) for c in a)
+        if len(a) != self.dim:
+            raise ValueError(f"an abelian payload has {self.dim} coordinates, got {len(a)}")
+        return self._reduce(a)
 
     def is_standard_gens(self) -> bool:
         """True when the generators are exactly the +-unit vectors."""
-        dim = self.rank + len(self.moduli)
-        units = set()
-        for i in range(dim):
-            u = [0] * dim
-            u[i] = 1
-            units.add(self._reduce(tuple(u)))
-            units.add(self._neg(tuple(u)))
-        return set(self.gens) == units
+        return self._standard
 
     def length_payload(self, a) -> int:
-        if self.is_standard_gens():
+        if self._standard:
             r = self.rank
             free = sum(abs(c) for c in a[:r])
             fin = sum(min(q, m - q) for q, m in zip(a[r:], self.moduli))

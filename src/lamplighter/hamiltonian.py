@@ -273,8 +273,7 @@ def _spanning_walk_exact_repeats(
             unv &= ~flood(unv & -unv, unv, unv)
         return False
 
-    def dfs(cur: int, prev: int, unv: int, repeats: int, fresh: bool, left: int) -> bool:
-        # left: the vertex slots still free after cur
+    def dfs(cur: int, prev: int, unv: int, repeats: int, fresh: bool) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > cap:
@@ -283,8 +282,6 @@ def _spanning_walk_exact_repeats(
         if not unv and cur == t:
             walk.append(cur)
             return True
-        if unv.bit_count() > left or left <= 0:
-            return False
         if fresh and not repeats:
             # only cur's unvisited neighbours can have come apart; one or
             # none cannot
@@ -309,17 +306,17 @@ def _spanning_walk_exact_repeats(
                 return False
             moves = stranded or moves
         for _, w in moves:
-            if dfs(w, cur, unv ^ (1 << w), repeats, True, left - 1):
+            if dfs(w, cur, unv ^ (1 << w), repeats, True):
                 walk.append(cur)
                 return True
         if repeats:
             for w in adj[cur]:
-                if not unv >> w & 1 and dfs(w, cur, unv, repeats - 1, False, left - 1):
+                if not unv >> w & 1 and dfs(w, cur, unv, repeats - 1, False):
                     walk.append(cur)
                     return True
         return False
 
-    if dfs(s, -1, ((1 << n) - 1) ^ (1 << s), budget, False, n + budget - 1):
+    if dfs(s, -1, ((1 << n) - 1) ^ (1 << s), budget, False):
         return tuple(reversed(walk))
     return None
 
@@ -659,6 +656,10 @@ def _validate_basis(model: AbelianModel, a_list, b_list, ms) -> bool:
     """Empirical uniqueness and coverage of the representation on a box."""
     side = sum(ms) + 10
     P = 4 * side + 40
+    points, cap = (2 * P + 1) ** len(a_list) * math.prod(ms), CAPS["BASIS_BOX_CAP"]
+    if points > cap:
+        raise ResourceCapError("BASIS_BOX_CAP", cap, f"by {points} points (box side {2 * P + 1}"
+                               f" at rank {model.rank})")
     image: Dict[Payload, Tuple] = {}
     q_ranges = [range(m) for m in ms]
     p_ranges = [range(-P, P + 1)] * len(a_list)

@@ -255,7 +255,7 @@ def _petal_ids(model: LamplighterModel, pos: Payload, support: FrozenSet[Payload
 
 
 def _box_instance(base: AbelianModel, pos: Payload, support: FrozenSet[Payload]):
-    """Bounding-box TSP instance plus the vertex -> group payload table.
+    """Bounding-box TSP instance plus the vertex -> group payload decoder.
 
     Sound for standard basis generators: clamping the free coordinates of any
     walk into the box is 1-Lipschitz and fixes endpoints and support, so the
@@ -275,22 +275,24 @@ def _box_instance(base: AbelianModel, pos: Payload, support: FrozenSet[Payload])
         graph = product_graph(graph, ax)
 
     sizes = [h - l + 1 for l, h in zip(lows, highs)] + list(base.moduli)
+    offsets = lows + [0] * len(base.moduli)
 
     def vid(p: Payload) -> int:
-        coords = [p[i] - lows[i] for i in range(r)] + [
-            p[r + j] for j in range(len(base.moduli))
-        ]
         out = 0
-        for c, s in zip(coords, sizes):
-            out = out * s + c
+        for c, low, size in zip(p, offsets, sizes):
+            out = out * size + c - low
         return out
 
-    payload_of = {}
-    for p in itertools.product(*[range(l, h + 1) for l, h in zip(lows, highs)],
-                               *[range(m) for m in base.moduli]):
-        payload_of[vid(tuple(p))] = base.normalize_payload(tuple(p))
+    def payload_of(v: int) -> Payload:
+        # the mixed-radix inverse of vid
+        coords = []
+        for low, size in zip(reversed(offsets), reversed(sizes)):
+            v, c = divmod(v, size)
+            coords.append(c + low)
+        return tuple(reversed(coords))
+
     inst = tsp.TspInstance(
-        graph, vid(base.identity_payload()), vid(pos), frozenset(vid(p) for p in support)
+        graph, vid(base.identity_payload()), vid(pos), frozenset(map(vid, support))
     )
     return inst, payload_of
 
@@ -328,7 +330,7 @@ def _solve_walk(
     if strategy == "box":
         inst, payload_of = _box_instance(base, pos, support)
         sol = tsp.solve_exact(inst)
-        return sol.length, [payload_of[v] for v in sol.walk]
+        return sol.length, list(map(payload_of, sol.walk))
     ball = cayley_ball(base, _generic_radius(base, pos, support))
     inst = tsp.TspInstance(
         ball.graph,

@@ -1,6 +1,7 @@
 """Independent oracles the tests check the solvers against: the exhaustive
-walk enumeration for the exact TSP solver."""
+walk enumeration for the exact TSP solver, and the two-pass Cayley ball."""
 
+from lamplighter.graphs import CayleyBall, from_edges
 from lamplighter.tsp import TspInstance, TspSolution, validate_solution
 
 
@@ -50,3 +51,32 @@ def brute_force_oracle(inst: TspInstance, max_len: int) -> TspSolution:
             validate_solution(inst, sol)
             return sol
     raise BoundExceededError(f"no covering walk within {max_len} edges")
+
+
+def two_pass_cayley_ball(model, radius: int) -> CayleyBall:
+    """B(e, radius) by a BFS for the vertices, then a second pass that
+    multiplies every vertex by every generator for the edges."""
+    e = model.identity_payload()
+    order = [e]
+    index = {e: 0}
+    frontier = [e]
+    for _d in range(radius):
+        nxt = []
+        for x in frontier:
+            for s in model.gens:
+                y = model.mul_payload(x, s)
+                if y not in index:
+                    index[y] = len(order)
+                    order.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    edges = set()
+    for x in order:
+        i = index[x]
+        for s in model.gens:
+            j = index.get(model.mul_payload(x, s))
+            if j is not None and i != j:
+                edges.add((min(i, j), max(i, j)))
+    labels = tuple(model.payload_str(p) for p in order)
+    graph = from_edges(len(order), sorted(edges), labels)
+    return CayleyBall(graph, model, radius, tuple(order), index)

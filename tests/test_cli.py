@@ -341,6 +341,27 @@ class TestMalformedInput:
         rc, out, err = run(argv)
         assert rc == 2 and out == "" and "Traceback" not in err
 
+    @pytest.mark.parametrize("rank, moduli", [(2, []), (1, [4])], ids=["Z^2", "ZxZ/4"])
+    @pytest.mark.parametrize("element, got", [
+        ({"lamps": [[[1, 2, 7], 1]], "position": [3, 0, 9]}, 3),
+        ({"lamps": [[[1], 1]], "position": [0, 0]}, 1),
+        ({"lamps": [["1,2;7", 1]], "position": [0, 0]}, 3),
+    ], ids=["too-long", "too-short", "too-long-text"])
+    def test_abelian_payload_of_wrong_length(self, tmp_path, rank, moduli, element, got):
+        # a payload is neither cut down to another element nor read past its end
+        group = tmp_path / "ll.json"
+        group.write_text(json.dumps({
+            "lamps": {"variant": "cyclic", "n": 2, "gens": [1], "letter": "a"},
+            "base": {"variant": "abelian", "rank": rank, "moduli": moduli,
+                     "gens": [[1, 0], [0, 1]]},
+        }))
+        elem = tmp_path / "elem.json"
+        elem.write_text(json.dumps(element))
+        rc, out, err = run(["wordlen", "--group", str(group), "--element", str(elem), "--verify"])
+        assert (rc, out) == (2, "")
+        assert err == ("usage error: malformed element spec: an abelian payload has 2"
+                       f" coordinates, got {got}\n")
+
     @pytest.mark.parametrize("name", ["missing/x.csv", "."], ids=["no-directory", "directory"])
     def test_bad_out_refused_before_the_run(self, specs, monkeypatch, tmp_path, name):
         calls = []
@@ -576,6 +597,18 @@ class TestCapErrors:
         rc, out, err = run(["qh", "--group", str(path), "--nmax", "1"])
         assert (rc, out) == (3, "")
         assert err == "resource cap: BASIS_SPLIT_CAP = 8 exceeded by 28 splits (8 classes at rank 2)\n"
+
+    def test_qh_refuses_basis_box_over_cap(self, tmp_path):
+        # Z^3 with four generator classes tries only 4 splits, but checks
+        # each on a box of (2P+1)^3 points, P >= 80 (past 120 s and 650 MB
+        # before this cap); the default cap refuses the first one
+        gens = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+        path = tmp_path / "z3.json"
+        path.write_text(json.dumps({"variant": "abelian", "rank": 3, "moduli": [], "gens": gens}))
+        rc, out, err = run(["qh", "--group", str(path), "--nmax", "1"])
+        assert (rc, out) == (3, "")
+        assert err == ("resource cap: BASIS_BOX_CAP = 1000000 exceeded by 4826809 points"
+                       " (box side 169 at rank 3)\n")
 
     def test_retreat_cap_is_a_cell(self, specs, monkeypatch):
         # depth-profile keeps the profile and writes "cap" as the retreat

@@ -9,6 +9,7 @@ import pytest
 from lamplighter import graphs as Gr, groups as G
 from lamplighter.errors import ResourceCapError, VerificationError
 from lamplighter.limits import CAPS
+from oracles import two_pass_cayley_ball
 
 
 def edge_count(g):
@@ -62,6 +63,41 @@ class TestCayleyBall:
         ball = Gr.cayley_ball(f2, 3)
         for i, p in enumerate(ball.elements):
             assert ball.vertex_of(p) == i and ball.element_of(i) == p
+
+
+def _s3_model():
+    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+    index = {p: i for i, p in enumerate(perms)}
+    mul = tuple(tuple(index[tuple(p[q[i]] for i in range(3))] for q in perms) for p in perms)
+    inv = tuple(index[tuple(sorted(range(3), key=lambda i: p[i]))] for p in perms)
+    return G.FiniteModel(G.FiniteGroupTable(6, mul, 0, inv, name="S3"), [1, 4])
+
+
+BALL_MODELS = {
+    "Z^2": lambda: G.make_abelian(2, [], [[1, 0], [0, 1]]),
+    "Z^2 +-2": lambda: G.make_abelian(2, [], [[1, 0], [0, 1], [2, 0], [0, 2]]),
+    "ZxZ/4": lambda: G.make_abelian(1, [4], [[1, 0], [0, 1]]),
+    "Z/2xZ/3": lambda: G.make_abelian(0, [2, 3], [[1, 0], [0, 1]]),
+    "F2": lambda: G.make_free(2),
+    "Z/8*Z/2": lambda: G.make_free_product(G.make_cyclic(8, [1]),
+                                          G.make_cyclic(2, [1], letter="c")),
+    "S3": _s3_model,
+}
+
+
+class TestCayleyBallAgainstTwoPass:
+    """The one-pass ball (edges recorded as the BFS multiplies) against the
+    two-pass one in tests/oracles.py: same vertex order, labels and edges."""
+
+    @pytest.mark.parametrize("key", sorted(BALL_MODELS))
+    @pytest.mark.parametrize("radius", range(5))
+    def test_same_ball(self, key, radius):
+        model = BALL_MODELS[key]()
+        got, want = Gr.cayley_ball(model, radius), two_pass_cayley_ball(model, radius)
+        assert got.elements == want.elements and got.index_of == want.index_of
+        assert got.graph.labels == want.graph.labels
+        assert got.graph.adj == want.graph.adj and got.graph.edges() == want.graph.edges()
+        got.graph.validate()
 
 
 class TestFiniteCayley:

@@ -84,6 +84,26 @@ class TestMultiplyInvert:
         assert f2.payload_str(ab_inv) == "bA"
 
 
+class TestAbelianPayloads:
+    @pytest.mark.parametrize("rank, moduli", [(2, []), (1, [4])], ids=["Z^2", "ZxZ/4"])
+    def test_payload_length_checked(self, rank, moduli):
+        m = G.make_abelian(rank, moduli, [[1, 0], [0, 1]])
+        assert m.normalize_payload([3, -5]) == (3, -5 % 4 if moduli else -5)
+        assert m.parse_payload("3;-5" if moduli else "3,-5") == m.normalize_payload([3, -5])
+        for bad in ([1], [1, 2, 7]):
+            with pytest.raises(ValueError, match=f"has 2 coordinates, got {len(bad)}$"):
+                m.normalize_payload(bad)
+        for text in ("1", "1,2;7", "1;2,7"):
+            with pytest.raises(ValueError, match="has 2 coordinates"):
+                m.parse_payload(text)
+
+    def test_standard_gens(self):
+        assert G.make_abelian(1, [4], [[1, 0], [0, 3]]).is_standard_gens()
+        assert not G.make_abelian(1, [4], [[1, 0], [0, 2], [0, 1]]).is_standard_gens()
+        assert not G.make_abelian(2, [], [[1, 0], [0, 1], [1, 1]]).is_standard_gens()
+        assert G.make_abelian(0, [2, 3], [[1, 0], [0, 1]]).is_standard_gens()
+
+
 class TestWordLength:
     def test_identity(self, fp82):
         assert fp82.length_payload(fp82.identity_payload()) == 0

@@ -1,6 +1,7 @@
 """Wreath products: word lengths, dead ends, depth, verdict machinery."""
 
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -1190,3 +1191,50 @@ class TestBackendsAgainstBallTsp:
         # an optimal tree walk stays in the geodesic hull of its points
         radius = max(len(p) for p in support + [pos])
         assert T.ts_tree((), pos, support, base) == _ball_tsp(base, radius, pos, support)
+
+
+# -- box walks frozen ------------------------------------------------------
+
+BOX_WALK_BASES = {
+    "Z^2": lambda: G.make_abelian(2, [], [[1, 0], [0, 1]]),
+    "ZxZ/4": lambda: G.make_abelian(1, [4], [[1, 0], [0, 1]]),
+    "Z^2xZ/2": lambda: G.make_abelian(2, [2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+}
+
+# sha256 of _box_walks for each base, recorded while the box instance still
+# normalised every point of the box into a payload table
+BOX_WALKS_SHA256 = {
+    "Z^2": "16f91b54c027a19d3f40e1282f8d424fb263de3b239b5f2157c1b9dda15003f6",
+    "ZxZ/4": "df353a5878400ada5224f04e7069f8575d8c401b85bb0bdb1b7961823d79c0b9",
+    "Z^2xZ/2": "83199da2bd1d03b7a0e5a0936db72fbf4d1a974668d05a1c739343b39b8c14fa",
+}
+
+
+def _box_walks(lamps, key) -> str:
+    """Value and box walk of 40 seeded elements with 1..9 lit lamps, free
+    coordinates in -4..4 and torsion coordinates drawn unreduced, one line
+    each."""
+    base = BOX_WALK_BASES[key]()
+    ll = W.LamplighterModel(lamps, base)
+    assert ll.strategy == "box"
+    rng = random.Random(key)
+
+    def point():
+        return ([rng.randint(-4, 4) for _ in range(base.rank)]
+                + [rng.randrange(-m, 2 * m) for m in base.moduli])
+
+    lines = []
+    for _ in range(40):
+        lamps_on = {}
+        for _ in range(rng.randint(1, 9)):
+            lamps_on[tuple(point())] = 1
+        value, walk = W.word_length_and_walk(ll, ll.state(lamps_on, point()))
+        lines.append(f"{value.value} {value.exact} " + " ".join(map(base.payload_str, walk)) + "\n")
+    return "".join(lines)
+
+
+class TestBoxWalksFrozen:
+    @pytest.mark.parametrize("key", sorted(BOX_WALK_BASES))
+    def test_walks_frozen(self, z2_lamps, key):
+        digest = hashlib.sha256(_box_walks(z2_lamps, key).encode()).hexdigest()
+        assert digest == BOX_WALKS_SHA256[key]
