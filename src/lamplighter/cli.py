@@ -72,11 +72,11 @@ def _element_from_spec(model: wreath.LamplighterModel, spec: dict) -> wreath.Wre
     if not isinstance(spec, dict):
         raise UsageError(f"element spec must be a JSON object, got {type(spec).__name__}")
     try:
-        lamps = {}
-        for key, val in spec.get("lamps", []):
-            lamps[parse_payload_json(model.base, key)] = parse_payload_json(model.lamps, val)
-        pos = parse_payload_json(model.base, spec.get("position", model.base.payload_str(model.base.identity_payload())))
-        return model.state(lamps, pos)
+        lamps = [(parse_payload_json(model.base, key), parse_payload_json(model.lamps, val))
+                 for key, val in spec.get("lamps", [])]
+        pos = (parse_payload_json(model.base, spec["position"]) if "position" in spec
+               else model.base.identity_payload())
+        return model._state(lamps, pos)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"malformed element spec: {exc}")
 
@@ -418,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cube", type=_cube_dims, help="comma-separated positive dims, e.g. 4,3")
     sp.add_argument("--format", default="dot", choices=["dot", "adj"])
     common(sp)
+    p.commands = sub.choices  # command name -> its parser, for main's dispatch
     return p
 
 
@@ -456,10 +457,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """argv parsed as the top-level parser would parse it.  A named command's
+    arguments go straight to that command's parser, which is where the
+    top-level parser would hand them; what it leaves over is the top-level
+    parser's error.  No arguments, -h and unknown names take the full parse."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, rest = command.parse_known_args(argv[1:])
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _fix_malloc_thresholds()
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     # looked up by name on every call, so a replaced cmd_* takes effect

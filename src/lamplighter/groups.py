@@ -102,7 +102,8 @@ def cyclic_table(n: int, letter: str = "b") -> FiniteGroupTable:
     """Multiplication table of Z/nZ with elements named e, b, b2, ..."""
     if n < 1:
         raise ValueError("order must be positive")
-    mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    row = tuple(range(n))
+    mul = tuple(row[i:] + row[:i] for i in range(n))  # row i is i + j mod n
     inv = tuple((-i) % n for i in range(n))
     names = tuple("e" if i == 0 else (letter if i == 1 else f"{letter}{i}") for i in range(n))
     return FiniteGroupTable(n, mul, 0, inv, name=f"Z/{n}Z", elem_names=names)
@@ -212,7 +213,7 @@ class FiniteModel(GroupModel):
         try:
             return self.table.elem_names.index(s)
         except ValueError:
-            return int(s)
+            return self.normalize_payload(int(s))
 
 
 def _symmetrize_finite(table: FiniteGroupTable, gen_indices: Sequence[int]) -> List[int]:

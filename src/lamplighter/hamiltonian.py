@@ -243,7 +243,8 @@ def _spanning_walk_exact_repeats(
     """
     adjm, adj = bits.adjm, bits.g.adj
     n = bits.g.n
-    if _bipartite_infeasible(bits, s, t, budget):
+    # with no repeat, a walk over more than one vertex cannot come back to s
+    if (s == t and n > 1 and not budget) or _bipartite_infeasible(bits, s, t, budget):
         return None
     cap = CAPS["SEARCH_NODE_CAP"]
     walk: List[int] = []  # filled end first as a found walk unwinds
@@ -660,10 +661,9 @@ def _validate_basis(model: AbelianModel, a_list, b_list, ms) -> bool:
     if points > cap:
         raise ResourceCapError("BASIS_BOX_CAP", cap, f"by {points} points (box side {2 * P + 1}"
                                f" at rank {model.rank})")
-    image: Dict[Payload, Tuple] = {}
+    image: Set[Payload] = set()
     q_ranges = [range(m) for m in ms]
     p_ranges = [range(-P, P + 1)] * len(a_list)
-    count = 0
     for ps in itertools.product(*p_ranges):
         base = model.identity_payload()
         for p, a in zip(ps, a_list):
@@ -674,8 +674,7 @@ def _validate_basis(model: AbelianModel, a_list, b_list, ms) -> bool:
                 g = model.mul_payload(g, tuple(q * c for c in b))
             if g in image:
                 return False
-            image[g] = (ps, qs)
-            count += 1
+            image.add(g)
     for coords in itertools.product(range(-side, side + 1), repeat=model.rank):
         fin = [range(m) for m in model.moduli]
         for tail in itertools.product(*fin):

@@ -76,7 +76,7 @@ class LamplighterModel:
         self._ts_cache: Dict[tuple, int] = {}
         self._ts_fp_memo: dict = {}
         self._finite_graph = finite_cayley_graph(base) if self.strategy == "finite" else None
-        self._generator_states = self._build_generator_states()
+        self._generator_states: Optional[List[Tuple[str, WreathState]]] = None
         # the intern tables of the states met (see _encode): base positions,
         # and lamp configurations as flat tuples (p1, v1, p2, v2, ...) of
         # position ids and lamp payloads, sorted by id; configuration 0 is
@@ -95,14 +95,19 @@ class LamplighterModel:
         return ((), self.base.identity_payload())
 
     def state(self, lamps: Dict[Payload, Payload], position: Payload) -> WreathState:
-        items = []
+        """The state of lamps (position -> value) and position, in any form
+        the groups accept; two keys of one position are a ValueError."""
+        base, lamp = self.base.normalize_payload, self.lamps.normalize_payload
+        return self._state([(base(k), lamp(v)) for k, v in lamps.items()], base(position))
+
+    def _state(self, lamps: Sequence[Tuple[Payload, Payload]], position: Payload) -> WreathState:
+        """state() of (position, value) pairs and a position already in
+        normal form."""
+        if len({k for k, _v in lamps}) != len(lamps):
+            twice = Counter(k for k, _v in lamps).most_common(1)[0][0]
+            raise ValueError(f"lamp position {self.base.payload_str(twice)} is named twice")
         e_a = self.lamps.identity_payload()
-        for k, v in lamps.items():
-            k = self.base.normalize_payload(k)
-            v = self.lamps.normalize_payload(v)
-            if v != e_a:
-                items.append((k, v))
-        return (tuple(sorted(items)), self.base.normalize_payload(position))
+        return tuple(sorted(kv for kv in lamps if kv[1] != e_a)), position
 
     def state_str(self, g: WreathState) -> str:
         lamps, pos = g
@@ -200,17 +205,14 @@ class LamplighterModel:
     # -- generators ----------------------------------------------------------
     def generator_states(self) -> List[Tuple[str, WreathState]]:
         """(label, state) for every generator, in the order of _steps; built
-        once per model."""
+        on the first call, once per model."""
+        if self._generator_states is None:
+            e_b = self.base.identity_payload()
+            self._generator_states = (
+                [(f"A:{self.lamps.payload_str(s)}", (((e_b, s),), e_b)) for s in self.lamps.gens]
+                + [(f"B:{self.base.payload_str(s)}", ((), s)) for s in self.base.gens]
+            )
         return self._generator_states
-
-    def _build_generator_states(self) -> List[Tuple[str, WreathState]]:
-        out = []
-        e_b = self.base.identity_payload()
-        for s in self.lamps.gens:
-            out.append((f"A:{self.lamps.payload_str(s)}", (((e_b, s),), e_b)))
-        for s in self.base.gens:
-            out.append((f"B:{self.base.payload_str(s)}", ((), s)))
-        return out
 
 
 # ---------------------------------------------------------------------------

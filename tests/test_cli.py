@@ -362,6 +362,24 @@ class TestMalformedInput:
         assert err == ("usage error: malformed element spec: an abelian payload has 2"
                        f" coordinates, got {got}\n")
 
+    @pytest.mark.parametrize("group, element, message", [
+        # [1, -1, 2] is the word b of F2, as is [2]
+        ({"variant": "free", "rank": 2}, {"lamps": [[[1, -1, 2], 1], [[2], 1]]},
+         "lamp position b is named twice"),
+        ({"variant": "cyclic", "n": 6, "gens": [1]}, {"lamps": [[2, 1], ["b2", 0]]},
+         "lamp position b2 is named twice"),
+        ({"variant": "cyclic", "n": 6, "gens": [1]}, {"lamps": [[2, 1]], "position": "6"},
+         "element index out of range"),
+    ], ids=["free-word-twice", "finite-name-and-index", "finite-index-out-of-range"])
+    def test_element_refused(self, tmp_path, group, element, message):
+        path = tmp_path / "ll.json"
+        path.write_text(json.dumps({
+            "lamps": {"variant": "cyclic", "n": 2, "gens": [1], "letter": "a"}, "base": group}))
+        elem = tmp_path / "elem.json"
+        elem.write_text(json.dumps(element))
+        rc, out, err = run(["wordlen", "--group", str(path), "--element", str(elem)])
+        assert (rc, out, err) == (2, "", f"usage error: malformed element spec: {message}\n")
+
     @pytest.mark.parametrize("name", ["missing/x.csv", "."], ids=["no-directory", "directory"])
     def test_bad_out_refused_before_the_run(self, specs, monkeypatch, tmp_path, name):
         calls = []
@@ -540,6 +558,13 @@ class TestQh:
              "--strategy", "ball-exact", "--verify"]
         )
         assert rc == 0 and json.loads(out)["kind"] == "qh_certificate"
+
+    def test_unit_grid_box_beyond_radius_2(self, specs):
+        # the 7x7 box walks from its centre back to itself: no search for a
+        # walk with no repeat, which cannot come back to where it started
+        rc, out, err = run(["qh", "--group", specs["z2.json"], "--nmax", "3", "--verify"])
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["kind"] == "qh_certificate"
 
     def test_walk_search_cap_exits_3(self, specs, monkeypatch):
         # a spanning-walk search that gives up is a cap, not "no walk"
@@ -860,6 +885,41 @@ class TestVerificationUnderOptimize:
         proc = _run_script(PATCHED_SCRIPT, patch, json.dumps(argv), optimize=True)
         assert proc.stdout.split() == ["1", "0", "4"], proc.stderr
         assert proc.stderr.startswith("verification failure: ") and message in proc.stderr
+
+
+TOP_USAGE = "usage: lamplighter [-h]"
+WORDLEN_USAGE = "usage: lamplighter wordlen [-h] --group GROUP --element ELEMENT"
+
+
+class TestParsing:
+    """Exit code, first line and error line of each way a call can fail to
+    parse, or ask for help."""
+
+    @pytest.mark.parametrize("argv, code, first, last", [
+        ([], 2, TOP_USAGE, "lamplighter: error: the following arguments are required: command"),
+        (["nosuch"], 2, TOP_USAGE, "lamplighter: error: argument command: invalid choice:"
+                                   " 'nosuch' (choose from 'wordlen', 'hamdiff', 'verdict',"
+                                   " 'depth-profile', 'qh', 'export-graph')"),
+        (["wordlen"], 2, WORDLEN_USAGE, "lamplighter wordlen: error: the following arguments"
+                                        " are required: --group, --element"),
+        (["wordlen", "--group", "g.json", "--element", "e.json", "--bogus"], 2, TOP_USAGE,
+         "lamplighter: error: unrecognized arguments: --bogus"),
+        (["--out", "x", "wordlen"], 2, TOP_USAGE, "lamplighter: error: argument command:"
+         " invalid choice: 'x' (choose from 'wordlen', 'hamdiff', 'verdict', 'depth-profile',"
+         " 'qh', 'export-graph')"),
+    ], ids=["empty", "unknown-command", "missing-required", "extra-option", "option-first"])
+    def test_usage_errors(self, argv, code, first, last):
+        rc, out, err = run(argv)
+        lines = err.splitlines()
+        assert (rc, out, lines[0], lines[-1]) == (code, "", first, last)
+
+    @pytest.mark.parametrize("argv, first", [
+        (["-h"], TOP_USAGE),
+        (["wordlen", "-h"], WORDLEN_USAGE),
+    ], ids=["top", "wordlen"])
+    def test_help(self, argv, first):
+        rc, out, err = run(argv)
+        assert (rc, out.splitlines()[0], err) == (0, first, "")
 
 
 class TestParserOnce:

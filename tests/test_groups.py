@@ -31,6 +31,17 @@ class TestFiniteTables:
         assert t.order == 8 and t.identity == 0
         assert t.mul[3][5] == 0 and t.inv[3] == 5
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 65])
+    def test_cyclic_table_is_addition_mod_n(self, n):
+        t = G.cyclic_table(n)
+        assert t.mul == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+        assert t.inv == tuple((-i) % n for i in range(n))
+
+    def test_finite_payload_by_index_is_checked(self, c8):
+        assert c8.parse_payload("7") == 7
+        with pytest.raises(ValueError, match="out of range"):
+            c8.parse_payload("8")
+
     def test_bad_table_rejected(self):
         with pytest.raises(ValueError):
             G.FiniteGroupTable(2, ((0, 0), (1, 1)), 0, (0, 1))

@@ -114,6 +114,13 @@ class TestWordLength:
         g = model.state({k: 1 for k in keys}, ())
         assert W.word_length(model, g).value == 13
 
+    def test_position_named_twice_is_refused(self, z2_lamps):
+        # (1, -1, 2) and (2,) are both the word b of F2: one lamp, not two
+        model = W.LamplighterModel(z2_lamps, G.make_free(2))
+        assert model.state({(1, -1, 2): 1}, ()) == model.state({(2,): 1}, ())
+        with pytest.raises(ValueError, match="lamp position b is named twice"):
+            model.state({(1, -1, 2): 1, (2,): 1}, ())
+
     def test_generic_backend_upper_bound(self, z2_lamps):
         # king's-move generators: not standard, so only the generic strategy
         model = W.LamplighterModel(
@@ -1201,17 +1208,21 @@ BOX_WALK_BASES = {
     "Z^2xZ/2": lambda: G.make_abelian(2, [2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
 }
 
-# sha256 of _box_walks for each base, recorded while the box instance still
-# normalised every point of the box into a payload table
+# sha256 of _box_walks for each base.  Z^2 was recorded while the box
+# instance still normalised every point of the box into a payload table; the
+# two bases with torsion were recorded again by the same pricing code once
+# lamp positions were normalised before keying the element, as unreduced
+# draws of one torsion class named one position twice (6 of the 40 elements
+# on ZxZ/4, 4 on Z^2xZ/2), which state() now refuses
 BOX_WALKS_SHA256 = {
     "Z^2": "16f91b54c027a19d3f40e1282f8d424fb263de3b239b5f2157c1b9dda15003f6",
-    "ZxZ/4": "df353a5878400ada5224f04e7069f8575d8c401b85bb0bdb1b7961823d79c0b9",
-    "Z^2xZ/2": "83199da2bd1d03b7a0e5a0936db72fbf4d1a974668d05a1c739343b39b8c14fa",
+    "ZxZ/4": "aac8af638bf3b33f788b5e830bcb624d42c038295c6c99aa38cf3d3f354653dc",
+    "Z^2xZ/2": "abd435ea179855cdf1c30936b11725888f36199d241bde0fe490fd944b987df8",
 }
 
 
 def _box_walks(lamps, key) -> str:
-    """Value and box walk of 40 seeded elements with 1..9 lit lamps, free
+    """Value and box walk of 40 seeded elements with 1..9 lamp draws, free
     coordinates in -4..4 and torsion coordinates drawn unreduced, one line
     each."""
     base = BOX_WALK_BASES[key]()
@@ -1227,7 +1238,7 @@ def _box_walks(lamps, key) -> str:
     for _ in range(40):
         lamps_on = {}
         for _ in range(rng.randint(1, 9)):
-            lamps_on[tuple(point())] = 1
+            lamps_on[base.normalize_payload(tuple(point()))] = 1
         value, walk = W.word_length_and_walk(ll, ll.state(lamps_on, point()))
         lines.append(f"{value.value} {value.exact} " + " ".join(map(base.payload_str, walk)) + "\n")
     return "".join(lines)
