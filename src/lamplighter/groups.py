@@ -360,18 +360,21 @@ def _abelian_nongeneration_witness(rank, moduli, vecs) -> Optional[Tuple[int, ..
     Z^dim, which is checked by Hermite-style row reduction.
     """
     dim = rank + len(moduli)
-    rows = [list(v) for v in vecs]
-    for j, m in enumerate(moduli):
-        row = [0] * dim
-        row[rank + j] = m
-        rows.append(row)
-    basis = _hermite_basis(rows, dim)
+    basis = _hermite_basis(_with_relations(rank, moduli, vecs), dim)
     for c in range(dim):
         unit = [0] * dim
         unit[c] = 1
         if not _in_lattice(basis, unit, dim):
             return tuple(unit)
     return None
+
+
+def _with_relations(rank: int, moduli: Sequence[int], vecs) -> List[List[int]]:
+    """The vectors as rows, then the relation rows m_j * e_{rank+j}."""
+    rows = [list(v) for v in vecs]
+    for j, m in enumerate(moduli):
+        rows.append([0] * (rank + j) + [m] + [0] * (len(moduli) - j - 1))
+    return rows
 
 
 def _hermite_basis(rows: List[List[int]], dim: int) -> List[List[int]]:
@@ -399,20 +402,16 @@ def _hermite_basis(rows: List[List[int]], dim: int) -> List[List[int]]:
             if done or len(pivots) == 1:
                 break
         if p[col] < 0:
-            p = [-x for x in p]
+            p[:] = [-x for x in p]
         basis.append(p)
-        rows = [r for r in rows if r is not p and (any(r))]
-        for r in rows:
-            if r[col] != 0:
-                q = r[col] // p[col]
-                for k in range(dim):
-                    r[k] -= q * p[k]
-        rows = [r for r in rows if any(r)]
+        rows = [r for r in rows if r is not p and any(r)]
         col += 1
     return basis
 
 
-def _in_lattice(basis: List[List[int]], v: Sequence[int], dim: int) -> bool:
+def _lattice_residue(basis: List[List[int]], v: Sequence[int], dim: int) -> List[int]:
+    """v less each echelon row of basis, in order, as many times as clears the
+    row's lead column where that is a whole number: zero iff v is in the lattice."""
     v = list(v)
     for row in basis:
         lead = next((c for c in range(dim) if row[c] != 0), None)
@@ -422,7 +421,11 @@ def _in_lattice(basis: List[List[int]], v: Sequence[int], dim: int) -> bool:
             q = v[lead] // row[lead]
             for k in range(dim):
                 v[k] -= q * row[k]
-    return not any(v)
+    return v
+
+
+def _in_lattice(basis: List[List[int]], v: Sequence[int], dim: int) -> bool:
+    return not any(_lattice_residue(basis, v, dim))
 
 
 def _bfs_length_infinite(model: GroupModel, target: Payload) -> int:

@@ -13,9 +13,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ResourceCapError, VerificationError
 from .graphs import FiniteGraph, _not_masks, cayley_ball, finite_cayley_graph, power_graph
@@ -27,6 +26,8 @@ from .groups import (
     Payload,
     _hermite_basis,
     _in_lattice,
+    _lattice_residue,
+    _with_relations,
     group_spec_of,
 )
 from . import tsp
@@ -582,30 +583,22 @@ class NashWilliamsBasis:
 
 def nash_williams_basis(model: AbelianModel) -> NashWilliamsBasis:
     """Relabel the generators so group elements decompose uniquely into free
-    and bounded coordinates; validated empirically on a box.
+    and bounded coordinates; each labeling is checked exactly (see _try_basis).
 
     Non-degenerate labelings (usable as grid embeddings) are preferred; only
     the cyclically generated line admits none."""
     if model.rank < 1:
         raise ValueError("Nash-Williams basis needs an infinite abelian group")
     reps = _generator_classes(model)
-    r = model.rank
-    splits = math.comb(len(reps), r)
-    if splits > CAPS["BASIS_SPLIT_CAP"]:
-        raise ResourceCapError("BASIS_SPLIT_CAP", CAPS["BASIS_SPLIT_CAP"],
-                               f"by {splits} splits ({len(reps)} classes at rank {r})")
-    candidates = []
-    for a_combo in itertools.combinations(reps, r):
-        rest = [g for g in reps if g not in a_combo]
-        combo = _try_basis(model, list(a_combo), rest)
-        if combo is not None:
-            candidates.append(combo)
-    if not candidates:
-        raise AssertionError("no valid Nash-Williams labeling found")
-    for cand in candidates:
-        if not cand.degenerate:
+    first = None
+    for a_combo in itertools.combinations(reps, model.rank):
+        cand = _try_basis(model, list(a_combo), [g for g in reps if g not in a_combo])
+        if cand is not None and not cand.degenerate:
             return cand
-    return candidates[0]
+        first = first or cand
+    if first is None:
+        raise VerificationError("no valid Nash-Williams labeling found")
+    return first
 
 
 def _generator_classes(model: AbelianModel) -> List[Tuple[int, ...]]:
@@ -622,96 +615,58 @@ def _generator_classes(model: AbelianModel) -> List[Tuple[int, ...]]:
     return sorted(reps, key=key)
 
 
-def _try_basis(model: AbelianModel, a_list, b_list) -> Optional[NashWilliamsBasis]:
-    dim = model.rank + len(model.moduli)
-    relation_rows = []
-    for j, mod in enumerate(model.moduli):
-        row = [0] * dim
-        row[model.rank + j] = mod
-        relation_rows.append(row)
-
-    ms: List[int] = []
-    span = [list(v) for v in a_list] + relation_rows
-    mod_bound = 1
-    for mod in model.moduli:
-        mod_bound *= mod
-    bound = 64 * max(1, mod_bound)
-    for b in b_list:
-        basis = _hermite_basis([row[:] for row in span], dim)
-        m = next(
-            (m for m in range(1, bound + 1)
-             if _in_lattice(basis, [m * c for c in b], dim)),
-            None,
-        )
-        if m is None:
-            return None
-        ms.append(m)
+def _levels(model: AbelianModel, a_list, b_list) -> List[List[List[int]]]:
+    """Hermite bases of L_0 <= ... <= L_{k-1}: L_0 spans the a's and the
+    relation rows, L_j = L_{j-1} + Z b_j."""
+    span = _with_relations(model.rank, model.moduli, a_list)
+    levels = [_hermite_basis(span, model.dim)]
+    for b in b_list[:-1]:
         span.append(list(b))
-    if not _validate_basis(model, a_list, b_list, ms):
+        levels.append(_hermite_basis(span, model.dim))
+    return levels
+
+
+def _try_basis(model: AbelianModel, a_list, b_list) -> Optional[NashWilliamsBasis]:
+    """The labeling with free generators a_list and bounded ones b_list, or
+    None when elements do not decompose uniquely: exactly when L_0 is not of
+    full rank (Nash-Williams 1959).  With full rank, m_j (the order of b_j
+    modulo L_{j-1}) is at most the index of L_0; two representations agree in
+    every q by the minimality of m_j, so they differ by a combination of the
+    a's in the relation lattice, which full rank rules out."""
+    dim = model.dim
+    levels = _levels(model, a_list, b_list)
+    if len(levels[0]) < dim:
         return None
+    ms = tuple(next(m for m in itertools.count(1) if _in_lattice(lat, [m * c for c in b], dim))
+               for lat, b in zip(levels, b_list))
     degenerate = model.rank == 1 and all(m == 1 for m in ms)
-    return NashWilliamsBasis(tuple(a_list), tuple(b_list), tuple(ms), degenerate)
-
-
-def _validate_basis(model: AbelianModel, a_list, b_list, ms) -> bool:
-    """Empirical uniqueness and coverage of the representation on a box."""
-    side = sum(ms) + 10
-    P = 4 * side + 40
-    points, cap = (2 * P + 1) ** len(a_list) * math.prod(ms), CAPS["BASIS_BOX_CAP"]
-    if points > cap:
-        raise ResourceCapError("BASIS_BOX_CAP", cap, f"by {points} points (box side {2 * P + 1}"
-                               f" at rank {model.rank})")
-    image: Set[Payload] = set()
-    q_ranges = [range(m) for m in ms]
-    p_ranges = [range(-P, P + 1)] * len(a_list)
-    for ps in itertools.product(*p_ranges):
-        base = model.identity_payload()
-        for p, a in zip(ps, a_list):
-            base = model.mul_payload(base, tuple(p * c for c in a))
-        for qs in itertools.product(*q_ranges):
-            g = base
-            for q, b in zip(qs, b_list):
-                g = model.mul_payload(g, tuple(q * c for c in b))
-            if g in image:
-                return False
-            image.add(g)
-    for coords in itertools.product(range(-side, side + 1), repeat=model.rank):
-        fin = [range(m) for m in model.moduli]
-        for tail in itertools.product(*fin):
-            g = model.normalize_payload(tuple(coords) + tuple(tail))
-            if g not in image:
-                return False
-    return True
+    return NashWilliamsBasis(tuple(a_list), tuple(b_list), ms, degenerate)
 
 
 def nw_decompose(model: AbelianModel, basis: NashWilliamsBasis, g: Payload) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Coordinates (p, q) of g in the basis, by bounded search.
-
-    Unique by the basis contract; bounded because coordinates grow at most
-    linearly with the coefficients of g.
-    """
-    g = model.normalize_payload(g)
-    scale = max((abs(c) for c in g), default=0) + sum(basis.m) + 4
-    for radius in range(scale, 16 * scale + 2, scale):
-        for qs in itertools.product(*[range(m) for m in basis.m]):
-            target = g
-            for q, b in zip(qs, basis.b):
-                target = model.mul_payload(target, tuple(-q * c for c in b))
-            ps = _solve_free_combo(model, basis.a, target, radius)
-            if ps is not None:
-                return ps, qs
-    raise AssertionError("decomposition not found; invalid basis?")
-
-
-def _solve_free_combo(model: AbelianModel, a_list, target, radius: int):
-    k = len(a_list)
-    for ps in itertools.product(range(-radius, radius + 1), repeat=k):
-        g = model.identity_payload()
-        for p, a in zip(ps, a_list):
-            g = model.mul_payload(g, tuple(p * c for c in a))
-        if g == target:
-            return ps
-    return None
+    """Coordinates (p, q) of g in the basis, exactly: q_j from the last level
+    down (the one q in [0, m_j) that puts g - q_j b_j into L_{j-1}), then p by
+    integer elimination: with the rows (a_i, e_i) and (relation row, 0), what
+    is left of g reduces from (g', 0) to (0, -p)."""
+    dim, r = model.dim, model.rank
+    v = list(model.normalize_payload(g))
+    levels = _levels(model, basis.a, basis.b)
+    qs = []
+    for lat, b, m in zip(reversed(levels), reversed(basis.b), reversed(basis.m)):
+        for q in range(m):
+            w = [x - q * c for x, c in zip(v, b)]
+            if _in_lattice(lat, w, dim):
+                break
+        else:
+            raise VerificationError(f"{model.payload_str(g)} has no decomposition; invalid basis")
+        v = w
+        qs.append(q)
+    rows = [list(a) + [int(i == k) for k in range(r)] for i, a in enumerate(basis.a)]
+    rows += [row + [0] * r for row in _with_relations(r, model.moduli, [])]
+    rest = _lattice_residue(_hermite_basis(rows, dim + r), v + [0] * r, dim + r)
+    if any(rest[:dim]):
+        raise VerificationError(f"{model.payload_str(g)} has no free coordinates; invalid basis")
+    return tuple(-x for x in rest[dim:]), tuple(reversed(qs))
 
 
 # ---------------------------------------------------------------------------

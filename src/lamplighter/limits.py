@@ -25,13 +25,6 @@ CAPS = {
     "BACKTRACK_CAP": 40,
     # nodes of one spanning-walk search, at about 450k nodes/s; the largest 6x6 one takes 29.3k
     "SEARCH_NODE_CAP": 2_000_000,
-    # C(classes, rank) splits the basis search tries, each checked on a box; 8 splits take
-    # 0.14 s / 17.6 MB peak on Z (1..8), Z^2 takes 2.6 s / 38 MB with 6 splits (4 classes),
-    # 7.9 s / 55 MB with 10 and 87 s / 112 MB with 28 (8 classes)
-    "BASIS_SPLIT_CAP": 8,
-    # points of the box one basis split is checked on, (2P+1)^rank x prod(m), P >= 80: rank 2 with
-    # m = (4, 4) takes 810,000 points, 5.3 s and 254 MB; rank 3 needs at least 4,173,281
-    "BASIS_BOX_CAP": 1_000_000,
 }
 
 

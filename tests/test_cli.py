@@ -588,6 +588,17 @@ class TestQh:
         assert "MAX_REQUIRED = 22 exceeded by the 23 vertices of the ball of radius n = 11" in err
         assert time.perf_counter() - start < 10
 
+    def test_rank_3_gets_an_exact_basis(self, tmp_path):
+        # Z^3 with four generator classes: rank 3 gets a Nash-Williams basis
+        # and a verified certificate (Cube(3,3,3) walks)
+        gens = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+        path = tmp_path / "z3.json"
+        path.write_text(json.dumps({"variant": "abelian", "rank": 3, "moduli": [], "gens": gens}))
+        rc, out, err = run(["qh", "--group", str(path), "--nmax", "1", "--verify"])
+        assert (rc, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["kind"] == "qh_certificate" and payload["strategy"] == "abelian-box"
+
     def test_refutation_table(self, specs):
         rc, out, _ = run(["qh", "--group", specs["z.json"], "--nmax", "4"])
         payload = json.loads(out)
@@ -612,28 +623,6 @@ class TestCapErrors:
         rc, out, err = run([specs.get(a, a) for a in argv])
         assert rc == 3 and out == "" and err.count("\n") == 1
         assert err.startswith(f"resource cap: {cap} = {value} exceeded {reached}")
-
-    def test_qh_refuses_basis_splits_over_cap(self, tmp_path):
-        # Z^2 with eight generator classes: the basis search would try
-        # C(8, 2) = 28 splits (87 s, 112 MB); the default cap refuses it
-        gens = [[1, 0], [0, 1], [1, 1], [1, -1], [2, 1], [1, 2], [2, -1], [1, -2]]
-        path = tmp_path / "z2_eight.json"
-        path.write_text(json.dumps({"variant": "abelian", "rank": 2, "moduli": [], "gens": gens}))
-        rc, out, err = run(["qh", "--group", str(path), "--nmax", "1"])
-        assert (rc, out) == (3, "")
-        assert err == "resource cap: BASIS_SPLIT_CAP = 8 exceeded by 28 splits (8 classes at rank 2)\n"
-
-    def test_qh_refuses_basis_box_over_cap(self, tmp_path):
-        # Z^3 with four generator classes tries only 4 splits, but checks
-        # each on a box of (2P+1)^3 points, P >= 80 (past 120 s and 650 MB
-        # before this cap); the default cap refuses the first one
-        gens = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
-        path = tmp_path / "z3.json"
-        path.write_text(json.dumps({"variant": "abelian", "rank": 3, "moduli": [], "gens": gens}))
-        rc, out, err = run(["qh", "--group", str(path), "--nmax", "1"])
-        assert (rc, out) == (3, "")
-        assert err == ("resource cap: BASIS_BOX_CAP = 1000000 exceeded by 4826809 points"
-                       " (box side 169 at rank 3)\n")
 
     def test_retreat_cap_is_a_cell(self, specs, monkeypatch):
         # depth-profile keeps the profile and writes "cap" as the retreat

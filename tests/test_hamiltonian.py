@@ -438,14 +438,20 @@ class TestNashWilliams:
         basis = H.nash_williams_basis(G.make_abelian(1, [], [[1]]))
         assert basis.degenerate
 
-    def test_split_cap_named_in_error(self):
-        # the cap counts the C(classes, rank) splits the search tries; at
-        # rank 1 that is the class count (Z^2 is refused in test_cli)
-        assert not H.nash_williams_basis(G.make_abelian(1, [], [[i] for i in range(1, 9)])).degenerate
-        model = G.make_abelian(1, [], [[i] for i in range(1, 10)])
-        with pytest.raises(ResourceCapError,
-                           match=r"^BASIS_SPLIT_CAP = 8 exceeded by 9 splits \(9 classes at rank 1\)$"):
-            H.nash_williams_basis(model)
+    @pytest.mark.parametrize("rank, gens", [
+        (2, [[1, 0], [0, 1], [1, 1], [1, -1], [2, 1], [1, 2], [2, -1], [1, -2]]),
+        (1, [[i] for i in range(1, 10)]),
+    ], ids=["z2-eight-classes", "z-one-to-nine"])
+    def test_many_classes_get_a_basis(self, rank, gens):
+        # C(8, 2) = 28 and C(9, 1) = 9 splits; each is an exact lattice check
+        model = G.make_abelian(rank, [], gens)
+        basis = H.nash_williams_basis(model)
+        assert not basis.degenerate and len(basis.a) == rank
+        for g in [(3,) * rank, (-5,) + (2,) * (rank - 1)]:
+            ps, qs = H.nw_decompose(model, basis, g)
+            total = [sum(p * a[i] for p, a in zip(ps, basis.a))
+                     + sum(q * b[i] for q, b in zip(qs, basis.b)) for i in range(rank)]
+            assert tuple(total) == g
 
     def test_decomposition_unique(self):
         model = G.make_abelian(1, [], [[2], [3]])

@@ -1,6 +1,6 @@
 """Repository tooling: the names the benchmark tracer patches, the scripts
 the README documents, the public names of the program that no code uses,
-and the resource caps, which live in one table.
+and the resource caps, which live in one table with one README row each.
 
 perfbench/layertrace.py replaces layer functions by name; a rename in the
 program makes `perfbench/run.py --trace 1` stop with a KeyError.  That test
@@ -178,3 +178,16 @@ def test_caps_live_in_the_limits_table():
     assert not env_readers, f"LAMPLIGHTER_CAP read outside limits.py: {env_readers}"
     dead = sorted(CAPS.keys() - read)
     assert not dead, f"limits.CAPS entries that no module reads: {dead}"
+
+
+def test_limits_table_rows_match_caps():
+    # one README "Limits" row per limits.CAPS entry, and no row for a cap
+    # that has retired
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("\n## Limits\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+    assert len(rows) >= 8
+    doubled = sorted({name for name in rows if rows.count(name) > 1})
+    assert not doubled, f"caps with more than one README Limits row: {doubled}"
+    assert not CAPS.keys() - set(rows), f"caps without a README Limits row: {sorted(CAPS.keys() - set(rows))}"
+    assert not set(rows) - CAPS.keys(), f"README Limits rows for no live cap: {sorted(set(rows) - CAPS.keys())}"
