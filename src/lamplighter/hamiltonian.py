@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -597,7 +598,8 @@ def nash_williams_basis(model: AbelianModel) -> NashWilliamsBasis:
             return cand
         first = first or cand
     if first is None:
-        raise VerificationError("no valid Nash-Williams labeling found")
+        bound = _M_FACTOR * math.prod(model.moduli)
+        raise VerificationError(f"no Nash-Williams labeling has every m_j <= {bound}")
     return first
 
 
@@ -615,32 +617,56 @@ def _generator_classes(model: AbelianModel) -> List[Tuple[int, ...]]:
     return sorted(reps, key=key)
 
 
-def _levels(model: AbelianModel, a_list, b_list) -> List[List[List[int]]]:
-    """Hermite bases of L_0 <= ... <= L_{k-1}: L_0 spans the a's and the
-    relation rows, L_j = L_{j-1} + Z b_j."""
-    span = _with_relations(model.rank, model.moduli, a_list)
-    levels = [_hermite_basis(span, model.dim)]
-    for b in b_list[:-1]:
+# A split is used only when every m_j is at most this many times the order of
+# the torsion: the abelian-box witness runs over m_j points along b_j.
+_M_FACTOR = 64
+
+
+def _levels(rank: int, moduli: Tuple[int, ...], a_list, b_list) -> List[List[List[int]]]:
+    """Hermite bases of L_0 <= ... <= L_k: L_0 spans the a's and the relation
+    rows, L_j = L_{j-1} + Z b_j (so L_k is all of Z^dim)."""
+    dim = rank + len(moduli)
+    span = _with_relations(rank, moduli, a_list)
+    levels = [_hermite_basis(span, dim)]
+    for b in b_list:
         span.append(list(b))
-        levels.append(_hermite_basis(span, model.dim))
+        levels.append(_hermite_basis(span, dim))
     return levels
+
+
+def _index(lattice: List[List[int]]) -> int:
+    """[Z^dim : L] for a full-rank echelon basis: the product of its pivots."""
+    return math.prod(row[i] for i, row in enumerate(lattice))
 
 
 def _try_basis(model: AbelianModel, a_list, b_list) -> Optional[NashWilliamsBasis]:
     """The labeling with free generators a_list and bounded ones b_list, or
     None when elements do not decompose uniquely: exactly when L_0 is not of
-    full rank (Nash-Williams 1959).  With full rank, m_j (the order of b_j
-    modulo L_{j-1}) is at most the index of L_0; two representations agree in
-    every q by the minimality of m_j, so they differ by a combination of the
-    a's in the relation lattice, which full rank rules out."""
-    dim = model.dim
-    levels = _levels(model, a_list, b_list)
-    if len(levels[0]) < dim:
+    full rank (Nash-Williams 1959).  With full rank, L_j / L_{j-1} is cyclic
+    of order m_j, the order of b_j modulo L_{j-1}, so m_j is the ratio of
+    the indices of the two levels.  Two representations agree in every q by
+    the minimality of m_j, so they differ by a combination of the a's in the
+    relation lattice, which full rank rules out.  Also None when some m_j is
+    over _M_FACTOR times the torsion order."""
+    levels = _levels(model.rank, model.moduli, a_list, b_list)
+    if len(levels[0]) < model.dim:
         return None
-    ms = tuple(next(m for m in itertools.count(1) if _in_lattice(lat, [m * c for c in b], dim))
-               for lat, b in zip(levels, b_list))
+    indices = [_index(lat) for lat in levels]
+    ms = tuple(lo // hi for lo, hi in zip(indices, indices[1:]))
+    if any(m > _M_FACTOR * math.prod(model.moduli) for m in ms):
+        return None
     degenerate = model.rank == 1 and all(m == 1 for m in ms)
     return NashWilliamsBasis(tuple(a_list), tuple(b_list), ms, degenerate)
+
+
+@functools.lru_cache(maxsize=16)
+def _nw_tables(rank: int, moduli: Tuple[int, ...], basis: NashWilliamsBasis):
+    """What nw_decompose needs of a basis: the levels L_0 .. L_{k-1} and the
+    Hermite basis of the rows (a_i, e_i) and (relation row, 0)."""
+    rows = [list(a) + [int(i == k) for k in range(rank)] for i, a in enumerate(basis.a)]
+    rows += [row + [0] * rank for row in _with_relations(rank, moduli, [])]
+    levels = _levels(rank, moduli, basis.a, basis.b)[:-1]
+    return levels, _hermite_basis(rows, rank + len(moduli) + rank)
 
 
 def nw_decompose(model: AbelianModel, basis: NashWilliamsBasis, g: Payload) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -650,7 +676,7 @@ def nw_decompose(model: AbelianModel, basis: NashWilliamsBasis, g: Payload) -> T
     is left of g reduces from (g', 0) to (0, -p)."""
     dim, r = model.dim, model.rank
     v = list(model.normalize_payload(g))
-    levels = _levels(model, basis.a, basis.b)
+    levels, elimination = _nw_tables(r, model.moduli, basis)
     qs = []
     for lat, b, m in zip(reversed(levels), reversed(basis.b), reversed(basis.m)):
         for q in range(m):
@@ -661,9 +687,7 @@ def nw_decompose(model: AbelianModel, basis: NashWilliamsBasis, g: Payload) -> T
             raise VerificationError(f"{model.payload_str(g)} has no decomposition; invalid basis")
         v = w
         qs.append(q)
-    rows = [list(a) + [int(i == k) for k in range(r)] for i, a in enumerate(basis.a)]
-    rows += [row + [0] * r for row in _with_relations(r, model.moduli, [])]
-    rest = _lattice_residue(_hermite_basis(rows, dim + r), v + [0] * r, dim + r)
+    rest = _lattice_residue(elimination, v + [0] * r, dim + r)
     if any(rest[:dim]):
         raise VerificationError(f"{model.payload_str(g)} has no free coordinates; invalid basis")
     return tuple(-x for x in rest[dim:]), tuple(reversed(qs))

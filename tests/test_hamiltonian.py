@@ -453,6 +453,22 @@ class TestNashWilliams:
                      + sum(q * b[i] for q, b in zip(qs, basis.b)) for i in range(rank)]
             assert tuple(total) == g
 
+    @pytest.mark.parametrize("big, a, m, degenerate", [(64, (64,), (64,), False), (65, (1,), (1,), True)])
+    def test_m_over_the_factor_skips_the_split(self, big, a, m, degenerate):
+        # Z with {1, big}: the split a = big, b = 1 has m = big, used up to 64
+        model = G.make_abelian(1, [], [[1], [big]])
+        basis = H.nash_williams_basis(model)
+        assert (basis.a, basis.m, basis.degenerate) == ((a,), m, degenerate)
+
+    def test_m_over_the_factor_takes_refute(self):
+        # the degenerate labeling sends auto to refute, which needs (Z, {+-1})
+        with pytest.raises(ValueError, match="refute strategy"):
+            H.qh_certificate(G.make_abelian(1, [], [[1], [65]]), 1)
+
+    def test_no_split_within_the_factor(self):
+        with pytest.raises(VerificationError, match="every m_j <= 64"):
+            H.nash_williams_basis(G.make_abelian(1, [], [[65], [66]]))
+
     def test_decomposition_unique(self):
         model = G.make_abelian(1, [], [[2], [3]])
         basis = H.nash_williams_basis(model)
