@@ -51,9 +51,7 @@ def main(argv=None) -> int:
     lamps = G.make_cyclic(2, [1], letter="a")
     model = W.LamplighterModel(lamps, BASES[args.base]())
     t0 = time.perf_counter()
-    profile = W.depth_profile(
-        model, args.radius, args.kmax, cap=args.cap, partial_ok=True
-    )
+    profile = W.depth_profile(model, args.radius, args.kmax, cap=args.cap)
     status = "complete" if profile.complete else "PARTIAL"
     # ru_maxrss is in KiB on Linux
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

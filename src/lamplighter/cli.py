@@ -202,7 +202,7 @@ def cmd_verdict(args) -> int:
 def cmd_depth_profile(args) -> int:
     model = _lamplighter_from_file(args.group)
     _backend(model, args.backend, exact=True)
-    profile = wreath.depth_profile(model, args.radius, args.kmax, cap=args.cap, partial_ok=True)
+    profile = wreath.depth_profile(model, args.radius, args.kmax, cap=args.cap)
     dead_ends = profile.rows.dead_ends()
     retreat: Dict[str, str] = {}
     for row, g in dead_ends:
@@ -220,7 +220,10 @@ def cmd_depth_profile(args) -> int:
         for row, g in dead_ends:
             if not wreath.is_dead_end(model, g):
                 raise VerificationError(f"row {row.element_id} is not a dead end")
-    return 0 if profile.complete else 3
+    if profile.cut:
+        print(f"resource cap: {profile.cut}", file=sys.stderr)
+        return 3
+    return 0
 
 
 _CSV_SPECIAL = re.compile('[,"\r\n]')

@@ -1,5 +1,5 @@
-"""Finite undirected graph kernel: Cayley balls and graphs, power graphs,
-product graphs, and grid/cube graphs.
+"""Finite undirected graph kernel: Cayley balls and graphs, product graphs,
+and grid/cube graphs.
 
 Graphs are immutable adjacency lists with optional vertex labels.  All
 constructors return connected, loop-free, symmetric graphs; `validate`
@@ -87,8 +87,8 @@ class FiniteGraph:
         )
 
     # -- export ----------------------------------------------------------
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph G {"]
         for i in range(self.n):
             lines.append(f'  {i} [label="{self.labels[i]}"];')
         for u, v in self.edges():
@@ -157,7 +157,7 @@ class CayleyBall:
         return self.index_of[self.model.normalize_payload(payload)]
 
 
-def cayley_ball(model: GroupModel, radius: int, cap: Optional[int] = None) -> CayleyBall:
+def cayley_ball(model: GroupModel, radius: int) -> CayleyBall:
     """Ball B(e, radius) in Cay(model, gens), BFS discovery order.
 
     Vertices are ordered by BFS layer with generator order as tie-break, so
@@ -167,7 +167,7 @@ def cayley_ball(model: GroupModel, radius: int, cap: Optional[int] = None) -> Ca
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    cap = env_cap("CAYLEY_BALL_CAP") if cap is None else cap
+    cap = env_cap("CAYLEY_BALL_CAP")
     gens, mul = model.gens, model.mul_payload
     e = model.identity_payload()
     order: List[Payload] = [e]
@@ -195,23 +195,6 @@ def cayley_ball(model: GroupModel, radius: int, cap: Optional[int] = None) -> Ca
 
 # ---------------------------------------------------------------------------
 # derived graphs
-
-
-def power_graph(g: FiniteGraph, k: int) -> FiniteGraph:
-    """Same vertices; edge uv iff 1 <= d_g(u, v) <= k."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not g.is_connected():
-        raise ValueError("power_graph expects a connected graph")
-    if k == 1:
-        return g
-    edges = []
-    for u in range(g.n):
-        dist = g.distances_from(u)
-        for v in range(u + 1, g.n):
-            if 1 <= dist[v] <= k:
-                edges.append((u, v))
-    return from_edges(g.n, edges, g.labels)
 
 
 def product_graph(g1: FiniteGraph, g2: FiniteGraph) -> FiniteGraph:

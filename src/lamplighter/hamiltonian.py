@@ -14,11 +14,12 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ResourceCapError, VerificationError
-from .graphs import FiniteGraph, _not_masks, cayley_ball, finite_cayley_graph, power_graph
+from .graphs import FiniteGraph, _not_masks, cayley_ball, cube_graph, finite_cayley_graph
 from .groups import (
     AbelianModel,
     FiniteModel,
@@ -319,9 +320,14 @@ def _spanning_walk_exact_repeats(
                     return True
         return False
 
-    if dfs(s, -1, ((1 << n) - 1) ^ (1 << s), budget, False):
-        return tuple(reversed(walk))
-    return None
+    try:
+        found = dfs(s, -1, ((1 << n) - 1) ^ (1 << s), budget, False)
+    except RecursionError:
+        # the search recurses once per step, so a long walk can pass the
+        # interpreter's limit: a refusal by fact, not a cap
+        raise ResourceCapError("Python recursion limit", sys.getrecursionlimit(),
+                               f"in the search {s}->{t} with {budget} repeats on {n} vertices") from None
+    return tuple(reversed(walk)) if found else None
 
 
 # ---------------------------------------------------------------------------
@@ -388,19 +394,12 @@ def _large_grid_walk(bits: _GraphBits, s: int, t: int) -> Optional[Tuple[int, ..
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_graph(m1: int, m2: int) -> FiniteGraph:
-    """Cube(m1, m2), built once per shape (FiniteGraph is immutable)."""
-    from .graphs import cube_graph
-
-    return cube_graph([m1, m2])
-
-
-@functools.lru_cache(maxsize=None)
 def _grid_bits(m1: int, m2: int) -> _GraphBits:
-    """The spanning-search context of Cube(m1, m2), built once per shape.
-    Only grids get one: a cache keyed by arbitrary graphs would grow
-    without bound, so other callers build theirs per call."""
-    return _graph_bits(_grid_graph(m1, m2))
+    """The spanning-search context of Cube(m1, m2) and the graph itself
+    (FiniteGraph is immutable), built once per shape.  Only grids get one:
+    a cache keyed by arbitrary graphs would grow without bound, so other
+    callers build theirs per call."""
+    return _graph_bits(cube_graph([m1, m2]))
 
 
 def _grid_index(m1: int, m2: int, p: Tuple[int, int]) -> int:
@@ -868,7 +867,8 @@ def _qh_cube(model: GroupModel, n_max: int, M: int) -> QhCertificate:
     witnesses = []
     for n in range(1, n_max + 1):
         g = cayley_ball(model, 3 * n).graph
-        names, z = g.labels, power_graph(g, 3).adj[0][0]
+        # vertex 1, the first neighbour of the identity in BFS order
+        names, z = g.labels, g.adj[0][0]
         # the closed walk steps 0 -> z, then takes a Hamiltonian z -> 0 path
         walks = (
             (0,) + cube3_hamiltonian_path(g, z, 0) if x == 0 else cube3_hamiltonian_path(g, 0, x)

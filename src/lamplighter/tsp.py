@@ -1,13 +1,11 @@
 """Exact solvers for TS(u -> v; F): minimal-length walks visiting a required
 vertex set.
 
-Lengths here count EDGES traversed (generator multiplications), plus service
-weights charged once per required vertex.  Walks may revisit vertices freely,
-so the solver works in the shortest-path metric closure of the required set
-(Steiner-TSP formulation, Held-Karp over subsets of the required vertices).
-
-Since every required vertex is serviced exactly once, the service weights add
-a constant to every feasible walk; they never change which walk is optimal.
+Lengths here count EDGES traversed (generator multiplications); the lamp
+cost of a wreath element lies outside the TS term, and wreath adds it.  Walks
+may revisit vertices freely, so the solver works in the shortest-path metric
+closure of the required set (Steiner-TSP formulation, Held-Karp over subsets
+of the required vertices).
 
 Every exact TS value except the tree closed form comes from one pure-Python
 Held-Karp kernel, reached through one setup that enforces MAX_REQUIRED and
@@ -32,7 +30,7 @@ fields.  Both kernels hold exactly the values of the plain table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import ResourceCapError, VerificationError
@@ -47,7 +45,6 @@ class TspInstance:
     start: int
     end: int
     required: FrozenSet[int]
-    service_weight: Dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "required", frozenset(self.required))
@@ -56,10 +53,6 @@ class TspInstance:
             raise ValueError("start/end out of range")
         if any(not 0 <= r < n for r in self.required):
             raise ValueError("required vertex out of range")
-        if any(k not in self.required for k in self.service_weight):
-            raise ValueError("service_weight keys must be required vertices")
-        if any(w < 0 for w in self.service_weight.values()):
-            raise ValueError("service weights must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -77,11 +70,8 @@ def validate_solution(inst: TspInstance, sol: TspSolution) -> None:
             raise VerificationError(f"non-edge {u}-{v} in walk")
     if not inst.required <= set(walk):
         raise VerificationError("walk misses required vertices")
-    bonus = sum(inst.service_weight.get(r, 0) for r in inst.required)
-    if sol.length != len(walk) - 1 + bonus:
-        raise VerificationError(
-            f"walk has {len(walk) - 1} edges and service {bonus} but length {sol.length}"
-        )
+    if sol.length != len(walk) - 1:
+        raise VerificationError(f"walk has {len(walk) - 1} edges but length {sol.length}")
 
 
 # ---------------------------------------------------------------------------
@@ -90,35 +80,26 @@ def validate_solution(inst: TspInstance, sol: TspSolution) -> None:
 
 def solve_exact(inst: TspInstance) -> TspSolution:
     """Globally minimal walk; deterministic tie-breaks favor small vertices."""
-    bonus = sum(inst.service_weight.get(r, 0) for r in inst.required)
     closure = _held_karp_closure(inst.graph, inst.start, inst.required)
-    edges, walk = _closure_walk(inst.graph, inst.start, inst.end, closure)
-    sol = TspSolution(edges + bonus, walk)
+    sol = TspSolution(*_closure_walk(inst.graph, inst.start, inst.end, closure))
     validate_solution(inst, sol)
     return sol
 
 
-def solve_all_ends(
-    graph: FiniteGraph,
-    start: int,
-    required: Set[int],
-    service_weight: Optional[Dict[int, int]] = None,
-) -> List[int]:
+def solve_all_ends(graph: FiniteGraph, start: int, required: Set[int]) -> List[int]:
     """TS(start -> v; required) for every vertex v, in one DP sweep."""
-    weights = service_weight or {}
-    bonus = sum(weights.get(r, 0) for r in required)
-    return _closure_row(graph.n, start, _held_karp_closure(graph, start, required), bonus)
+    return _closure_row(graph.n, start, _held_karp_closure(graph, start, required))
 
 
-def _closure_row(n: int, start: int, closure, bonus: int = 0) -> List[int]:
+def _closure_row(n: int, start: int, closure) -> List[int]:
     """The edges of a shortest walk from start through the stations of a
-    _held_karp_closure to each of the n vertices, plus bonus."""
+    _held_karp_closure to each of the n vertices."""
     others, dist, dp = closure
     if not others:
-        return [dist[start][v] + bonus for v in range(n)]
+        return list(dist[start])
     full = (1 << len(others)) - 1
     last = [(dp(full, i), dist[r]) for i, r in enumerate(others)]
-    return [min(d + to[v] for d, to in last) + bonus for v in range(n)]
+    return [min(d + to[v] for d, to in last) for v in range(n)]
 
 
 def _closure_walk(graph: FiniteGraph, start: int, end: int, closure) -> Tuple[int, Tuple[int, ...]]:

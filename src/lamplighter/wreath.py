@@ -12,8 +12,8 @@ searches run on interned states instead: one int
 The TS solver that prices a base is fixed when the model is built:
 LamplighterModel.strategy is finite, tree, petal or box, the one exact
 solver of the base, or generic, a slack-padded ball that gives only an
-upper bound.  The word-length entry points can ask for the generic bound
-on any base; the depth layer refuses a base whose strategy is generic.
+upper bound.  word_length_and_walk can ask for the generic bound on any
+base; the depth layer refuses a base whose strategy is generic.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import itertools
 import operator
 from array import array
 from collections import Counter, abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import ResourceCapError, VerificationError
@@ -225,12 +225,9 @@ class WordLength:
     exact: bool
 
 
-def word_length(model: LamplighterModel, g: WreathState, generic: bool = False) -> WordLength:
+def word_length(model: LamplighterModel, g: WreathState) -> WordLength:
     """Lamp cost plus TS(e_B -> position; supp f) by the model's strategy,
-    priced on the interned state of g (see _config_lengths), or with generic
-    by the slack-padded ball, an upper bound."""
-    if generic:
-        return word_length_and_walk(model, g, True)[0]
+    priced on the interned state of g (see _config_lengths)."""
     return WordLength(_state_length(model, model._encode(g)), model.strategy != "generic")
 
 
@@ -244,7 +241,8 @@ def word_length_and_walk(
     model: LamplighterModel, g: WreathState, generic: bool = False
 ) -> Tuple[WordLength, List[Payload]]:
     """word_length(g) and a TS walk for it (see ts_walk), both from one
-    _solve_walk call, which certifies the walk against its value."""
+    _solve_walk call, which certifies the walk against its value; with
+    generic, priced by the slack-padded ball, an upper bound."""
     lamps, pos = g
     ts, walk = _solve_walk(model, pos, frozenset(k for k, _v in lamps), generic)
     return WordLength(lamp_cost(model, g) + ts, not generic and model.strategy != "generic"), walk
@@ -299,13 +297,11 @@ def _box_instance(base: AbelianModel, pos: Payload, support: FrozenSet[Payload])
     return inst, payload_of
 
 
-def ts_walk(
-    model: LamplighterModel, pos: Payload, support: Sequence[Payload], generic: bool = False
-) -> List[Payload]:
-    """A TS-optimal (or, for generic, ball-optimal) base walk e -> pos
-    covering the support, as group payloads."""
+def ts_walk(model: LamplighterModel, pos: Payload, support: Sequence[Payload]) -> List[Payload]:
+    """A TS-optimal base walk e -> pos covering the support by the model's
+    strategy (ball-optimal for a generic base), as group payloads."""
     normal = model.base.normalize_payload
-    return _solve_walk(model, normal(pos), frozenset(map(normal, support)), generic)[1]
+    return _solve_walk(model, normal(pos), frozenset(map(normal, support)))[1]
 
 
 def _solve_walk(
@@ -362,8 +358,6 @@ class DepthReport:
     depth: int
     depth_exact: bool  # False: depth is only known to be >= the stated value
     witness: Tuple[str, ...] = ()
-    retreat_depth: Optional[int] = None
-    retreat_exact: bool = True
 
 
 def _require_exact(model: LamplighterModel) -> None:
@@ -771,6 +765,8 @@ class DepthProfile:
     k_max: int
     rows: ProfileRows
     complete: bool
+    # the cap error that cut the ball short; not part of the profile's value
+    cut: Optional[ResourceCapError] = field(default=None, compare=False)
 
     def max_depth_per_shell(self) -> Dict[int, int]:
         return self.rows.max_depth_per_shell()
@@ -780,26 +776,28 @@ class DepthProfile:
 
 
 def enumerate_ball(
-    model: LamplighterModel, radius: int, cap: Optional[int] = None, partial_ok: bool = False
+    model: LamplighterModel, radius: int, cap: Optional[int] = None
 ) -> Tuple[Dict[WreathState, int], bool]:
     """All wreath elements of word length <= radius with their BFS distances.
 
-    Returns (distances, complete).  When the cap is hit, either raises or,
-    with partial_ok, stops after the last fully enumerated shell."""
-    dist, complete, _stuck = _ball_shells(model, radius, cap, partial_ok)
-    return {model._decode(s): d for s, d in dist.items()}, complete
+    Returns (distances, complete).  When the cap is hit, it stops after the
+    last fully enumerated shell, with complete False."""
+    dist, cut, _stuck = _ball_shells(model, radius, cap)
+    return {model._decode(s): d for s, d in dist.items()}, cut is None
 
 
 def _ball_shells(
-    model: LamplighterModel, radius: int, cap: Optional[int], partial_ok: bool
-) -> Tuple[Dict[int, int], bool, Set[int]]:
-    """enumerate_ball on interned states, plus the stuck elements: those of a
-    shell d - 1 with no neighbour in shell d.
+    model: LamplighterModel, radius: int, cap: Optional[int]
+) -> Tuple[Dict[int, int], Optional[ResourceCapError], Set[int]]:
+    """enumerate_ball on interned states: (distances, the cap error that cut
+    the ball short or None, the stuck elements: those of a shell d - 1 with
+    no neighbour in shell d).
 
     The enumeration stops as soon as it holds more than `cap` states, so it
     builds at most cap plus one element's neighbours.  It then drops the
     partial shell d and the elements found stuck while expanding into it, so
-    the stuck set lies below the last shell of a capped ball."""
+    the stuck set lies below the last shell of a capped ball.  The error
+    names shell d and the last complete shell."""
     cap = env_cap("WREATH_BALL_CAP") if cap is None else cap
     e = model._encode(model.identity_state())
     dist: Dict[int, int] = {e: 0}
@@ -822,15 +820,13 @@ def _ball_shells(
             if not up:
                 shell_stuck.append(s)
             if len(dist) > cap:
-                if not partial_ok:
-                    raise ResourceCapError("WREATH_BALL_CAP", cap,
-                                           f"in shell {d}; shells 0..{d - 1} are complete")
                 for t in nxt:
                     del dist[t]
-                return dist, False, stuck
+                cut = ResourceCapError("WREATH_BALL_CAP", cap, f"in shell {d}; shells 0..{d - 1} are complete")
+                return dist, cut, stuck
         stuck.update(shell_stuck)
         frontier = nxt
-    return dist, True, stuck
+    return dist, None, stuck
 
 
 def _lamp_moves_leave(model: LamplighterModel, s: int, dist: Dict[int, int]) -> bool:
@@ -884,14 +880,10 @@ def _check_formula(model: LamplighterModel, s: int, formula: int, L: int) -> Non
         )
 
 
-def depth_profile(
-    model: LamplighterModel,
-    radius: int,
-    k_max: int,
-    cap: Optional[int] = None,
-    partial_ok: bool = False,
-) -> DepthProfile:
-    """Depth of every element of word length <= radius.
+def depth_profile(model: LamplighterModel, radius: int, k_max: int, cap: Optional[int] = None) -> DepthProfile:
+    """Depth of every element of word length <= radius.  A ball that passes
+    its cap stops after its last complete shell, and the profile is partial:
+    complete False, with the cap error in cut.
 
     Depth 0 comes by table lookup on every shell.  Below the last shell, an
     element is depth 0 unless the enumeration found it stuck (no neighbour
@@ -913,7 +905,7 @@ def depth_profile(
     the configuration's support once.
     """
     _require_exact(model)
-    dist, complete, stuck = _ball_shells(model, radius, cap, partial_ok)
+    dist, cut, stuck = _ball_shells(model, radius, cap)
     reached = max(dist.values(), default=0)
     # depth() with k_max 0 expands nothing and reports depth >= 0 whatever
     # the element, so such rows are only priced and one shell's rows share
@@ -957,7 +949,7 @@ def depth_profile(
             if lengths.count(reached) != len(priced):
                 for p, L in zip(priced, lengths):
                     _check_formula(model, bits | p, L, reached)
-    return DepthProfile(radius, k_max, rows, complete)
+    return DepthProfile(radius, k_max, rows, cut is None, cut)
 
 
 def _search(model: LamplighterModel, s: int, L: int, k_max: int) -> DepthReport:

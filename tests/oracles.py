@@ -18,7 +18,6 @@ def brute_force_oracle(inst: TspInstance, max_len: int) -> TspSolution:
     reqs = sorted(inst.required)
     bit = {r: 1 << i for i, r in enumerate(reqs)}
     full = (1 << len(reqs)) - 1
-    bonus = sum(inst.service_weight.get(r, 0) for r in inst.required)
     dist_end = g.distances_from(inst.end)
     dist_req = {r: g.distances_from(r) for r in reqs}
 
@@ -47,7 +46,7 @@ def brute_force_oracle(inst: TspInstance, max_len: int) -> TspSolution:
             return False
 
         if dfs(inst.start, start_mask, 0):
-            sol = TspSolution(len(walk) - 1 + bonus, tuple(walk))
+            sol = TspSolution(len(walk) - 1, tuple(walk))
             validate_solution(inst, sol)
             return sol
     raise BoundExceededError(f"no covering walk within {max_len} edges")

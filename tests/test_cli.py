@@ -418,13 +418,14 @@ class TestDepthProfile:
         assert lines[1].startswith("-;0,0,0")
 
     def test_partial_exit_code(self, specs):
-        rc, out, _ = run(
+        rc, out, err = run(
             [
                 "depth-profile", "--group", specs["ll_fp82.json"],
                 "--radius", "8", "--kmax", "4", "--cap", "200",
             ]
         )
         assert rc == 3 and "partial_enumeration" in out
+        assert err == "resource cap: WREATH_BALL_CAP = 200 exceeded in shell 5; shells 0..4 are complete\n"
 
     def test_json_format(self, specs):
         rc, out, _ = run(

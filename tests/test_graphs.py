@@ -1,4 +1,4 @@
-"""Graph kernel: Cayley balls, power/product/cube constructions."""
+"""Graph kernel: Cayley balls, product/cube constructions."""
 
 import os
 import subprocess
@@ -14,10 +14,6 @@ from oracles import two_pass_cayley_ball
 
 def edge_count(g):
     return sum(len(nbrs) for nbrs in g.adj) // 2
-
-
-def diameter(g):
-    return max(max(g.distances_from(u)) for u in range(g.n))
 
 
 class TestCayleyBall:
@@ -45,18 +41,22 @@ class TestCayleyBall:
         for i, p in enumerate(ball.elements):
             assert dist[i] == fp.length_payload(p)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         f2 = G.make_free(2)
+        monkeypatch.delenv("LAMPLIGHTER_CAP", raising=False)
+        monkeypatch.setitem(CAPS, "CAYLEY_BALL_CAP", 100)
         with pytest.raises(ResourceCapError):
-            Gr.cayley_ball(f2, 10, cap=100)
+            Gr.cayley_ball(f2, 10)
 
-    def test_cap_error_names_cap_and_complete_radius(self):
+    def test_cap_error_names_cap_and_complete_radius(self, monkeypatch):
+        # LAMPLIGHTER_CAP overrides this default
+        assert CAPS["CAYLEY_BALL_CAP"] == 200_000
         # F2 balls hold 1, 5, 17, 53, 161 elements: radius 4 takes it over 100
         msg = r"^CAYLEY_BALL_CAP = 100 exceeded at radius 4; radii 0..3 are complete$"
+        monkeypatch.delenv("LAMPLIGHTER_CAP", raising=False)
+        monkeypatch.setitem(CAPS, "CAYLEY_BALL_CAP", 100)
         with pytest.raises(ResourceCapError, match=msg):
-            Gr.cayley_ball(G.make_free(2), 10, cap=100)
-        # the cap argument and LAMPLIGHTER_CAP override this default
-        assert CAPS["CAYLEY_BALL_CAP"] == 200_000
+            Gr.cayley_ball(G.make_free(2), 10)
 
     def test_lookup_bijection(self):
         f2 = G.make_free(2)
@@ -114,29 +114,6 @@ class TestFiniteCayley:
         assert edge_count(g) == 6
 
 
-class TestPowerGraph:
-    def test_identity_case(self):
-        g = Gr.cycle_graph(8)
-        assert Gr.power_graph(g, 1) is g
-
-    def test_path_cubed_complete(self):
-        g = Gr.power_graph(Gr.path_graph(4), 3)
-        assert edge_count(g) == 6
-
-    def test_cycle_squared_degrees(self):
-        g = Gr.power_graph(Gr.cycle_graph(8), 2)
-        assert all(len(a) == 4 for a in g.adj)
-
-    def test_monotone_and_complete_at_diameter(self):
-        g = Gr.cube_graph([3, 2])
-        prev = set(map(tuple, g.edges()))
-        for k in range(2, diameter(g) + 1):
-            cur = set(map(tuple, Gr.power_graph(g, k).edges()))
-            assert prev <= cur
-            prev = cur
-        assert len(prev) == g.n * (g.n - 1) // 2
-
-
 class TestProducts:
     def test_square(self):
         g = Gr.product_graph(Gr.path_graph(2), Gr.path_graph(2))
@@ -161,7 +138,6 @@ class TestProducts:
     def test_all_outputs_validate(self):
         for g in (
             Gr.cube_graph([4, 3]),
-            Gr.power_graph(Gr.cycle_graph(6), 2),
             Gr.product_graph(Gr.cycle_graph(3), Gr.path_graph(2)),
             Gr.cayley_ball(G.make_free(2), 3).graph,
         ):

@@ -308,13 +308,21 @@ class TestGridSpanning:
         with pytest.raises(ValueError):
             H.grid_spanning_path(1, 5, (1, 1), (1, 2))
 
+    def test_long_walk_past_the_recursion_limit_is_refused(self):
+        # the search recurses once per step, and the 2x600 grid's walk takes
+        # 1,199 steps: a ResourceCapError, not a RecursionError traceback
+        msg = (rf"^Python recursion limit = {sys.getrecursionlimit()} exceeded"
+               r" in the search 0->600 with 0 repeats on 1200 vertices$")
+        with pytest.raises(ResourceCapError, match=msg):
+            H.grid_spanning_path(2, 600, (1, 1), (2, 1))
+
     def test_grid_graph_built_once_per_shape(self, monkeypatch):
-        g = H._grid_graph(4, 3)
-        assert g is H._grid_graph(4, 3) and g == Gr.cube_graph([4, 3])
-        assert H._grid_graph(3, 4) == Gr.cube_graph([3, 4])
-        # the search bits and the cube fold tables are kept beside the graph
+        # one cache holds the graph and its search bits; the cube fold
+        # tables are kept beside it
         bits = H._grid_bits(4, 3)
-        assert bits is H._grid_bits(4, 3) and bits.g is g and bits == H._graph_bits(g)
+        g = bits.g
+        assert bits is H._grid_bits(4, 3) and g == Gr.cube_graph([4, 3]) and bits == H._graph_bits(g)
+        assert H._grid_bits(3, 4).g == Gr.cube_graph([3, 4])
         assert bits.side_sizes == (6, 6)
         snake, pos = H._snake_fold(3, 3)
         assert H._snake_fold(3, 3) == (snake, pos) and H._snake_fold(3, 3)[1] is pos

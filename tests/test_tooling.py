@@ -1,6 +1,7 @@
 """Repository tooling: the names the benchmark tracer patches, the scripts
-the README documents, the public names of the program that no code uses,
-and the resource caps, which live in one table with one README row each.
+the README documents, the public names and the parameter defaults of the
+program that no code uses, and the resource caps, which live in one table
+with one README row each.
 
 perfbench/layertrace.py replaces layer functions by name; a rename in the
 program makes `perfbench/run.py --trace 1` stop with a KeyError.  That test
@@ -76,31 +77,36 @@ KEPT_UNNAMED = {
 }
 
 
+def _parsed():
+    """(folder, module name, AST) of every Python file in src/, scripts/ and
+    perfbench/."""
+    for folder in ("src", "scripts", "perfbench"):
+        for path in sorted(glob.glob(os.path.join(ROOT, folder, "**", "*.py"), recursive=True)):
+            with open(path) as fh:
+                yield folder, os.path.splitext(os.path.basename(path))[0], ast.parse(fh.read(), path)
+
+
 def _definitions_and_names():
     """(module.name or module.Class.method of every top-level function,
     class and method in src/ but dunders and cmd_*, every identifier that
     src/, scripts/ and perfbench/ use)."""
     defined, named = [], set()
-    for folder in ("src", "scripts", "perfbench"):
-        for path in sorted(glob.glob(os.path.join(ROOT, folder, "**", "*.py"), recursive=True)):
-            with open(path) as fh:
-                tree = ast.parse(fh.read(), path)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    named.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    named.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    named.add(node.name.rpartition(".")[2])
-            if folder != "src":
-                continue
-            module = os.path.splitext(os.path.basename(path))[0]
-            for node in tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    defined.append(f"{module}.{node.name}")
-                if isinstance(node, ast.ClassDef):
-                    defined += [f"{module}.{node.name}.{sub.name}" for sub in node.body
-                                if isinstance(sub, ast.FunctionDef)]
+    for folder, module, tree in _parsed():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+        if folder != "src":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                defined += [f"{module}.{node.name}.{sub.name}" for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)]
     last = lambda name: name.rpartition(".")[2]
     defined = [d for d in defined
                if not (last(d).startswith("__") and last(d).endswith("__") or last(d).startswith("cmd_"))]
@@ -114,6 +120,66 @@ def test_no_dead_public_api():
     assert not dead, f"src/ defines names no code uses; delete them or keep them in KEPT_UNNAMED: {dead}"
     stale = sorted(KEPT_UNNAMED.keys() - unnamed)
     assert not stale, f"KEPT_UNNAMED lists names that are gone or now used: {stale}"
+
+
+def _defaulted_parameters(tree, module):
+    """(module.qualified name, function name, parameter, index) of every
+    parameter with a default of the functions in tree, methods and nested
+    functions too.  index is the number of positional arguments before it in
+    a call (a method's self or cls is not one), None for keyword-only."""
+    out = []
+
+    def visit(body, prefix, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", True)
+            elif isinstance(node, ast.FunctionDef):
+                a, qualname = node.args, f"{prefix}{node.name}"
+                pos = a.posonlyargs + a.args
+                bound = int(in_class and bool(pos) and pos[0].arg in ("self", "cls"))
+                first = len(pos) - len(a.defaults)
+                out.extend((qualname, node.name, p.arg, i - bound) for i, p in enumerate(pos) if i >= first)
+                out.extend((qualname, node.name, k.arg, None)
+                           for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(node.body, qualname + ".", False)
+
+    visit(tree.body, module + ".", False)
+    return out
+
+
+def _calls(tree):
+    """(callee name, positional count, keyword names, spread) of every call
+    in tree; a call with *args or **kwargs (spread) may pass anything."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            spread = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+            yield name, len(node.args), {k.arg for k in node.keywords}, spread
+
+
+def test_every_default_is_passed():
+    # the detectors themselves
+    sample = ast.parse("def f(a, b=1, *, c=2): pass\nclass K:\n    def m(self, x=0):\n        def g(y=3): pass")
+    assert _defaulted_parameters(sample, "s") == [
+        ("s.f", "f", "b", 1), ("s.f", "f", "c", None), ("s.K.m", "m", "x", 0), ("s.K.m.g", "g", "y", 0)]
+    assert list(_calls(ast.parse("o.f(1, b=2); g(*x)"))) == [("f", 1, {"b"}, False), ("g", 1, set(), True)]
+
+    # a default that no call in src/, scripts/ or perfbench/ overrides is a
+    # knob nothing sets: delete it with the code that only serves it.  Calls
+    # match by callee name, and KEPT_UNNAMED's test-facing functions are exempt
+    params, calls = [], {}
+    for folder, module, tree in _parsed():
+        for name, n, keywords, spread in _calls(tree):
+            calls.setdefault(name, []).append((n, keywords, spread))
+        if folder == "src":
+            params += _defaulted_parameters(tree, module)
+    unpassed = sorted(
+        f"{qualname}({param})" for qualname, name, param, index in params
+        if qualname not in KEPT_UNNAMED
+        and not any(spread or param in keywords or (index is not None and n > index)
+                    for n, keywords, spread in calls.get(name, ()))
+    )
+    assert not unpassed, f"src/ parameters whose default no call overrides: {unpassed}"
 
 
 CAP_NAME = re.compile(r"_CAP$|^_?MAX_")

@@ -11,8 +11,8 @@ from lamplighter.errors import ResourceCapError
 from oracles import BoundExceededError, brute_force_oracle
 
 
-def inst(graph, s, t, req, w=None):
-    return T.TspInstance(graph, s, t, frozenset(req), w or {})
+def inst(graph, s, t, req):
+    return T.TspInstance(graph, s, t, frozenset(req))
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +35,6 @@ class TestSolveExact:
 
     def test_trivial(self, octagon):
         assert T.solve_exact(inst(octagon, 0, 0, {0})).length == 0
-
-    def test_service_weights_add(self, octagon):
-        a = T.solve_exact(inst(octagon, 0, 2, {1, 2}))
-        b = T.solve_exact(inst(octagon, 0, 2, {1, 2}, {1: 5, 2: 7}))
-        assert b.length == a.length + 12
 
     def test_required_cap(self):
         g = Gr.path_graph(30)
@@ -219,13 +214,10 @@ class TestOracle:
                     extra -= 1
             g = Gr.from_edges(n, [(u, v) for u, v in edges])
             req = set(rng.sample(range(n), rng.randint(1, min(n, 6))))
-            w = {}
-            if trial % 2:
-                w = {r: rng.randint(0, 3) for r in rng.sample(sorted(req), len(req) // 2)}
-            i = inst(g, rng.randrange(n), rng.randrange(n), req, w)
+            i = inst(g, rng.randrange(n), rng.randrange(n), req)
             fast = T.solve_exact(i)
             slow = brute_force_oracle(i, 40)
-            assert fast.length == slow.length, (n, sorted(edges), req, w)
+            assert fast.length == slow.length, (n, sorted(edges), req)
 
 
 class TestInvariants:
@@ -240,22 +232,13 @@ class TestInvariants:
         rev = T.solve_exact(T.TspInstance(g, b, a, frozenset(req))).length
         assert fwd == rev  # undirected graph: reversed walks are walks
 
-    @given(st.sets(st.integers(0, 8), min_size=1, max_size=4), st.integers(0, 8))
-    def test_translation_free_of_weights(self, req, end):
-        g = Gr.cube_graph([3, 3])
-        w = {r: 2 for r in req}
-        plain = T.solve_exact(T.TspInstance(g, 0, end, frozenset(req))).length
-        loaded = T.solve_exact(T.TspInstance(g, 0, end, frozenset(req), w)).length
-        assert loaded == plain + 2 * len(req)
-
     def test_lower_bound(self):
         rng = random.Random(7)
         g = Gr.cube_graph([3, 3])
         for _ in range(40):
             req = set(rng.sample(range(9), rng.randint(1, 5))) | {0}
-            w = {r: rng.randint(0, 2) for r in req}
-            sol = T.solve_exact(inst(g, 0, rng.randrange(9), req, w))
-            assert sol.length >= len(req) - 1 + sum(w.values())
+            sol = T.solve_exact(inst(g, 0, rng.randrange(9), req))
+            assert sol.length >= len(req) - 1
 
     def test_monotone_in_required(self):
         rng = random.Random(8)

@@ -382,7 +382,7 @@ class TestDepthProfile:
         assert all(shells[i] == 0 for i in range(7))
 
     def test_partial_flagged(self, ll_fp82):
-        prof = W.depth_profile(ll_fp82, 8, 4, cap=500, partial_ok=True)
+        prof = W.depth_profile(ll_fp82, 8, 4, cap=500)
         assert not prof.complete
 
     def test_fp82_small_dead_end_landscape(self, ll_fp82):
@@ -709,7 +709,7 @@ PROFILE_CASES = [
 class TestProfileLookup:
     @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES)
     def test_matches_search_on_every_candidate(self, key, radius, k_max, cap):
-        got = W.depth_profile(_model(key), radius, k_max, cap=cap, partial_ok=True)
+        got = W.depth_profile(_model(key), radius, k_max, cap=cap)
         want = _searched_profile(_model(key), radius, k_max, cap=cap)
         assert got == want
         assert got.complete == (cap is None)
@@ -726,7 +726,7 @@ class TestProfileLookup:
             return search(model, g, k)
 
         monkeypatch.setattr(W, "depth", counting)
-        prof = W.depth_profile(_model(key), radius, k_max, cap=cap, partial_ok=True)
+        prof = W.depth_profile(_model(key), radius, k_max, cap=cap)
         assert len(calls) == sum(1 for r in prof.rows if r.depth >= 1)
 
     @pytest.mark.parametrize("key, radius, k_max, cap", [c for c in PROFILE_CASES if c[2] == 0])
@@ -734,7 +734,7 @@ class TestProfileLookup:
         # depth() with k_max 0 expands nothing, so no row is searched and the
         # lower-bound rows of one shell share one report
         monkeypatch.setattr(W, "depth", lambda *a: pytest.fail("depth() ran"))
-        prof = W.depth_profile(_model(key), radius, k_max, cap=cap, partial_ok=True)
+        prof = W.depth_profile(_model(key), radius, k_max, cap=cap)
         reports = list(prof.rows.searched.values()) + list(prof.rows.bounds.values())
         lower = sum(1 for r in prof.rows if not r.depth_exact)
         assert lower > len({r.word_length for r in reports}) == len(set(map(id, reports)))
@@ -743,7 +743,7 @@ class TestProfileLookup:
     def test_kmax_zero_last_shell_adds_no_searched_entry(self, key, radius, k_max, cap):
         # the last shell's lower-bound rows read the one report kept for
         # their shell: none of them holds an entry of its own in searched
-        rows = W.depth_profile(_model(key), radius, k_max, cap=cap, partial_ok=True).rows
+        rows = W.depth_profile(_model(key), radius, k_max, cap=cap).rows
         reached = rows.keys[-1] >> rows._shell_shift
         lo, hi = rows._shell_range(reached)
         assert hi > lo and not any(k in rows.searched for k in rows.keys[lo:hi])
@@ -799,7 +799,7 @@ class TestProfileLookup:
         # lamp cost and root split, against word_length on a second model,
         # which splits the support on every call
         model, fresh = _model(key), _model(key)
-        dist, _complete, _stuck = W._ball_shells(model, radius, cap, True)
+        dist, _cut, _stuck = W._ball_shells(model, radius, cap)
         reached = max(dist.values())
         rows = W.ProfileRows(model, dist, {})
         got, want = [], []
@@ -815,7 +815,7 @@ class TestProfileLookup:
         # configuration priced
         model = _model("fp82")
         W.depth_profile(model, 7, 0)  # fills the sub-excursion memo
-        dist, _complete, stuck = W._ball_shells(model, 7, None, False)
+        dist, _cut, stuck = W._ball_shells(model, 7, None)
         priced = {s for s, L in dist.items() if L == 7} | {s for s in stuck if dist[s] < 7}
         splits = []
         split = T._split
@@ -830,7 +830,7 @@ class TestProfileLookup:
         # one run per configuration, in row order, holding every state of
         # the shell once
         model = _model(key)
-        dist, _complete, _stuck = W._ball_shells(model, radius, cap, True)
+        dist, _cut, _stuck = W._ball_shells(model, radius, cap)
         rows = W.ProfileRows(model, dist, {})
         for L in set(dist.values()):
             runs = list(rows.shell_configs(L))
@@ -845,7 +845,7 @@ class TestProfileLookup:
         # every body against _lamps_str of the decoded configuration; the
         # cases hold lamp value 2 (z3_wr_z4) and names with ";" (z2_wr_zxz4)
         model = _model(key)
-        dist, _complete, _stuck = W._ball_shells(model, radius, cap, True)
+        dist, _cut, _stuck = W._ball_shells(model, radius, cap)
         rows = W.ProfileRows(model, dist, {})
         assert rows.bodies == sorted(rows.bodies)
         want = [model._lamps_str(model._decode(c << 32)[0]) + ";" for c in rows._config_of]
@@ -855,7 +855,7 @@ class TestProfileLookup:
         # word lengths one bit under the limit are packed and read back;
         # one bit more raises instead of wrapping
         model = _model("fp82")
-        dist, _complete, _stuck = W._ball_shells(model, 4, None, False)
+        dist, _cut, _stuck = W._ball_shells(model, 4, None)
         shift = W.ProfileRows(model, dist, {})._shell_shift
         top = 1 << 62 - shift
         rows = W.ProfileRows(model, {s: top + L for s, L in dist.items()}, {})
@@ -887,7 +887,7 @@ class TestLastShellPass:
         # with the same entries, and every last-shell length must be the
         # word length on a third model
         model, oracle, fresh = _model(key), _model(key), _model(key)
-        prof = W.depth_profile(model, radius, k_max, cap=cap, partial_ok=True)
+        prof = W.depth_profile(model, radius, k_max, cap=cap)
         rows = prof.rows
         reached = max(prof.max_depth_per_shell())  # the last shell
         # the rows of one shell of a k_max 0 profile share one report, which
@@ -963,7 +963,7 @@ class TestProfileWriters:
     @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES + [("quoting", 4, 2, None)])
     def test_same_bytes_as_per_row_writers(self, monkeypatch, key, radius, k_max, cap, block, fmt):
         model = _quoting_model() if key == "quoting" else _model(key)
-        profile = W.depth_profile(model, radius, k_max, cap=cap, partial_ok=True)
+        profile = W.depth_profile(model, radius, k_max, cap=cap)
         retreat = _searched_retreat(profile)
         monkeypatch.setattr(W, "ROW_BLOCK", block)
         assert _written(profile, retreat, fmt) == _reference(profile, retreat, fmt)
@@ -1051,7 +1051,7 @@ class TestSearchesAgainstPayloadBfs:
     def test_every_state_of_the_profile_ball(self, key, radius, k_max, cap):
         # the dead ends of the profile and every other state of its ball
         model, oracle = _model(key), _model(key)
-        prof = W.depth_profile(model, radius, k_max, cap=cap, partial_ok=True)
+        prof = W.depth_profile(model, radius, k_max, cap=cap)
         dead_ends = {g for _row, g in prof.rows.dead_ends()}
         states = _payload_ball(oracle, radius, cap)[0]
         assert dead_ends <= states.keys()
@@ -1093,7 +1093,7 @@ def walked_states(draw, key):
 class TestInternedStates:
     @pytest.mark.parametrize("key, radius, cap", BALL_CASES)
     def test_enumerate_ball_matches_payload_bfs(self, key, radius, cap):
-        got = W.enumerate_ball(_model(key), radius, cap=cap, partial_ok=True)
+        got = W.enumerate_ball(_model(key), radius, cap=cap)
         assert got == _payload_ball(_model(key), radius, cap)
         assert got[1] == (cap is None)
 
@@ -1123,7 +1123,7 @@ class TestInternedStates:
             return out
 
         model._steps = recording
-        W.enumerate_ball(model, radius, cap=cap, partial_ok=True)
+        W.enumerate_ball(model, radius, cap=cap)
         assert cap < len(built) <= cap + len(model.generator_states())
         assert len(model._configs) <= len(built)
 
@@ -1136,7 +1136,7 @@ class TestInternedStates:
         base = model.base
         for p in sorted(Gr.cayley_ball(base, far).elements, key=base.length_payload, reverse=True):
             model._positions.intern(p)
-        W._ball_shells(model, 6, None, False)
+        W._ball_shells(model, 6, None)
         positions = model._positions
         ids = [p for config in model._configs for p in config[::2]]
         assert sum(p > 256 for p in ids) > 50
@@ -1145,9 +1145,8 @@ class TestInternedStates:
     def test_cap_error_names_cap_and_last_shell(self):
         dist, _ = _payload_ball(_model("fp82"), 8, 500)
         last = max(dist.values())
-        with pytest.raises(ResourceCapError) as info:
-            W.enumerate_ball(_model("fp82"), 8, cap=500)
-        msg = str(info.value)
+        assert W.enumerate_ball(_model("fp82"), 8, cap=500)[1] is False
+        msg = str(W._ball_shells(_model("fp82"), 8, 500)[1])
         assert msg.startswith("WREATH_BALL_CAP = 500 exceeded")
         assert f"in shell {last + 1}; shells 0..{last} are complete" in msg
 
