@@ -213,13 +213,14 @@ def cmd_depth_profile(args) -> int:
             # the row keeps "cap"; the cap, its value and the k reached go to stderr
             retreat[row.element_id] = "cap"
             print(f"resource cap: {exc} (retreat search of {row.element_id})", file=sys.stderr)
+        if args.verify and not wreath.is_dead_end(model, g):
+            raise VerificationError(f"row {row.element_id} is not a dead end")
+    # the rows hold no reference to the model: its intern tables go before
+    # the rows are written
+    del model
     with _output(args.out) as fh:
         write = _write_json_profile if args.format == "json" else _write_csv_profile
         write(fh, profile, retreat)
-    if args.verify:
-        for row, g in dead_ends:
-            if not wreath.is_dead_end(model, g):
-                raise VerificationError(f"row {row.element_id} is not a dead end")
     if profile.cut:
         print(f"resource cap: {profile.cut}", file=sys.stderr)
         return 3

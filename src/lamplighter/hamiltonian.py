@@ -747,11 +747,11 @@ def qh_certificate(model: GroupModel, n_max: int, M: int = 2, strategy: str = "a
     connectivity of cubed balls), refute (tree closed form on balls).
     """
     if strategy == "auto":
-        if isinstance(model, FreeModel):
+        # refute takes only the tree bases; any other degenerate basis goes to cube
+        if _as_free_tree(model) is not None:
             strategy = "refute"
-        elif isinstance(model, AbelianModel):
-            basis = nash_williams_basis(model)
-            strategy = "refute" if basis.degenerate else "abelian-box"
+        elif isinstance(model, AbelianModel) and not nash_williams_basis(model).degenerate:
+            strategy = "abelian-box"
         else:
             strategy = "cube"
     if strategy == "abelian-box":

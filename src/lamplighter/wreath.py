@@ -574,43 +574,38 @@ class ProfileRows(abc.Sequence):
     rows of one lamp configuration and one word length are adjacent.
     """
 
-    def __init__(self, model: LamplighterModel, dist: Dict[int, int], searched: Dict[int, DepthReport]):
-        """The rows of the interned states of dist with their word lengths;
-        searched holds the reports of the searched states.  dist lists its
-        states shell by shell, as _ball_shells builds it."""
+    def __init__(self, model: LamplighterModel, shells: Sequence[Tuple[int, array]],
+                 searched: Dict[int, DepthReport]):
+        """The rows of the interned states of shells, (word length, the
+        shell's states) pairs in increasing word length; searched holds the
+        reports of the searched states."""
         payloads = model._positions.payloads
         # the body ranks come shifted into the field above the names; the
         # bodies are still ranked first: ranking the names first read up to
         # 1.6 MB higher in the radius-10 octagon profile's peak RSS
-        position_ids = {s & _POS_MASK for s in dist}
+        position_ids = {s & _POS_MASK for _L, shell in shells for s in shell}
         nb = (len(position_ids) - 1).bit_length()
-        self.bodies, body_bits, self._config_of = _ranked(
-            {s >> 32 for s in dist}, len(model._configs), _body_text(model), nb
+        self.bodies, body_bits = _ranked(
+            {s >> 32 for _L, shell in shells for s in shell}, len(model._configs), _body_text(model), nb
         )
-        self.names, name_rank, self._position_of = _ranked(
-            position_ids, len(payloads), lambda p: model._base_str(payloads[p])
-        )
+        self.names, name_rank = _ranked(position_ids, len(payloads), lambda p: model._base_str(payloads[p]))
         del position_ids
         bb = (len(self.bodies) - 1).bit_length()
         shift = nb + bb
         self._name_bits, self._shell_shift = nb, shift
         self._name_mask, self._body_mask = (1 << nb) - 1, (1 << bb) - 1
 
-        # one shell at a time: each is one run of dist, and only its keys are
-        # ever held as a list
+        # one shell at a time: only its keys are ever held as a list
         self.keys = array("q")
-        states, lengths = iter(dist), iter(dist.values())
-        for L, n in sorted(Counter(dist.values()).items()):
+        for L, shell in shells:
             if L.bit_length() + shift > 63:
                 raise ResourceCapError("array('q') key bits", 63, f"by word length {L}: its row keys"
                                        f" need {L.bit_length() + shift} bits ({len(self.bodies)}"
                                        f" bodies, {len(self.names)} names)")
-            if any(map(L.__ne__, itertools.islice(lengths, n))):
-                raise ValueError("dist must list its states shell by shell")
             top = L << shift
-            shell = [top | body_bits[s >> 32] | name_rank[s & _POS_MASK] for s in itertools.islice(states, n)]
-            shell.sort()
-            self.keys.fromlist(shell)
+            keys = [top | body_bits[s >> 32] | name_rank[s & _POS_MASK] for s in shell]
+            keys.sort()
+            self.keys.fromlist(keys)
         self.searched = {
             rep.word_length << shift | body_bits[s >> 32] | name_rank[s & _POS_MASK]: rep
             for s, rep in searched.items()
@@ -630,25 +625,6 @@ class ProfileRows(abc.Sequence):
         """The index range of the rows of word length L in keys."""
         keys, shift = self.keys, self._shell_shift
         return bisect.bisect_left(keys, L << shift), bisect.bisect_left(keys, L + 1 << shift)
-
-    def shell_configs(self, L: int) -> Iterator[Tuple[int, List[int], List[int]]]:
-        """(config id, row ints, position ids) per lamp configuration of the
-        rows of word length L, in row order, in which the rows of one
-        configuration are adjacent."""
-        nb, nm = self._name_bits, self._name_mask
-        configs, positions = self._config_of, self._position_of
-        # the bits above the name field: the word length and the body rank;
-        # islice, as a slice of keys would copy the shell
-        body, row_keys, ends = -1, [], []
-        for k in itertools.islice(self.keys, *self._shell_range(L)):
-            if k >> nb != body:
-                if ends:
-                    yield configs[body & self._body_mask], row_keys, ends
-                body, row_keys, ends = k >> nb, [], []
-            row_keys.append(k)
-            ends.append(positions[k & nm])
-        if ends:
-            yield configs[body & self._body_mask], row_keys, ends
 
     def text_blocks(
         self,
@@ -748,15 +724,15 @@ def _body_text(model: LamplighterModel) -> Callable[[int], str]:
     return body
 
 
-def _ranked(ids: Set[int], size: int, text, shift: int = 0) -> Tuple[List[str], List[int], array]:
-    """The strings text(i) of ids in sorted order, a list of `size` slots
-    holding the rank of each id's string, shifted left by `shift`, at the
-    id, and the ids by rank."""
+def _ranked(ids: Set[int], size: int, text, shift: int = 0) -> Tuple[List[str], List[int]]:
+    """The strings text(i) of ids in sorted order, and a list of `size`
+    slots holding the rank of each id's string, shifted left by `shift`, at
+    the id."""
     pairs = sorted([(text(i), i) for i in ids])
     rank = [0] * size
     for r, (_t, i) in enumerate(pairs):
         rank[i] = r << shift
-    return [t for t, _i in pairs], rank, array("q", [i for _t, i in pairs])
+    return [t for t, _i in pairs], rank
 
 
 @dataclass(frozen=True)
@@ -829,13 +805,6 @@ def _ball_shells(
     return dist, None, stuck
 
 
-def _lamp_moves_leave(model: LamplighterModel, s: int, dist: Dict[int, int]) -> bool:
-    """True iff some lamp move of the interned state s is not in dist.  A
-    configuration that was never interned is not in the ball, so nothing is
-    interned."""
-    return not all(t in dist for t in model._steps(s, False)[:len(model.lamps.gens)])
-
-
 def _state_length(model: LamplighterModel, s: int) -> int:
     """Word length of the interned state s by the formula, never the BFS
     distance (see _config_lengths)."""
@@ -898,11 +867,15 @@ def depth_profile(model: LamplighterModel, radius: int, k_max: int, cap: Optiona
     search or an error message.  The rows are ProfileRows: one int each,
     with element ids built as rows are read or written.
 
-    The last shell is taken one lamp configuration at a time, in row order.
-    Its leave test reads the base moves from the position table's rows and
-    tries the lamp moves only when every base move stays in the ball; the
-    states that leave are priced in one _config_lengths call, which splits
-    the configuration's support once.
+    Each table lives only while a later phase reads it.  The ball's
+    distance dict serves the stuck searches, then becomes one sorted array
+    of state ints per shell, and serves the last shell's leave test, which
+    keeps only the set of last-shell states that stay in the ball; then it
+    is dropped.  The last shell is priced one lamp configuration at a
+    time from its array, where the states of one configuration are
+    adjacent: the states that leave in one _config_lengths call, which
+    splits the configuration's support once, the states that stay by a
+    depth search.  The petal memo is cleared before the rows are built.
     """
     _require_exact(model)
     dist, cut, stuck = _ball_shells(model, radius, cap)
@@ -912,44 +885,83 @@ def depth_profile(model: LamplighterModel, radius: int, k_max: int, cap: Optiona
     # one report
     lower = [DepthReport(None, L, 0, False) for L in range(reached + 1)]
     # a saturated finite ball finds its whole last shell stuck
+    stuck_below = sorted(s for s in stuck if dist[s] < reached)
     if k_max:
-        below = {s: _search(model, s, dist[s], k_max) for s in stuck if dist[s] < reached}
+        below = {s: _search(model, s, dist[s], k_max) for s in stuck_below}
     else:
         below = {}
-        stuck_below = sorted(s for s in stuck if dist[s] < reached)
-        for c, states in itertools.groupby(stuck_below, lambda s: s >> 32):
-            states = list(states)
+        for c, states in _config_runs(stuck_below):
             for s, L in zip(states, _config_lengths(model, c, [s & _POS_MASK for s in states])):
                 if L != dist[s]:
                     _check_formula(model, s, L, dist[s])
                 below[s] = lower[L]
-    rows = ProfileRows(model, dist, below)
+    shells = _shell_arrays(dist)
+    stay = _staying(model, dist, shells[reached]) if k_max else set()
+    del dist
+    for s in sorted(stay):
+        below[s] = _search(model, s, reached, k_max)
+    # pricing reads configurations by id and interns nothing, so the id dict
+    # goes while the memo grows; both are as before once the memo is cleared
+    model._config_ids = None
+    try:
+        for c, states in _config_runs(shells[reached]):
+            priced = [s & _POS_MASK for s in states if s not in stay]
+            if priced:
+                lengths = _config_lengths(model, c, priced)
+                # one count compares every state; the loop runs on a mismatch
+                if lengths.count(reached) != len(priced):
+                    for p, L in zip(priced, lengths):
+                        _check_formula(model, c << 32 | p, L, reached)
+    finally:
+        model._ts_fp_memo.clear()
+        model._config_ids = {config: c for c, config in enumerate(model._configs)}
+    rows = ProfileRows(model, list(enumerate(shells)), below)
     if not k_max:
         rows.bounds[reached] = lower[reached]
-    positions = model._positions
-    for c, row_keys, ends in rows.shell_configs(reached):
-        bits = c << 32
-        if k_max:
-            priced = []
-            for k, p in zip(row_keys, ends):
-                for q in positions.rows[p] or positions.steps(p):
-                    if bits | q not in dist:
-                        priced.append(p)
-                        break
-                else:
-                    if _lamp_moves_leave(model, bits | p, dist):
-                        priced.append(p)
-                    else:
-                        rows.searched[k] = _search(model, bits | p, reached, k_max)
-        else:
-            priced = ends
-        if priced:
-            lengths = _config_lengths(model, c, priced)
-            # one count compares every state; the loop runs on a mismatch
-            if lengths.count(reached) != len(priced):
-                for p, L in zip(priced, lengths):
-                    _check_formula(model, bits | p, L, reached)
     return DepthProfile(radius, k_max, rows, cut is None, cut)
+
+
+def _staying(model: LamplighterModel, dist: Dict[int, int], last: Sequence[int]) -> Set[int]:
+    """The states of last, the last shell, with every neighbour in dist.
+    The base moves come from the position table's rows; the lamp moves are
+    tried only when every base move stays in dist, and intern nothing: a
+    configuration that was never interned is not in the ball."""
+    positions, n_lamps = model._positions, len(model.lamps.gens)
+    stay = set()
+    for s in last:
+        p = s & _POS_MASK
+        bits = s ^ p
+        for q in positions.rows[p] or positions.steps(p):
+            if bits | q not in dist:
+                break
+        else:
+            if all(t in dist for t in model._steps(s, False)[:n_lamps]):
+                stay.add(s)
+    return stay
+
+
+def _shell_arrays(dist: Dict[int, int]) -> List[array]:
+    """The states of dist as one array('q') per shell, sorted by state int;
+    dist lists its states shell by shell, as _ball_shells builds it.  Each
+    shell is sorted as a list of dist's own ints, so the sort makes no int."""
+    states = iter(dist)
+    shells = []
+    for n in Counter(dist.values()).values():
+        shell = list(itertools.islice(states, n))
+        shell.sort()
+        shells.append(array("q", shell))
+    return shells
+
+
+def _config_runs(states: Sequence[int]) -> Iterator[Tuple[int, Sequence[int]]]:
+    """(config id, its states) per lamp configuration of the sorted states,
+    in which the states of one configuration are adjacent."""
+    i = 0
+    while i < len(states):
+        c = states[i] >> 32
+        j = bisect.bisect_left(states, c + 1 << 32, i)
+        yield c, states[i:j]
+        i = j
 
 
 def _search(model: LamplighterModel, s: int, L: int, k_max: int) -> DepthReport:

@@ -438,6 +438,16 @@ class TestDepthProfile:
         assert rc == 0 and payload["complete"] and payload["rows"]
 
 
+FP82_R10_K22_CSV_SHA256 = "f0505fef3bccf84d59638ce6ad8eaf1f7df2fbc7fd7c43d2fa2de97212b0e61d"
+
+# name: (sizes, exit code, sha256 of the CSV)
+FP82_R9_CSV = {
+    "kmax-0": (["--radius", "9", "--kmax", "0"], 0,
+               "68167f3e99d804aba24a077e991cae962b6c45c8bffebdc66f320621c59dd77d"),
+    "capped": (["--radius", "9", "--kmax", "22", "--cap", "20000"], 3,
+               "4461914bc3b2f1821ba615cf55e05a6f7545586ec0970f1d52288c57096634a3"),
+}
+
 FP82_R8_K22_SHA256 = {
     "csv": "7590d192115ce998dfb7f341f0ffbfce0a3de5c30f8dfe73745d7a2173f4462f",
     "json": "bf51d1530dfada04d382148307c24b2108e487cdc6ff6c1d01936516504162e5",
@@ -475,11 +485,32 @@ class TestDepthProfileOutput:
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         with open(os.path.join(root, "perfbench", "expected_sha256.json")) as fh:
             want = json.load(fh)["profile-oct2"]
+        assert want == FP82_R10_K22_CSV_SHA256
         rc, out, _ = run(
             ["depth-profile", "--group", specs["ll_fp82.json"], "--radius", "10", "--kmax", "22",
              "--format", "csv"]
         )
         assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("name", sorted(FP82_R9_CSV))
+    def test_frozen_fp82_radius_9(self, specs, name):
+        # a k_max 0 profile (every last-shell row priced, none searched) and
+        # a capped one (shell 9 dropped, shell 8 the last)
+        sizes, code, digest = FP82_R9_CSV[name]
+        rc, out, _ = run(["depth-profile", "--group", specs["ll_fp82.json"], *sizes, "--format", "csv"])
+        assert rc == code and hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_verify_runs_before_any_output(self, specs, monkeypatch, tmp_path, to_file):
+        # the dead-end checks run with the retreat searches, before the
+        # profile is written: a failed check writes nothing
+        monkeypatch.setattr(cli.wreath, "is_dead_end", lambda model, g: False)
+        target = tmp_path / "profile.csv"
+        argv = ["depth-profile", "--group", specs["ll_line.json"], "--radius", "8", "--kmax", "4",
+                "--verify"]
+        rc, out, err = run(argv + ["--out", str(target)] if to_file else argv)
+        assert rc == 4 and out == "" and " is not a dead end" in err
+        assert not target.exists()
 
     @pytest.mark.parametrize("text", ["e", "-;b3.c", "a,b", 'say "hi"', "a\rb", "a\nb",
                                       '",\r\n', "a@1,0;-2,3", ""])
@@ -599,6 +630,16 @@ class TestQh:
         assert (rc, err) == (0, "")
         payload = json.loads(out)
         assert payload["kind"] == "qh_certificate" and payload["strategy"] == "abelian-box"
+
+    def test_auto_degenerate_basis_off_the_line(self, tmp_path):
+        # Z with {1, 65} has a degenerate basis, but refute takes only the
+        # line (Z,{+-1}) and free groups: auto picks cube, not a usage error
+        path = tmp_path / "z_1_65.json"
+        path.write_text(json.dumps({"variant": "abelian", "rank": 1, "moduli": [], "gens": [[1], [65]]}))
+        rc, out, err = run(["qh", "--group", str(path), "--nmax", "2", "--verify"])
+        assert (rc, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["kind"] == "qh_certificate" and payload["strategy"] == "cube"
 
     def test_refutation_table(self, specs):
         rc, out, _ = run(["qh", "--group", specs["z.json"], "--nmax", "4"])

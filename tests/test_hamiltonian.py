@@ -468,10 +468,13 @@ class TestNashWilliams:
         basis = H.nash_williams_basis(model)
         assert (basis.a, basis.m, basis.degenerate) == ((a,), m, degenerate)
 
-    def test_m_over_the_factor_takes_refute(self):
-        # the degenerate labeling sends auto to refute, which needs (Z, {+-1})
+    def test_m_over_the_factor_takes_cube(self):
+        # the labeling is degenerate, but refute takes only (Z, {+-1}) and
+        # free groups: auto picks cube, and refute named outright refuses
+        model = G.make_abelian(1, [], [[1], [65]])
+        assert H.qh_certificate(model, 1).strategy == "cube"
         with pytest.raises(ValueError, match="refute strategy"):
-            H.qh_certificate(G.make_abelian(1, [], [[1], [65]]), 1)
+            H.qh_certificate(model, 1, strategy="refute")
 
     def test_no_split_within_the_factor(self):
         with pytest.raises(VerificationError, match="every m_j <= 64"):

@@ -45,11 +45,13 @@ SCRIPT_RUNS = [
     ("verdict_table.py", ["--max-order", "4"], "4 4 0 0 0 unbounded 4a"),
     ("depth_profile_run.py", ["--base", "oct2", "--radius", "4"],
      "base=oct2 radius=4 elements=157 (complete"),
+    ("peak_rss.py", ["hamdiff", "--cyclic-range", "3:6"],
+     "exit=0 lines=5 sha256=d30c8fc6439d655737bb5f5d09db4201e9476a75d0205fcdc995cdd44d736eeb wall_s="),
 ]
 
 
 @pytest.mark.parametrize("script, args, expected", SCRIPT_RUNS,
-                         ids=["verdict-table", "depth-profile-run"])
+                         ids=["verdict-table", "depth-profile-run", "peak-rss"])
 def test_documented_script_runs(script, args, expected):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],

@@ -1,5 +1,6 @@
 """Wreath products: word lengths, dead ends, depth, verdict machinery."""
 
+import bisect
 import csv
 import hashlib
 import io
@@ -471,6 +472,19 @@ def _interned_ts(ll, support, pos):
     return W._state_length(ll, s) - len(support)
 
 
+class _KeptMemo(dict):
+    """A petal memo whose clear() does nothing: after depth_profile it holds
+    what the last-shell pass left in it, where the profile clears it."""
+
+    def clear(self):
+        pass
+
+
+def _keep_memo(model):
+    model._ts_fp_memo = _KeptMemo()
+    return model
+
+
 class TestPetalNormalForm:
     @pytest.mark.parametrize("key", sorted(FREE_PRODUCTS))
     @settings(max_examples=40, deadline=None)
@@ -492,7 +506,7 @@ class TestPetalNormalForm:
     def profiled(self, z2_lamps):
         out = {}
         for key, orders in FREE_PRODUCTS.items():
-            ll = W.LamplighterModel(z2_lamps, _free_product(orders))
+            ll = _keep_memo(W.LamplighterModel(z2_lamps, _free_product(orders)))
             W.depth_profile(ll, 6, 3)
             assert ll._ts_fp_memo
             out[key] = ll
@@ -514,7 +528,7 @@ class TestPetalMemoKeys:
 
     @pytest.mark.parametrize("key", sorted(FREE_PRODUCTS))
     def test_one_key_per_sub_excursion(self, z2_lamps, key):
-        ll = W.LamplighterModel(z2_lamps, _free_product(FREE_PRODUCTS[key]))
+        ll = _keep_memo(W.LamplighterModel(z2_lamps, _free_product(FREE_PRODUCTS[key])))
         W.depth_profile(ll, 7, 3)
         subs = [k for k in ll._ts_fp_memo if isinstance(k, tuple) and isinstance(k[1], int)]
         assert subs
@@ -563,7 +577,7 @@ class TestMemoOwner:
     def test_free_product_base_untouched(self, z2_lamps, key):
         base = _free_product(FREE_PRODUCTS[key])
         before = self._snapshot(base)
-        ll = W.LamplighterModel(z2_lamps, base)
+        ll = _keep_memo(W.LamplighterModel(z2_lamps, base))
         g = ll.state({((0, 1),): 1, ((1, 1), (0, 2)): 1}, ((0, 1), (1, 1)))
         assert W.word_length(ll, g).value > 0
         W.word_length_and_walk(ll, g)
@@ -686,10 +700,17 @@ def _model(key):
     raise KeyError(key)
 
 
-def _shell_states(rows, L):
-    """(row int, interned state) of every row of word length L, in row
-    order."""
-    return [(k, c << 32 | p) for c, row_keys, ends in rows.shell_configs(L) for k, p in zip(row_keys, ends)]
+def _row_states(model, rows, L, shell):
+    """(row int, interned state) of every state of shell, the states of word
+    length L, in row order.  The row int packs L, the rank of the state's
+    body among rows.bodies and the rank of its position name among
+    rows.names, as ProfileRows does."""
+    def row(s):
+        lamps, pos = model._decode(s)
+        body = bisect.bisect_left(rows.bodies, model._lamps_str(lamps) + ";")
+        name = bisect.bisect_left(rows.names, model._base_str(pos))
+        return L << rows._shell_shift | body << rows._name_bits | name
+    return sorted((row(s), s) for s in shell)
 
 
 PROFILE_CASES = [
@@ -794,16 +815,15 @@ class TestProfileLookup:
 
     @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES)
     def test_grouped_last_shell_lengths(self, key, radius, k_max, cap):
-        # _state_length over the last shell in row order, where the states
+        # _state_length over the last shell's sorted array, where the states
         # of one lamp configuration come one after another and share its
         # lamp cost and root split, against word_length on a second model,
         # which splits the support on every call
         model, fresh = _model(key), _model(key)
         dist, _cut, _stuck = W._ball_shells(model, radius, cap)
         reached = max(dist.values())
-        rows = W.ProfileRows(model, dist, {})
         got, want = [], []
-        for _k, s in _shell_states(rows, reached):
+        for s in W._shell_arrays(dist)[reached]:
             got.append(W._state_length(model, s))
             want.append(W.word_length(fresh, model._decode(s)).value)
         assert got == want == [reached] * len(got)
@@ -813,7 +833,7 @@ class TestProfileLookup:
         # state, grouped by lamp configuration; once the sub-excursion memo
         # is full, every split left is a split of the root copy, one per
         # configuration priced
-        model = _model("fp82")
+        model = _keep_memo(_model("fp82"))
         W.depth_profile(model, 7, 0)  # fills the sub-excursion memo
         dist, _cut, stuck = W._ball_shells(model, 7, None)
         priced = {s for s, L in dist.items() if L == 7} | {s for s in stuck if dist[s] < 7}
@@ -827,18 +847,19 @@ class TestProfileLookup:
 
     @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES)
     def test_shell_configs_partition_each_shell(self, key, radius, k_max, cap):
-        # one run per configuration, in row order, holding every state of
-        # the shell once
+        # one sorted array per shell holding every state of the shell once,
+        # and in it one run per configuration
         model = _model(key)
         dist, _cut, _stuck = W._ball_shells(model, radius, cap)
-        rows = W.ProfileRows(model, dist, {})
-        for L in set(dist.values()):
-            runs = list(rows.shell_configs(L))
-            configs = [c for c, _keys, _ends in runs]
+        shells = W._shell_arrays(dist)
+        assert len(shells) == max(dist.values()) + 1
+        for L, shell in enumerate(shells):
+            assert shell.typecode == "q" and list(shell) == sorted(s for s, d in dist.items() if d == L)
+            runs = list(W._config_runs(shell))
+            configs = [c for c, _states in runs]
             assert len(configs) == len(set(configs))
-            assert [k for _c, keys, _ends in runs for k in keys] == [k for k in rows.keys if k >> rows._shell_shift == L]
-            states = [c << 32 | p for c, _keys, ends in runs for p in ends]
-            assert sorted(states) == sorted(s for s, d in dist.items() if d == L)
+            assert [s for _c, states in runs for s in states] == list(shell)
+            assert all(s >> 32 == c for c, states in runs for s in states)
 
     @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES)
     def test_bodies_from_cached_lamp_strings(self, key, radius, k_max, cap):
@@ -846,23 +867,26 @@ class TestProfileLookup:
         # cases hold lamp value 2 (z3_wr_z4) and names with ";" (z2_wr_zxz4)
         model = _model(key)
         dist, _cut, _stuck = W._ball_shells(model, radius, cap)
-        rows = W.ProfileRows(model, dist, {})
-        assert rows.bodies == sorted(rows.bodies)
-        want = [model._lamps_str(model._decode(c << 32)[0]) + ";" for c in rows._config_of]
+        rows = W.ProfileRows(model, list(enumerate(W._shell_arrays(dist))), {})
+        want = sorted({model._lamps_str(model._decode(s)[0]) + ";" for s in dist})
         assert rows.bodies == want
+        # every row's element id is its state's, so each body sits with
+        # its own configuration
+        assert sorted(r.element_id for r in rows) == sorted(map(model.state_str, map(model._decode, dist)))
 
     def test_row_keys_fit_in_63_bits(self):
         # word lengths one bit under the limit are packed and read back;
         # one bit more raises instead of wrapping
         model = _model("fp82")
         dist, _cut, _stuck = W._ball_shells(model, 4, None)
-        shift = W.ProfileRows(model, dist, {})._shell_shift
+        shells = list(enumerate(W._shell_arrays(dist)))
+        shift = W.ProfileRows(model, shells, {})._shell_shift
         top = 1 << 62 - shift
-        rows = W.ProfileRows(model, {s: top + L for s, L in dist.items()}, {})
+        rows = W.ProfileRows(model, [(top + L, shell) for L, shell in shells], {})
         assert rows.keys.typecode == "q" and list(rows.keys) == sorted(rows.keys)
         assert sorted(r.word_length for r in rows) == sorted(top + L for L in dist.values())
         with pytest.raises(ResourceCapError, match="need 64 bits"):
-            W.ProfileRows(model, {s: 2 * top + L for s, L in dist.items()}, {})
+            W.ProfileRows(model, [(2 * top + L, shell) for L, shell in shells], {})
 
 
 def _payload_memo(model):
@@ -886,17 +910,20 @@ class TestLastShellPass:
         # every other last-shell state in row order: the memo must end
         # with the same entries, and every last-shell length must be the
         # word length on a third model
-        model, oracle, fresh = _model(key), _model(key), _model(key)
+        model, oracle, fresh = _keep_memo(_model(key)), _model(key), _model(key)
         prof = W.depth_profile(model, radius, k_max, cap=cap)
         rows = prof.rows
         reached = max(prof.max_depth_per_shell())  # the last shell
+        # the shells again: the profiled model has interned all of them, so
+        # a second enumeration gives the same state ints
+        shells = W._shell_arrays(W._ball_shells(model, radius, cap)[0])
         # the rows of one shell of a k_max 0 profile share one report, which
         # holds no element: every searched state is decoded from its row
-        for L in range(reached + 1):
-            for k, s in _shell_states(rows, L):
+        for L, shell in enumerate(shells):
+            for k, s in _row_states(model, rows, L, shell):
                 if k in rows.searched:
                     W.depth(oracle, model._decode(s), k_max)
-        last = _shell_states(rows, reached)
+        last = _row_states(model, rows, reached, shells[reached])
         # with k_max >= 1 some last-shell row leaves the ball and is depth 0
         # unsearched; with k_max 0 every one is an unsearched lower bound
         assert last and (k_max >= 1) == any(rows._row(k)[2:] == (0, True) for k, _s in last)
@@ -907,6 +934,26 @@ class TestLastShellPass:
             assert W.word_length(fresh, g).value == reached
         assert _payload_memo(model) == _payload_memo(oracle)
         assert _payload_memo(model)[0]
+
+    def test_rows_built_from_shell_arrays_after_the_memo_is_cleared(self, monkeypatch):
+        # the ball's distance dict is gone before the rows are built: they
+        # get one sorted array of state ints per shell, and the petal memo
+        # the last-shell pass filled is empty by then
+        seen = []
+        init = W.ProfileRows.__init__
+
+        def spy(rows, model, shells, searched):
+            seen.append(([(L, shell.typecode, list(shell)) for L, shell in shells], len(model._ts_fp_memo)))
+            init(rows, model, shells, searched)
+
+        monkeypatch.setattr(W.ProfileRows, "__init__", spy)
+        model = _model("fp82")
+        prof = W.depth_profile(model, 8, 22)
+        [(shells, memo_size)] = seen
+        assert memo_size == 0 and not model._ts_fp_memo
+        assert [L for L, _t, _states in shells] == list(range(9))
+        assert all(t == "q" and states == sorted(states) for _L, t, states in shells)
+        assert sum(len(states) for _L, _t, states in shells) == len(prof.rows)
 
 
 # -- profile writers against csv.writer and json.dumps over ProfileRow -------
