@@ -40,16 +40,29 @@ def _load_json(path: str) -> dict:
 def _group_from_file(path: str) -> groups.GroupModel:
     try:
         return groups.parse_group_spec(_load_json(path))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad group spec {path}: {exc}")
+
+
+def _finite_from_file(path: str, command: str) -> groups.FiniteModel:
+    """The finite group spec at path, refused unless the Hamiltonian
+    difference is defined on it."""
+    model = _group_from_file(path)
+    if not isinstance(model, groups.FiniteModel):
+        raise UsageError(f"{command} needs finite group specs ({path})")
+    if model.table.order < 2:
+        raise UsageError(f"{command} needs groups of order at least 2 ({path})")
+    return model
 
 
 def _lamplighter_from_file(path: str) -> wreath.LamplighterModel:
     spec = _load_json(path)
     try:
+        if not isinstance(spec, dict):
+            raise ValueError(f"a lamplighter spec is a JSON object, got {type(spec).__name__}")
         lamps = groups.parse_group_spec(spec["lamps"])
         base = groups.parse_group_spec(spec["base"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad lamplighter spec {path}: {exc}")
     return wreath.LamplighterModel(lamps, base)
 
@@ -153,12 +166,7 @@ def cmd_wordlen(args) -> int:
 
 
 def cmd_hamdiff(args) -> int:
-    specs: List[groups.FiniteModel] = []
-    for path in args.group or []:
-        model = _group_from_file(path)
-        if not isinstance(model, groups.FiniteModel):
-            raise UsageError(f"hamdiff needs finite group specs ({path})")
-        specs.append(model)
+    specs = [_finite_from_file(path, "hamdiff") for path in args.group or []]
     for n in args.cyclic_range or ():
         specs.append(groups.make_cyclic(n, [1]))
     if not specs:
@@ -175,11 +183,8 @@ def cmd_hamdiff(args) -> int:
 
 
 def cmd_verdict(args) -> int:
-    H = _group_from_file(args.H)
-    K = _group_from_file(args.K)
-    for path, model in ((args.H, H), (args.K, K)):
-        if not isinstance(model, groups.FiniteModel):
-            raise UsageError(f"verdict needs finite group specs ({path})")
+    H = _finite_from_file(args.H, "verdict")
+    K = _finite_from_file(args.K, "verdict")
     rep = wreath.theorem_b_verdict(H, K)
     case = None
     if H.table.is_abelian() and K.table.is_abelian():
@@ -320,7 +325,7 @@ def cmd_export_graph(args) -> int:
         elif isinstance(model, groups.FiniteModel):
             graph = graphs.finite_cayley_graph(model)
         else:
-            raise UsageError("infinite groups need --radius for export")
+            raise UsageError(f"only cyclic group specs export without --radius, not {model.variant}")
     if args.format == "adj":
         _emit(graph.to_adjacency_text(), args.out)
     else:

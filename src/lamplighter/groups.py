@@ -732,6 +732,8 @@ def parse_group_spec(spec: dict) -> GroupModel:
     {"variant":"free","rank":2,"letters":"xy"}
     {"variant":"free_product","H":{...},"K":{...}}
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"a group spec is a JSON object, got {type(spec).__name__}")
     variant = spec.get("variant")
     if variant == "cyclic":
         return make_cyclic(spec["n"], spec["gens"], letter=spec.get("letter", "b"))

@@ -747,10 +747,11 @@ def qh_certificate(model: GroupModel, n_max: int, M: int = 2, strategy: str = "a
     connectivity of cubed balls), refute (tree closed form on balls).
     """
     if strategy == "auto":
-        # refute takes only the tree bases; any other degenerate basis goes to cube
+        # refute takes only the tree bases; any other degenerate basis, and
+        # a finite abelian group (rank 0, no basis), goes to cube
         if _as_free_tree(model) is not None:
             strategy = "refute"
-        elif isinstance(model, AbelianModel) and not nash_williams_basis(model).degenerate:
+        elif isinstance(model, AbelianModel) and model.rank and not nash_williams_basis(model).degenerate:
             strategy = "abelian-box"
         else:
             strategy = "cube"
@@ -867,13 +868,12 @@ def _qh_cube(model: GroupModel, n_max: int, M: int) -> QhCertificate:
     witnesses = []
     for n in range(1, n_max + 1):
         g = cayley_ball(model, 3 * n).graph
-        # vertex 1, the first neighbour of the identity in BFS order
-        names, z = g.labels, g.adj[0][0]
-        # the closed walk steps 0 -> z, then takes a Hamiltonian z -> 0 path
-        walks = (
-            (0,) + cube3_hamiltonian_path(g, z, 0) if x == 0 else cube3_hamiltonian_path(g, 0, x)
-            for x in range(g.n)
-        )
+        names = g.labels
+        # the closed walk steps from 0 to vertex 1, the first neighbour of the
+        # identity in BFS order, then takes a Hamiltonian path back to 0; in
+        # a ball of one element it is (0,)
+        closed = (0,) + cube3_hamiltonian_path(g, g.adj[0][0], 0) if g.n > 1 else (0,)
+        walks = (cube3_hamiltonian_path(g, 0, x) if x else closed for x in range(g.n))
         named = ((names[x], [names[v] for v in w]) for x, w in enumerate(walks))
         witnesses.append(_witness(n, M, names, named))
     return QhCertificate("cube", M, tuple(witnesses), group_spec_of(model))

@@ -629,8 +629,6 @@ def _ts_fp(
     every other petal.  A caller that has looked the memo key up and missed
     passes it as key, and the value is computed at once."""
     if key is None:
-        if not required and not end:
-            return 0
         # one flat tuple; the sort makes the key independent of set order
         key = (factor, end, *sorted(required))
         val = memo.get(key)

@@ -352,7 +352,7 @@ def _generic_radius(base: GroupModel, pos: Payload, support) -> int:
 
 @dataclass(frozen=True)
 class DepthReport:
-    # None in the report that the rows of one shell of a k_max 0 profile share
+    # None in the report that the last-shell rows of a k_max 0 profile share
     element: Optional[WreathState]
     word_length: int
     depth: int
@@ -758,28 +758,33 @@ def enumerate_ball(
 
     Returns (distances, complete).  When the cap is hit, it stops after the
     last fully enumerated shell, with complete False."""
-    dist, cut, _stuck = _ball_shells(model, radius, cap)
-    return {model._decode(s): d for s, d in dist.items()}, cut is None
+    shells, _stuck, cut = _ball_shells(model, radius, cap)
+    return {model._decode(s): L for L, shell in enumerate(shells) for s in shell}, cut is None
 
 
 def _ball_shells(
     model: LamplighterModel, radius: int, cap: Optional[int]
-) -> Tuple[Dict[int, int], Optional[ResourceCapError], Set[int]]:
-    """enumerate_ball on interned states: (distances, the cap error that cut
-    the ball short or None, the stuck elements: those of a shell d - 1 with
-    no neighbour in shell d).
+) -> Tuple[List[array], Dict[int, int], Optional[ResourceCapError]]:
+    """enumerate_ball on interned states: (one sorted array of states per
+    word length, the stuck states with their word lengths, the cap error that
+    cut the ball short or None).  A state is stuck when no neighbour lies one
+    shell further out: below the last shell the BFS finds it while expanding
+    into the next shell, on the last shell _staying finds it.
 
     The enumeration stops as soon as it holds more than `cap` states, so it
     builds at most cap plus one element's neighbours.  It then drops the
-    partial shell d and the elements found stuck while expanding into it, so
-    the stuck set lies below the last shell of a capped ball.  The error
-    names shell d and the last complete shell."""
+    partial shell d and the states found stuck while expanding into it, and
+    the error names shell d and the last complete shell.  It also stops at a
+    shell that adds no state, so a finite group has no empty shell.  The
+    distance dict lives only inside this function."""
     cap = env_cap("WREATH_BALL_CAP") if cap is None else cap
     e = model._encode(model.identity_state())
     dist: Dict[int, int] = {e: 0}
-    stuck: Set[int] = set()
+    stuck: Dict[int, int] = {}
+    sizes = [1]
     frontier = [e]
     steps = model._steps
+    cut = None
     for d in range(1, radius + 1):
         nxt = []
         shell_stuck = []
@@ -799,10 +804,17 @@ def _ball_shells(
                 for t in nxt:
                     del dist[t]
                 cut = ResourceCapError("WREATH_BALL_CAP", cap, f"in shell {d}; shells 0..{d - 1} are complete")
-                return dist, cut, stuck
-        stuck.update(shell_stuck)
+                break
+        if cut or not nxt:
+            break
+        stuck.update(dict.fromkeys(shell_stuck, d - 1))
+        sizes.append(len(nxt))
         frontier = nxt
-    return dist, None, stuck
+    # the last shell lives on in its array only
+    frontier = nxt = shell_stuck = None
+    shells = _shell_arrays(dist, sizes)
+    stuck.update(dict.fromkeys(_staying(model, dist, shells[-1]), len(shells) - 1))
+    return shells, stuck, cut
 
 
 def _state_length(model: LamplighterModel, s: int) -> int:
@@ -854,80 +866,56 @@ def depth_profile(model: LamplighterModel, radius: int, k_max: int, cap: Optiona
     its cap stops after its last complete shell, and the profile is partial:
     complete False, with the cap error in cut.
 
-    Depth 0 comes by table lookup on every shell.  Below the last shell, an
-    element is depth 0 unless the enumeration found it stuck (no neighbour
-    one shell further out).  Every shell up to the last one is complete,
-    also after a cap cut, so a neighbour of a last-shell element that is not
-    in the ball is one longer: with k_max >= 1 such an element is depth 0.
-    Only the rest trigger a depth search.  With k_max 0 nothing is searched:
-    the stuck and the last-shell elements are depth >= 0, the report of
-    depth() on each.  The word-length formula is checked against the BFS
-    distance on every last-shell and every stuck element.  The ball and the
-    checks run on interned states; a state is decoded only for a depth
-    search or an error message.  The rows are ProfileRows: one int each,
-    with element ids built as rows are read or written.
+    Depth 0 comes by table lookup on every shell: an element is depth 0
+    unless the enumeration found it stuck (no neighbour one shell further
+    out).  Every shell up to the last one is complete, also after a cap
+    cut, so a neighbour of a last-shell element that is not in the ball is
+    one longer.  Each stuck element gets one depth search; with k_max 0 it
+    expands nothing and reports depth >= 0.  The other rows of a k_max 0
+    profile's last shell are depth >= 0 too, and share one report.  The
+    word-length formula is checked against the BFS distance on every
+    searched and every last-shell element.  The ball and the checks run on
+    interned states; a state is decoded only for a depth search or an error
+    message.  The rows are ProfileRows: one int each, with element ids built
+    as rows are read or written.
 
-    Each table lives only while a later phase reads it.  The ball's
-    distance dict serves the stuck searches, then becomes one sorted array
-    of state ints per shell, and serves the last shell's leave test, which
-    keeps only the set of last-shell states that stay in the ball; then it
-    is dropped.  The last shell is priced one lamp configuration at a
-    time from its array, where the states of one configuration are
-    adjacent: the states that leave in one _config_lengths call, which
-    splits the configuration's support once, the states that stay by a
-    depth search.  The petal memo is cleared before the rows are built.
+    The ball comes as one sorted array of state ints per shell, its
+    distance dict already gone.  The last shell is priced one lamp
+    configuration at a time from its array, where the states of one
+    configuration are adjacent, in one _config_lengths call, which splits
+    the configuration's support once.  The petal memo is cleared before the
+    rows are built.
     """
     _require_exact(model)
-    dist, cut, stuck = _ball_shells(model, radius, cap)
-    reached = max(dist.values(), default=0)
-    # depth() with k_max 0 expands nothing and reports depth >= 0 whatever
-    # the element, so such rows are only priced and one shell's rows share
-    # one report
-    lower = [DepthReport(None, L, 0, False) for L in range(reached + 1)]
-    # a saturated finite ball finds its whole last shell stuck
-    stuck_below = sorted(s for s in stuck if dist[s] < reached)
-    if k_max:
-        below = {s: _search(model, s, dist[s], k_max) for s in stuck_below}
-    else:
-        below = {}
-        for c, states in _config_runs(stuck_below):
-            for s, L in zip(states, _config_lengths(model, c, [s & _POS_MASK for s in states])):
-                if L != dist[s]:
-                    _check_formula(model, s, L, dist[s])
-                below[s] = lower[L]
-    shells = _shell_arrays(dist)
-    stay = _staying(model, dist, shells[reached]) if k_max else set()
-    del dist
-    for s in sorted(stay):
-        below[s] = _search(model, s, reached, k_max)
+    shells, stuck, cut = _ball_shells(model, radius, cap)
+    reached = len(shells) - 1
+    searched = {s: _search(model, s, L, k_max) for s, L in stuck.items()}
     # pricing reads configurations by id and interns nothing, so the id dict
     # goes while the memo grows; both are as before once the memo is cleared
     model._config_ids = None
     try:
         for c, states in _config_runs(shells[reached]):
-            priced = [s & _POS_MASK for s in states if s not in stay]
-            if priced:
-                lengths = _config_lengths(model, c, priced)
-                # one count compares every state; the loop runs on a mismatch
-                if lengths.count(reached) != len(priced):
-                    for p, L in zip(priced, lengths):
-                        _check_formula(model, c << 32 | p, L, reached)
+            lengths = _config_lengths(model, c, [s & _POS_MASK for s in states])
+            # one count compares every state; the loop runs on a mismatch
+            if lengths.count(reached) != len(states):
+                for s, L in zip(states, lengths):
+                    _check_formula(model, s, L, reached)
     finally:
         model._ts_fp_memo.clear()
         model._config_ids = {config: c for c, config in enumerate(model._configs)}
-    rows = ProfileRows(model, list(enumerate(shells)), below)
+    rows = ProfileRows(model, list(enumerate(shells)), searched)
     if not k_max:
-        rows.bounds[reached] = lower[reached]
+        rows.bounds[reached] = DepthReport(None, reached, 0, False)
     return DepthProfile(radius, k_max, rows, cut is None, cut)
 
 
-def _staying(model: LamplighterModel, dist: Dict[int, int], last: Sequence[int]) -> Set[int]:
+def _staying(model: LamplighterModel, dist: Dict[int, int], last: Sequence[int]) -> List[int]:
     """The states of last, the last shell, with every neighbour in dist.
     The base moves come from the position table's rows; the lamp moves are
     tried only when every base move stays in dist, and intern nothing: a
     configuration that was never interned is not in the ball."""
     positions, n_lamps = model._positions, len(model.lamps.gens)
-    stay = set()
+    stay = []
     for s in last:
         p = s & _POS_MASK
         bits = s ^ p
@@ -936,17 +924,17 @@ def _staying(model: LamplighterModel, dist: Dict[int, int], last: Sequence[int])
                 break
         else:
             if all(t in dist for t in model._steps(s, False)[:n_lamps]):
-                stay.add(s)
+                stay.append(s)
     return stay
 
 
-def _shell_arrays(dist: Dict[int, int]) -> List[array]:
+def _shell_arrays(dist: Dict[int, int], sizes: Sequence[int]) -> List[array]:
     """The states of dist as one array('q') per shell, sorted by state int;
-    dist lists its states shell by shell, as _ball_shells builds it.  Each
-    shell is sorted as a list of dist's own ints, so the sort makes no int."""
+    dist lists its states shell by shell, sizes[L] of shell L.  Each shell
+    is sorted as a list of dist's own ints, so the sort makes no int."""
     states = iter(dist)
     shells = []
-    for n in Counter(dist.values()).values():
+    for n in sizes:
         shell = list(itertools.islice(states, n))
         shell.sort()
         shells.append(array("q", shell))

@@ -95,6 +95,15 @@ def specs(tmp_path_factory):
             "base": {"variant": "abelian", "rank": 2, "moduli": [], "gens": [[1, 0], [0, 1]]},
         },
     )
+    put(
+        "ll_z3_z4.json",  # finite: the ball saturates at word length 8
+        {
+            "lamps": {"variant": "cyclic", "n": 3, "gens": [1], "letter": "a"},
+            "base": {"variant": "cyclic", "n": 4, "gens": [1]},
+        },
+    )
+    put("c1.json", {"variant": "cyclic", "n": 1, "gens": []})
+    put("z4_rank0.json", {"variant": "abelian", "rank": 0, "moduli": [4], "gens": [[1]]})
     put("elem.json", {"lamps": [[[-1], 1], [[1], 1]], "position": [0]})
     put("elem_tree.json", {"lamps": [[[-1], 1], [[1, 1], 1]], "position": [1]})
     put("elem_fp82.json", {"lamps": [[[[0, 3]], 1], [[], 1], [[[1, 1], [0, 2]], 1]],
@@ -341,6 +350,52 @@ class TestMalformedInput:
         rc, out, err = run(argv)
         assert rc == 2 and out == "" and "Traceback" not in err
 
+    @pytest.mark.parametrize("spec", [
+        [1, 2],
+        {"variant": "cyclic", "n": "4", "gens": [1]},
+        {"variant": "cyclic", "n": 4, "gens": 1},
+        {"variant": "abelian", "rank": 1, "moduli": [], "gens": [1]},
+        {"variant": "free_product", "H": [1], "K": {"variant": "cyclic", "n": 2, "gens": [1]}},
+    ], ids=["list", "order-text", "gens-int", "abelian-gen-int", "factor-list"])
+    def test_bad_group_spec(self, specs, tmp_path, spec):
+        # the spec alone, and as the base of a lamplighter spec
+        path, ll_path = tmp_path / "g.json", tmp_path / "ll.json"
+        path.write_text(json.dumps(spec))
+        ll_path.write_text(json.dumps({"lamps": {"variant": "cyclic", "n": 2, "gens": [1]}, "base": spec}))
+        for argv in (["hamdiff", "--group", path], ["qh", "--group", path, "--nmax", "1"],
+                     ["export-graph", "--group", path], ["verdict", "--H", path, "--K", specs["c2.json"]]):
+            rc, out, err = run([str(a) for a in argv])
+            assert (rc, out) == (2, "") and err.startswith(f"usage error: bad group spec {path}: ")
+            assert err.count("\n") == 1
+        self._bad_lamplighter_spec(specs, ll_path)
+
+    @pytest.mark.parametrize("spec", [
+        [1, 2],
+        {"lamps": [1], "base": {"variant": "cyclic", "n": 4, "gens": [1]}},
+    ], ids=["list", "lamps-list"])
+    def test_bad_lamplighter_spec(self, specs, tmp_path, spec):
+        path = tmp_path / "ll.json"
+        path.write_text(json.dumps(spec))
+        self._bad_lamplighter_spec(specs, path)
+
+    @staticmethod
+    def _bad_lamplighter_spec(specs, path):
+        for argv in (["wordlen", "--group", path, "--element", specs["elem.json"]],
+                     ["depth-profile", "--group", path, "--radius", "2"]):
+            rc, out, err = run([str(a) for a in argv])
+            assert (rc, out) == (2, "") and err.startswith(f"usage error: bad lamplighter spec {path}: ")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["hamdiff", "--group", "c1.json"],
+        ["verdict", "--H", "c1.json", "--K", "c2.json"],
+    ], ids=["hamdiff", "verdict"])
+    def test_order_1_group_refused(self, specs, argv):
+        # the Hamiltonian difference needs |G| >= 2
+        rc, out, err = run([specs.get(a, a) for a in argv])
+        assert (rc, out) == (2, "")
+        assert err == f"usage error: {argv[0]} needs groups of order at least 2 ({specs['c1.json']})\n"
+
     @pytest.mark.parametrize("rank, moduli", [(2, []), (1, [4])], ids=["Z^2", "ZxZ/4"])
     @pytest.mark.parametrize("element, got", [
         ({"lamps": [[[1, 2, 7], 1]], "position": [3, 0, 9]}, 3),
@@ -448,6 +503,17 @@ FP82_R9_CSV = {
                "4461914bc3b2f1821ba615cf55e05a6f7545586ec0970f1d52288c57096634a3"),
 }
 
+# name: (spec, sizes, format, sha256 of the output)
+PROFILE_PINS = {
+    # a saturated finite ball: every last-shell row is stuck
+    "z3-wr-z4-kmax-4": ("ll_z3_z4.json", ["--radius", "30", "--kmax", "4"], "csv",
+                        "a69231e69a45adb18f2874ae8952d06a1ff8838e2b35fb78154468a5e8181685"),
+    "z3-wr-z4-kmax-0": ("ll_z3_z4.json", ["--radius", "30", "--kmax", "0"], "csv",
+                        "c121fc8b49bbe0467a91a497d8ad48e1f9dbedba93541bd62448a405a72cc970"),
+    "fp82-kmax-0-json": ("ll_fp82.json", ["--radius", "8", "--kmax", "0"], "json",
+                         "61ee14e1aeeb760a33c2418644d3b13b4b4c34dd00cc45633192c7038e6e8f40"),
+}
+
 FP82_R8_K22_SHA256 = {
     "csv": "7590d192115ce998dfb7f341f0ffbfce0a3de5c30f8dfe73745d7a2173f4462f",
     "json": "bf51d1530dfada04d382148307c24b2108e487cdc6ff6c1d01936516504162e5",
@@ -499,6 +565,12 @@ class TestDepthProfileOutput:
         sizes, code, digest = FP82_R9_CSV[name]
         rc, out, _ = run(["depth-profile", "--group", specs["ll_fp82.json"], *sizes, "--format", "csv"])
         assert rc == code and hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(PROFILE_PINS))
+    def test_frozen_saturated_and_kmax_0(self, specs, name):
+        group, sizes, fmt, digest = PROFILE_PINS[name]
+        rc, out, _ = run(["depth-profile", "--group", specs[group], *sizes, "--format", fmt])
+        assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
     def test_verify_runs_before_any_output(self, specs, monkeypatch, tmp_path, to_file):
@@ -641,6 +713,16 @@ class TestQh:
         payload = json.loads(out)
         assert payload["kind"] == "qh_certificate" and payload["strategy"] == "cube"
 
+    @pytest.mark.parametrize("group, size", [("c1.json", 1), ("z4_rank0.json", 4)], ids=["order-1", "rank-0"])
+    def test_auto_finite_groups_get_cube(self, specs, group, size):
+        # a finite group has no Nash-Williams basis: auto picks cube, which
+        # walks a one-element ball too
+        rc, out, err = run(["qh", "--group", specs[group], "--nmax", "2", "--verify"])
+        assert (rc, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["kind"] == "qh_certificate" and payload["strategy"] == "cube"
+        assert [w["set_size"] for w in payload["witnesses"]] == [size, size]
+
     def test_refutation_table(self, specs):
         rc, out, _ = run(["qh", "--group", specs["z.json"], "--nmax", "4"])
         payload = json.loads(out)
@@ -736,6 +818,13 @@ class TestExportGraph:
     def test_infinite_needs_radius(self, specs):
         rc, _, err = run(["export-graph", "--group", specs["z.json"]])
         assert rc == 2
+
+    def test_finite_abelian_needs_radius(self, specs):
+        # a rank-0 abelian group is finite, yet only cyclic specs export whole
+        rc, out, err = run(["export-graph", "--group", specs["z4_rank0.json"]])
+        assert (rc, out) == (2, "")
+        assert err == "usage error: only cyclic group specs export without --radius, not abelian\n"
+        assert run(["export-graph", "--group", specs["z4_rank0.json"], "--radius", "2"])[0] == 0
 
 
 class TestDeterminism:

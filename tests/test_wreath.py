@@ -751,23 +751,27 @@ class TestProfileLookup:
         assert len(calls) == sum(1 for r in prof.rows if r.depth >= 1)
 
     @pytest.mark.parametrize("key, radius, k_max, cap", [c for c in PROFILE_CASES if c[2] == 0])
-    def test_kmax_zero_searches_nothing(self, monkeypatch, key, radius, k_max, cap):
-        # depth() with k_max 0 expands nothing, so no row is searched and the
-        # lower-bound rows of one shell share one report
-        monkeypatch.setattr(W, "depth", lambda *a: pytest.fail("depth() ran"))
+    def test_kmax_zero_searches_as_kmax_one(self, monkeypatch, key, radius, k_max, cap):
+        # one depth() search per stuck state whatever k_max; with k_max 0 it
+        # expands nothing and reports depth >= 0
+        calls = {0: [], 1: []}
+        search = W.depth
+        monkeypatch.setattr(W, "depth", lambda model, g, k: calls[k].append(g) or search(model, g, k))
         prof = W.depth_profile(_model(key), radius, k_max, cap=cap)
-        reports = list(prof.rows.searched.values()) + list(prof.rows.bounds.values())
-        lower = sum(1 for r in prof.rows if not r.depth_exact)
-        assert lower > len({r.word_length for r in reports}) == len(set(map(id, reports)))
+        W.depth_profile(_model(key), radius, 1, cap=cap)
+        assert len(set(calls[0])) == len(calls[0]) == len(calls[1]) and set(calls[0]) == set(calls[1])
+        assert all((rep.depth, rep.depth_exact) == (0, False) for rep in prof.rows.searched.values())
 
     @pytest.mark.parametrize("key, radius, k_max, cap", [c for c in PROFILE_CASES if c[2] == 0])
-    def test_kmax_zero_last_shell_adds_no_searched_entry(self, key, radius, k_max, cap):
-        # the last shell's lower-bound rows read the one report kept for
-        # their shell: none of them holds an entry of its own in searched
+    def test_kmax_zero_last_shell_stuck_rows(self, key, radius, k_max, cap):
+        # the last shell's rows are lower bounds; those k_max 1 does not
+        # search read the one report kept for their shell and hold no entry
+        # of their own in searched
         rows = W.depth_profile(_model(key), radius, k_max, cap=cap).rows
+        searched = W.depth_profile(_model(key), radius, 1, cap=cap).rows.searched
         reached = rows.keys[-1] >> rows._shell_shift
         lo, hi = rows._shell_range(reached)
-        assert hi > lo and not any(k in rows.searched for k in rows.keys[lo:hi])
+        assert hi > lo and rows.searched.keys() == searched.keys()
         assert not any(r.depth_exact for r in rows[lo:hi])
 
     @pytest.mark.parametrize("key, radius, below", [("fp82", 5, False), ("z3_wr_z4", 30, True)])
@@ -820,41 +824,49 @@ class TestProfileLookup:
         # lamp cost and root split, against word_length on a second model,
         # which splits the support on every call
         model, fresh = _model(key), _model(key)
-        dist, _cut, _stuck = W._ball_shells(model, radius, cap)
-        reached = max(dist.values())
+        shells = W._ball_shells(model, radius, cap)[0]
+        reached = len(shells) - 1
         got, want = [], []
-        for s in W._shell_arrays(dist)[reached]:
+        for s in shells[reached]:
             got.append(W._state_length(model, s))
             want.append(W.word_length(fresh, model._decode(s)).value)
         assert got == want == [reached] * len(got)
 
     def test_last_shell_split_once_per_configuration(self, monkeypatch):
-        # k_max 0 searches nothing and prices every last-shell and stuck
-        # state, grouped by lamp configuration; once the sub-excursion memo
-        # is full, every split left is a split of the root copy, one per
-        # configuration priced
+        # k_max 0 prices each stuck state in its search, and the last shell
+        # grouped by lamp configuration; once the sub-excursion memo is
+        # full, every split left is a split of the root copy, one per
+        # search and one per last-shell configuration
         model = _keep_memo(_model("fp82"))
         W.depth_profile(model, 7, 0)  # fills the sub-excursion memo
-        dist, _cut, stuck = W._ball_shells(model, 7, None)
-        priced = {s for s, L in dist.items() if L == 7} | {s for s in stuck if dist[s] < 7}
+        shells, stuck, _cut = W._ball_shells(model, 7, None)
+        configs = {s >> 32 for s in shells[7]}
         splits = []
         split = T._split
         # (factor, end) of every split: the root copy is (0, 0)
         monkeypatch.setattr(T, "_split", lambda *a: splits.append(a[1:3]) or split(*a))
         W.depth_profile(model, 7, 0)
-        configs = {(s >> 32, dist[s] < 7) for s in priced}
-        assert splits == [(0, 0)] * len(configs) and len(splits) < len(priced)
+        assert len(configs) < len(shells[7])
+        assert splits == [(0, 0)] * (len(stuck) + len(configs))
 
     @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES)
     def test_shell_configs_partition_each_shell(self, key, radius, k_max, cap):
         # one sorted array per shell holding every state of the shell once,
-        # and in it one run per configuration
-        model = _model(key)
-        dist, _cut, _stuck = W._ball_shells(model, radius, cap)
-        shells = W._shell_arrays(dist)
+        # and in it one run per configuration, against a payload BFS; the
+        # stuck states are those with no neighbour one shell further out
+        model, oracle = _model(key), _model(key)
+        shells, stuck, _cut = W._ball_shells(model, radius, cap)
+        dist, _complete = _payload_ball(oracle, radius, cap)
         assert len(shells) == max(dist.values()) + 1
         for L, shell in enumerate(shells):
-            assert shell.typecode == "q" and list(shell) == sorted(s for s, d in dist.items() if d == L)
+            want = sorted(model._encode(g) for g, d in dist.items() if d == L)
+            assert shell.typecode == "q" and list(shell) == want
+        # a neighbour missing from dist lies one shell past the last
+        assert stuck == {
+            model._encode(g): d for g, d in dist.items()
+            if all(dist.get(h, d + 1) != d + 1 for _label, h in _payload_steps(oracle, g))
+        }
+        for shell in shells:
             runs = list(W._config_runs(shell))
             configs = [c for c, _states in runs]
             assert len(configs) == len(set(configs))
@@ -866,25 +878,25 @@ class TestProfileLookup:
         # every body against _lamps_str of the decoded configuration; the
         # cases hold lamp value 2 (z3_wr_z4) and names with ";" (z2_wr_zxz4)
         model = _model(key)
-        dist, _cut, _stuck = W._ball_shells(model, radius, cap)
-        rows = W.ProfileRows(model, list(enumerate(W._shell_arrays(dist))), {})
-        want = sorted({model._lamps_str(model._decode(s)[0]) + ";" for s in dist})
+        shells = W._ball_shells(model, radius, cap)[0]
+        rows = W.ProfileRows(model, list(enumerate(shells)), {})
+        states = [s for shell in shells for s in shell]
+        want = sorted({model._lamps_str(model._decode(s)[0]) + ";" for s in states})
         assert rows.bodies == want
         # every row's element id is its state's, so each body sits with
         # its own configuration
-        assert sorted(r.element_id for r in rows) == sorted(map(model.state_str, map(model._decode, dist)))
+        assert sorted(r.element_id for r in rows) == sorted(map(model.state_str, map(model._decode, states)))
 
     def test_row_keys_fit_in_63_bits(self):
         # word lengths one bit under the limit are packed and read back;
         # one bit more raises instead of wrapping
         model = _model("fp82")
-        dist, _cut, _stuck = W._ball_shells(model, 4, None)
-        shells = list(enumerate(W._shell_arrays(dist)))
+        shells = list(enumerate(W._ball_shells(model, 4, None)[0]))
         shift = W.ProfileRows(model, shells, {})._shell_shift
         top = 1 << 62 - shift
         rows = W.ProfileRows(model, [(top + L, shell) for L, shell in shells], {})
         assert rows.keys.typecode == "q" and list(rows.keys) == sorted(rows.keys)
-        assert sorted(r.word_length for r in rows) == sorted(top + L for L in dist.values())
+        assert sorted(r.word_length for r in rows) == sorted(top + L for L, shell in shells for _s in shell)
         with pytest.raises(ResourceCapError, match="need 64 bits"):
             W.ProfileRows(model, [(2 * top + L, shell) for L, shell in shells], {})
 
@@ -916,7 +928,7 @@ class TestLastShellPass:
         reached = max(prof.max_depth_per_shell())  # the last shell
         # the shells again: the profiled model has interned all of them, so
         # a second enumeration gives the same state ints
-        shells = W._shell_arrays(W._ball_shells(model, radius, cap)[0])
+        shells = W._ball_shells(model, radius, cap)[0]
         # the rows of one shell of a k_max 0 profile share one report, which
         # holds no element: every searched state is decoded from its row
         for L, shell in enumerate(shells):
@@ -925,7 +937,7 @@ class TestLastShellPass:
                     W.depth(oracle, model._decode(s), k_max)
         last = _row_states(model, rows, reached, shells[reached])
         # with k_max >= 1 some last-shell row leaves the ball and is depth 0
-        # unsearched; with k_max 0 every one is an unsearched lower bound
+        # unsearched; with k_max 0 every one is a lower bound
         assert last and (k_max >= 1) == any(rows._row(k)[2:] == (0, True) for k, _s in last)
         for k, s in last:
             g = model._decode(s)
@@ -1164,9 +1176,11 @@ class TestInternedStates:
         built = {model._encode(model.identity_state())}
         steps = model._steps
 
-        def recording(s):
-            out = steps(s)
-            built.update(out)
+        def recording(s, intern=True):
+            # a step that interns nothing builds no state
+            out = steps(s, intern)
+            if intern:
+                built.update(out)
             return out
 
         model._steps = recording
@@ -1193,7 +1207,7 @@ class TestInternedStates:
         dist, _ = _payload_ball(_model("fp82"), 8, 500)
         last = max(dist.values())
         assert W.enumerate_ball(_model("fp82"), 8, cap=500)[1] is False
-        msg = str(W._ball_shells(_model("fp82"), 8, 500)[1])
+        msg = str(W._ball_shells(_model("fp82"), 8, 500)[2])
         assert msg.startswith("WREATH_BALL_CAP = 500 exceeded")
         assert f"in shell {last + 1}; shells 0..{last} are complete" in msg
 
