@@ -16,7 +16,9 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -50,7 +52,7 @@ def _finite_from_file(path: str, command: str) -> groups.FiniteModel:
     model = _group_from_file(path)
     if not isinstance(model, groups.FiniteModel):
         raise UsageError(f"{command} needs finite group specs ({path})")
-    if model.table.order < 2:
+    if model.order < 2:
         raise UsageError(f"{command} needs groups of order at least 2 ({path})")
     return model
 
@@ -166,18 +168,19 @@ def cmd_wordlen(args) -> int:
 
 
 def cmd_hamdiff(args) -> int:
+    # the range's models are built one row at a time, so a range that runs
+    # past MAX_REQUIRED is refused without building the orders beyond it
     specs = [_finite_from_file(path, "hamdiff") for path in args.group or []]
-    for n in args.cyclic_range or ():
-        specs.append(groups.make_cyclic(n, [1]))
-    if not specs:
+    cyclic = args.cyclic_range or ()
+    if not specs and not cyclic:
         raise UsageError("no groups given (use --group or --cyclic-range)")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["group", "gens", "hamiltonian_difference", "ts_closed", "argmax"])
-    for model in specs:
+    for model in itertools.chain(specs, (groups.make_cyclic(n, [1]) for n in cyclic)):
         h, closed, argmax, _ = hamiltonian.hamiltonian_difference_detail(model)
         gens = "+".join(model.payload_str(s) for s in model.gens)
-        writer.writerow([model.table.name, gens, h, closed, model.payload_str(argmax)])
+        writer.writerow([model.name, gens, h, closed, model.payload_str(argmax)])
     _emit(buf.getvalue(), args.out)
     return 0
 
@@ -187,13 +190,13 @@ def cmd_verdict(args) -> int:
     K = _finite_from_file(args.K, "verdict")
     rep = wreath.theorem_b_verdict(H, K)
     case = None
-    if H.table.is_abelian() and K.table.is_abelian():
+    if H.is_abelian() and K.is_abelian():
         case, bounded = wreath.classify_abelian_free_product(H, K)
         if args.verify and bounded != rep.uniformly_bounded:
             raise VerificationError("classification disagrees with Theorem-B verdict")
     record = {
-        "H": H.table.name,
-        "K": K.table.name,
+        "H": H.name,
+        "K": K.name,
         "h_H": rep.h_first,
         "h_K": rep.h_second,
         "sum": rep.total,
@@ -324,8 +327,11 @@ def cmd_export_graph(args) -> int:
             graph = graphs.cayley_ball(model, args.radius).graph
         elif isinstance(model, groups.FiniteModel):
             graph = graphs.finite_cayley_graph(model)
+        elif isinstance(model, groups.AbelianModel) and model.rank == 0:
+            # the ball of radius |G| - 1 is the whole group
+            graph = graphs.cayley_ball(model, math.prod(model.moduli) - 1).graph
         else:
-            raise UsageError(f"only cyclic group specs export without --radius, not {model.variant}")
+            raise UsageError(f"only finite group specs export without --radius, not {model.variant}")
     if args.format == "adj":
         _emit(graph.to_adjacency_text(), args.out)
     else:

@@ -127,17 +127,17 @@ def cycle_graph(m: int) -> FiniteGraph:
 
 
 def finite_cayley_graph(model) -> FiniteGraph:
-    """Cayley graph of a FiniteModel; vertex i is table element i."""
-    table = model.table
+    """Cayley graph of a FiniteModel; vertex i is element i."""
+    n, mul = model.order, model.mul_payload
     edges = []
-    for i in range(table.order):
+    for i in range(n):
         for s in model.gens:
-            j = table.mul[i][s]
+            j = mul(i, s)
             if i < j:
                 edges.append((i, j))
             elif j < i:
                 edges.append((j, i))
-    return from_edges(table.order, sorted(set(edges)), tuple(table.elem_names))
+    return from_edges(n, sorted(set(edges)), tuple(model.payload_str(i) for i in range(n)))
 
 
 @dataclass(frozen=True)

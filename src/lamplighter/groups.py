@@ -1,5 +1,6 @@
-"""Computable group models: finite tables, f.g. abelian groups, free groups,
-and free products of two finite groups, with canonical normal forms.
+"""Computable group models: cyclic groups by arithmetic, f.g. abelian groups,
+free groups, and free products of two finite groups, with canonical normal
+forms.
 
 Elements are plain hashable tuples/ints (payloads) in normal form, used
 through the payload methods of their model.  All models are immutable after
@@ -9,7 +10,7 @@ position tables (`PositionTable`) live on `wreath.LamplighterModel`.
 
 Payload encodings
 -----------------
-- finite:       element index into the multiplication table
+- finite:       residue mod the order
 - abelian:      integer vector of length rank+len(moduli), residues reduced
 - free:         reduced word as a tuple of nonzero signed letter numbers
 - free product: alternating tuple of (factor, index) letters, no identities
@@ -17,127 +18,14 @@ Payload encodings
 
 from __future__ import annotations
 
-import itertools
+import math
 import operator
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ResourceCapError
 from .limits import CAPS
 
 Payload = object  # per-variant encoding, always hashable and orderable
-
-
-# ---------------------------------------------------------------------------
-# finite multiplication tables
-
-
-@dataclass(frozen=True)
-class FiniteGroupTable:
-    """A finite group given by its full multiplication table."""
-
-    order: int
-    mul: Tuple[Tuple[int, ...], ...]
-    identity: int
-    inv: Tuple[int, ...]
-    name: str = "G"
-    elem_names: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.elem_names:
-            names = tuple("e" if i == self.identity else f"g{i}" for i in range(self.order))
-            object.__setattr__(self, "elem_names", names)
-        self.validate()
-
-    def validate(self) -> None:
-        n = self.order
-        if n < 1 or len(self.mul) != n or any(len(row) != n for row in self.mul):
-            raise ValueError("malformed multiplication table")
-        elements = list(range(n))
-        for row in self.mul:
-            if sorted(row) != elements:
-                raise ValueError("mul is not a Latin square (row)")
-        for col in zip(*self.mul):
-            if sorted(col) != elements:
-                raise ValueError("mul is not a Latin square (column)")
-        e = self.identity
-        for x in range(n):
-            if self.mul[e][x] != x or self.mul[x][e] != x:
-                raise ValueError("identity law fails")
-            if self.mul[x][self.inv[x]] != e:
-                raise ValueError("inverse law fails")
-        if n <= 64:
-            # every triple, one (a, b) at a time: row ab must be row b read
-            # through row a, as (ab)c = a(bc) for every c; with n <= 64 a row
-            # fits in bytes and bytes.translate reads it through another
-            rows = [bytes(row) for row in self.mul]
-            pad = bytes(256 - n)
-            for ra in rows:
-                through_a = ra + pad
-                for rb, ab in zip(rows, ra):
-                    if rows[ab] != rb.translate(through_a):
-                        raise ValueError("associativity fails")
-            return
-        triples = itertools.islice(
-            zip(
-                itertools.cycle(range(n)),
-                itertools.cycle(range(0, n, 3)),
-                itertools.cycle(range(0, n, 7)),
-            ),
-            4096,
-        )
-        for a, b, c in triples:
-            if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:
-                raise ValueError("associativity fails")
-
-    def is_abelian(self) -> bool:
-        return all(
-            self.mul[a][b] == self.mul[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
-
-
-def cyclic_table(n: int, letter: str = "b") -> FiniteGroupTable:
-    """Multiplication table of Z/nZ with elements named e, b, b2, ..."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    row = tuple(range(n))
-    mul = tuple(row[i:] + row[:i] for i in range(n))  # row i is i + j mod n
-    inv = tuple((-i) % n for i in range(n))
-    names = tuple("e" if i == 0 else (letter if i == 1 else f"{letter}{i}") for i in range(n))
-    return FiniteGroupTable(n, mul, 0, inv, name=f"Z/{n}Z", elem_names=names)
-
-
-def direct_product_table(t1: FiniteGroupTable, t2: FiniteGroupTable) -> FiniteGroupTable:
-    """Table of the direct product t1 x t2, index (i, j) -> i*|t2| + j."""
-    n1, n2 = t1.order, t2.order
-    n = n1 * n2
-
-    def idx(i: int, j: int) -> int:
-        return i * n2 + j
-
-    mul = tuple(
-        tuple(idx(t1.mul[a1][b1], t2.mul[a2][b2]) for b1 in range(n1) for b2 in range(n2))
-        for a1 in range(n1)
-        for a2 in range(n2)
-    )
-    inv = tuple(idx(t1.inv[i], t2.inv[j]) for i in range(n1) for j in range(n2))
-    names = tuple(
-        f"({t1.elem_names[i]},{t2.elem_names[j]})" for i in range(n1) for j in range(n2)
-    )
-    return FiniteGroupTable(n, mul, idx(t1.identity, t2.identity), inv,
-                            name=f"{t1.name}x{t2.name}", elem_names=names)
-
-
-def abelian_table(moduli: Sequence[int]) -> FiniteGroupTable:
-    """Table of the finite abelian group Z/m1 x ... x Z/mk."""
-    if not moduli:
-        raise ValueError("need at least one modulus")
-    table = cyclic_table(moduli[0])
-    for m in moduli[1:]:
-        table = direct_product_table(table, cyclic_table(m))
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -178,28 +66,57 @@ class GroupModel:
 
 
 class FiniteModel(GroupModel):
+    """Z/nZ by arithmetic: element i is the residue i, named e, b, b2, ...
+    for the letter b.  Word lengths come from one BFS when it is built."""
+
     variant = "finite"
 
-    def __init__(self, table: FiniteGroupTable, gen_indices: Sequence[int]):
-        gens = _symmetrize_finite(table, gen_indices)
-        dist = _bfs_lengths_finite(table, gens)
-        if len(dist) != table.order:
-            raise ValueError(f"{sorted(set(gen_indices))} does not generate {table.name}")
-        self.table = table
+    def __init__(self, n: int, gen_residues: Sequence[int], letter: str):
+        if n < 1:
+            raise ValueError("n must be positive")
+        cap = CAPS["CAYLEY_BALL_CAP"]
+        if n > cap:
+            raise ResourceCapError("CAYLEY_BALL_CAP", cap, f"by group order {n}")
+        residues = [r % n for r in gen_residues]
+        if any(r == 0 for r in residues):
+            raise ValueError("generators must be nonzero mod n")
+        if math.gcd(n, *residues) != 1:
+            raise ValueError(f"{sorted(set(residues))} does not generate Z/{n}Z")
+        self.order, self.name, self.letter = n, f"Z/{n}Z", letter
+        gens: List[int] = []
+        for g in residues:
+            for h in (g, -g % n):
+                if h not in gens:
+                    gens.append(h)
         self.gens = tuple(gens)
+        dist = [-1] * n
+        dist[0], frontier, d = 0, [0], 0
+        while frontier:
+            d += 1
+            nxt = []
+            for x in frontier:
+                for s in gens:
+                    y = (x + s) % n
+                    if dist[y] < 0:
+                        dist[y] = d
+                        nxt.append(y)
+            frontier = nxt
         self._dist = dist
 
+    def is_abelian(self) -> bool:
+        return True
+
     def identity_payload(self) -> int:
-        return self.table.identity
+        return 0
 
     def mul_payload(self, a: int, b: int) -> int:
-        return self.table.mul[a][b]
+        return (a + b) % self.order
 
     def inv_payload(self, a: int) -> int:
-        return self.table.inv[a]
+        return -a % self.order
 
     def normalize_payload(self, a: int) -> int:
-        if not 0 <= a < self.table.order:
+        if not 0 <= a < self.order:
             raise ValueError("element index out of range")
         return a
 
@@ -207,55 +124,35 @@ class FiniteModel(GroupModel):
         return self._dist[a]
 
     def payload_str(self, a: int) -> str:
-        return self.table.elem_names[a]
+        return "e" if a == 0 else (self.letter if a == 1 else f"{self.letter}{a}")
 
     def parse_payload(self, s: str) -> int:
-        try:
-            return self.table.elem_names.index(s)
-        except ValueError:
-            return self.normalize_payload(int(s))
-
-
-def _symmetrize_finite(table: FiniteGroupTable, gen_indices: Sequence[int]) -> List[int]:
-    seen: List[int] = []
-    for g in gen_indices:
-        g = int(g)
-        if not 0 <= g < table.order:
-            raise ValueError("generator index out of range")
-        for h in (g, table.inv[g]):
-            if h == table.identity:
-                raise ValueError("identity is not allowed as a generator")
-            if h not in seen:
-                seen.append(h)
-    return seen
-
-
-def _bfs_lengths_finite(table: FiniteGroupTable, gens: Sequence[int]) -> Dict[int, int]:
-    dist = {table.identity: 0}
-    frontier = [table.identity]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = table.mul[x][s]
-                if y not in dist:
-                    dist[y] = d
-                    nxt.append(y)
-        frontier = nxt
-    return dist
+        if s == "e":
+            return 0
+        if s.startswith(self.letter):
+            rest = s[len(self.letter):]
+            i = 1 if not rest else int(rest) if rest.isdecimal() else 0
+            if 0 < i < self.order and self.payload_str(i) == s:
+                return i
+        return self.normalize_payload(int(s))
 
 
 def make_cyclic(n: int, gen_residues: Sequence[int], letter: str = "b") -> FiniteModel:
     """Z/nZ with the given generating residues (symmetrized automatically)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    table = cyclic_table(n, letter=letter)
-    gens = [r % n for r in gen_residues]
-    if any(r == 0 for r in gens):
-        raise ValueError("generators must be nonzero mod n")
-    return FiniteModel(table, gens)
+    if not isinstance(letter, str):
+        raise ValueError(f"letter must be a string, got {letter!r}")
+    return FiniteModel(_int(n, "n"), _ints(gen_residues, "gens"), letter)
+
+
+def _int(x, what: str) -> int:
+    """x when it is an int and not a bool, else a ValueError naming what."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _ints(xs: Sequence[int], what: str) -> List[int]:
+    return [_int(x, what) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +354,8 @@ def _bfs_length_infinite(model: GroupModel, target: Payload) -> int:
 
 def make_abelian(rank: int, moduli: Sequence[int], gen_vectors: Sequence[Sequence[int]]) -> AbelianModel:
     """Z^rank x prod Z/m_j with the given generating vectors (symmetrized)."""
-    return AbelianModel(rank, moduli, gen_vectors)
+    return AbelianModel(_int(rank, "rank"), _ints(moduli, "moduli"),
+                        [_ints(v, "gens") for v in gen_vectors])
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +429,7 @@ class FreeModel(GroupModel):
 
 
 def make_free(rank: int, letters: str = _LETTERS) -> FreeModel:
-    return FreeModel(rank, letters)
+    return FreeModel(_int(rank, "rank"), letters)
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +446,10 @@ class FreeProductModel(GroupModel):
     variant = "free_product"
 
     def __init__(self, H: FiniteModel, K: FiniteModel):
-        if H.table.order < 2 or K.table.order < 2:
+        if H.order < 2 or K.order < 2:
             raise ValueError("both free-product factors must be nontrivial")
         self.factors: Tuple[FiniteModel, FiniteModel] = (H, K)
+        self._identities = (H.identity_payload(), K.identity_payload())
         gens: List[Tuple[Tuple[int, int], ...]] = []
         for f, model in enumerate(self.factors):
             for s in model.gens:
@@ -562,10 +461,10 @@ class FreeProductModel(GroupModel):
         names: Dict[Tuple[int, int], str] = {}
         used = set()
         for f, model in enumerate(self.factors):
-            for i in range(model.table.order):
-                if i == model.table.identity:
+            for i in range(model.order):
+                if i == self._identities[f]:
                     continue
-                nm = model.table.elem_names[i]
+                nm = model.payload_str(i)
                 if nm in used:
                     nm = f"{'hk'[f]}{i}"
                 used.add(nm)
@@ -583,13 +482,13 @@ class FreeProductModel(GroupModel):
 
     def _push(self, out: List[Tuple[int, int]], letter: Tuple[int, int]) -> None:
         f, x = letter
-        model = self.factors[f]
-        if x == model.table.identity:
+        e = self._identities[f]
+        if x == e:
             return
         if out and out[-1][0] == f:
-            y = model.table.mul[out[-1][1]][x]
+            y = self.factors[f].mul_payload(out[-1][1], x)
             out.pop()
-            if y != model.table.identity:
+            if y != e:
                 out.append((f, y))
         else:
             out.append((f, x))
@@ -597,14 +496,14 @@ class FreeProductModel(GroupModel):
     def inv_payload(self, a):
         out = []
         for f, x in reversed(a):
-            out.append((f, self.factors[f].table.inv[x]))
+            out.append((f, self.factors[f].inv_payload(x)))
         return tuple(out)
 
     def normalize_payload(self, a):
         out: List[Tuple[int, int]] = []
         for letter in a:
             f, x = int(letter[0]), int(letter[1])
-            if f not in (0, 1) or not 0 <= x < self.factors[f].table.order:
+            if f not in (0, 1) or not 0 <= x < self.factors[f].order:
                 raise ValueError("bad free-product letter")
             self._push(out, (f, x))
         return tuple(out)
@@ -669,7 +568,7 @@ class PositionTable:
             self.payloads.append(p)
             self.rows.append(None)
             for f, routes in enumerate(self.routes):
-                ident = self.model.factors[f].table.identity
+                ident = self.model._identities[f]
                 if not p:
                     routes.append((ident, 0))
                 elif p[0][0] == f:
@@ -692,20 +591,10 @@ class PositionTable:
 
 def group_spec_of(model: GroupModel) -> dict:
     """Canonical JSON spec describing a model; parse_group_spec rebuilds
-    every model it can build from it.  Finite tables that are not cyclic
-    tables get the descriptive "finite" variant, which does not parse."""
+    the model from it."""
     if isinstance(model, FiniteModel):
-        table = model.table
-        letter = table.elem_names[1] if table.order > 1 else "b"
-        if table == cyclic_table(table.order, letter):
-            return {"variant": "cyclic", "n": table.order,
-                    "gens": list(model.gens), "letter": letter}
-        return {
-            "variant": "finite",
-            "name": model.table.name,
-            "order": model.table.order,
-            "gens": [model.payload_str(s) for s in model.gens],
-        }
+        return {"variant": "cyclic", "n": model.order,
+                "gens": list(model.gens), "letter": model.letter}
     if isinstance(model, AbelianModel):
         return {
             "variant": "abelian",

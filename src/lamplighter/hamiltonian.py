@@ -147,16 +147,16 @@ def hamiltonian_difference(model: FiniteModel) -> int:
 
 def hamiltonian_difference_detail(model: FiniteModel) -> Tuple[int, int, int, List[int]]:
     """Returns (H, TS(e->e;G), argmax vertex, all TS(e->v;G) values)."""
-    table = model.table
-    if table.order < 2:
+    n, e = model.order, model.identity_payload()
+    if n < 2:
         raise ValueError("Hamiltonian difference needs |G| >= 2")
-    if table.order > CAPS["MAX_REQUIRED"]:
-        raise ResourceCapError("MAX_REQUIRED", CAPS["MAX_REQUIRED"], f"by group order {table.order}")
+    if n > CAPS["MAX_REQUIRED"]:
+        raise ResourceCapError("MAX_REQUIRED", CAPS["MAX_REQUIRED"], f"by group order {n}")
     graph = finite_cayley_graph(model)
-    lengths = tsp.solve_all_ends(graph, table.identity, set(range(table.order)))
-    closed = lengths[table.identity]
+    lengths = tsp.solve_all_ends(graph, e, set(range(n)))
+    closed = lengths[e]
     best_v = max(
-        (v for v in range(table.order) if v != table.identity),
+        (v for v in range(n) if v != e),
         key=lambda v: (lengths[v], -v),
     )
     return lengths[best_v] - closed, closed, best_v, lengths

@@ -8,7 +8,8 @@ import os
 from .errors import UsageError
 
 CAPS = {
-    # vertices of one Cayley ball; the radius-10 ball of F2 (118,097) takes 2.4 s and 97 MB
+    # vertices of one Cayley ball, and the order of a cyclic group (its Cayley graph is its
+    # ball of radius the diameter); the radius-10 ball of F2 (118,097) takes 2.4 s and 97 MB
     "CAYLEY_BALL_CAP": 200_000,
     # states of one wreath ball; the radius-13 octagon ball holds 1,983,643 (16,357 to spare)
     "WREATH_BALL_CAP": 2_000_000,

@@ -400,7 +400,7 @@ def _factor_ts_edges(model: FreeProductModel, factor: int, end: int, stations: i
     graph, rows = _factor_tables(model, factor, memo)
     row = rows.get(stations)
     if row is None:
-        e = model.factors[factor].table.identity
+        e = model.factors[factor].identity_payload()
         row = rows[stations] = solve_all_ends(graph, e, _members(stations))
     return row[end]
 
@@ -414,7 +414,7 @@ def _factor_walk(
     closures under (factor, stations), with the walks to each end taken from
     it so far.  It also fills the mask's row in memo when that is missing,
     so the value recursion reads the row of the table the walk came from."""
-    e = model.factors[factor].table.identity
+    e = model.factors[factor].identity_payload()
     entry = closures.get((factor, stations))
     if entry is None:
         graph, rows = _factor_tables(model, factor, memo)
@@ -610,12 +610,11 @@ def _walk_fp(positions: PositionTable, factor: int, end: int, required: Collecti
         stations |= 1 << end_idx
     excursions = {s: _walk_fp(positions, other, 0, sub, memo, closures) for s, sub in beyond.items()}
 
-    table = model.factors[factor].table
-    mul, inv = table.mul, table.inv
+    mul, inv = model.factors[factor].mul_payload, model.factors[factor].inv_payload
     fwalk = _factor_walk(model, factor, end_idx, stations, memo, closures)
     letters = excursions.pop(fwalk[0], [])
     for u, v in zip(fwalk, fwalk[1:]):
-        letters.append((factor, mul[inv[u]][v]))
+        letters.append((factor, mul(inv(u), v)))
         letters += excursions.pop(v, ())
     return letters + dive_letters
 

@@ -323,7 +323,7 @@ def _solve_walk(
     if strategy == "petal":
         return tsp.ts_free_product_ids_walk(*_petal_ids(model, pos, support), model._ts_fp_memo)
     if strategy == "finite":
-        sol = tsp.solve_exact(tsp.TspInstance(model._finite_graph, base.table.identity, pos, support))
+        sol = tsp.solve_exact(tsp.TspInstance(model._finite_graph, base.identity_payload(), pos, support))
         return sol.length, list(sol.walk)
     if strategy == "box":
         inst, payload_of = _box_instance(base, pos, support)
@@ -451,8 +451,7 @@ def deep_lamp_element(lamps: GroupModel) -> Payload:
     ties broken by element index."""
     if not isinstance(lamps, FiniteModel):
         raise ValueError("designated deep element needs a finite lamps group")
-    order = lamps.table.order
-    return max(range(order), key=lambda i: (lamps.length_payload(i), -i))
+    return max(range(lamps.order), key=lambda i: (lamps.length_payload(i), -i))
 
 
 def cleary_taback_witness(
@@ -494,7 +493,7 @@ def bounded_depth_constant(H: FiniteModel, K: FiniteModel) -> int:
     returning takes at most 4(|H|+|K|)+1 generators; the all-lit case needs
     at most 2|H|+|K| moves.  Valid only when theorem_b_verdict says bounded.
     """
-    oH, oK = H.table.order, K.table.order
+    oH, oK = H.order, K.order
     return max(4 * (oH + oK) + 1, 2 * oH + oK)
 
 
@@ -503,9 +502,9 @@ def classify_abelian_free_product(H: FiniteModel, K: FiniteModel) -> Tuple[str, 
     (True = uniformly bounded).  Dispatch is by graph shape; it must agree
     with theorem_b_verdict on every abelian input."""
     for M in (H, K):
-        if not M.table.is_abelian():
+        if not M.is_abelian():
             raise ValueError("classification needs abelian factors")
-    oH, oK = H.table.order, K.table.order
+    oH, oK = H.order, K.order
     if oH == 1 or oK == 1:
         return "1", False
     gH = finite_cayley_graph(H)

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from lamplighter import graphs as Gr, groups as G, hamiltonian as H, tsp as T, wreath as W
-from oracles import brute_force_oracle
+from oracles import TableModel, abelian_table, brute_force_oracle, cyclic_table
 
 
 def report(criterion: int, message: str) -> None:
@@ -251,12 +251,12 @@ def test_c08_cube_of_graph():
 
 
 def _abelian_tables_3_to_12():
-    tables = [G.cyclic_table(n) for n in range(3, 13)]
-    tables.append(G.abelian_table([2, 2]))
-    tables.append(G.abelian_table([2, 4]))
-    tables.append(G.abelian_table([2, 2, 2]))
-    tables.append(G.abelian_table([3, 3]))
-    tables.append(G.abelian_table([2, 6]))
+    tables = [cyclic_table(n) for n in range(3, 13)]
+    tables.append(abelian_table([2, 2]))
+    tables.append(abelian_table([2, 4]))
+    tables.append(abelian_table([2, 2, 2]))
+    tables.append(abelian_table([3, 3]))
+    tables.append(abelian_table([2, 6]))
     return tables
 
 
@@ -273,7 +273,7 @@ def test_c09_chen_quimpo_desk_check():
         for r in range(1, len(reps) + 1):
             for combo in itertools.combinations(reps, r):
                 try:
-                    model = G.FiniteModel(table, list(combo))
+                    model = TableModel(table, list(combo))
                 except ValueError:
                     continue
                 graph = Gr.finite_cayley_graph(model)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 
 from lamplighter import cli
 from lamplighter.limits import CAPS
+from oracles import FiniteGroupTable, TableModel
 
 
 def run(argv):
@@ -238,8 +240,8 @@ def _s3_model():
     index = {p: i for i, p in enumerate(perms)}
     mul = tuple(tuple(index[tuple(p[q[i]] for i in range(3))] for q in perms) for p in perms)
     inv = tuple(index[tuple(sorted(range(3), key=lambda i: p[i]))] for p in perms)
-    table = cli.groups.FiniteGroupTable(6, mul, index[(0, 1, 2)], inv, name="S3")
-    return cli.groups.FiniteModel(table, [index[(1, 0, 2)], index[(1, 2, 0)]])
+    table = FiniteGroupTable(6, mul, index[(0, 1, 2)], inv, name="S3")
+    return TableModel(table, [index[(1, 0, 2)], index[(1, 2, 0)]])
 
 
 PETAL_BASES = {
@@ -266,7 +268,7 @@ def petal_wordlen_outputs(base, tmp_path, monkeypatch):
     model = cli.wreath.LamplighterModel(cli.groups.make_cyclic(2, [1], letter="a"),
                                         cli.groups.make_free_product(H, K))
     monkeypatch.setattr(cli, "_lamplighter_from_file", lambda path: model)
-    orders = (H.table.order, K.table.order)
+    orders = (H.order, K.order)
     rng = random.Random(base)
 
     def word():
@@ -330,6 +332,15 @@ class TestHamdiff:
         assert "MAX_REQUIRED = 22 exceeded by group order 23" in err and "required set" not in err
         assert run(["hamdiff", "--cyclic-range", "22:22"])[0] == 0
 
+    def test_long_range_stops_at_the_first_order_over_the_cap(self):
+        # each order's model is built at its own row, so the orders past 23
+        # are never built, and the buffered rows before it are not printed
+        start = time.perf_counter()
+        rc, out, err = run(["hamdiff", "--cyclic-range", "2:1000000"])
+        assert time.perf_counter() - start < 2
+        assert (rc, out) == (3, "")
+        assert err == "resource cap: MAX_REQUIRED = 22 exceeded by group order 23\n"
+
 
 class TestMalformedInput:
     """Malformed input is a usage error (exit 2), never a traceback."""
@@ -356,7 +367,18 @@ class TestMalformedInput:
         {"variant": "cyclic", "n": 4, "gens": 1},
         {"variant": "abelian", "rank": 1, "moduli": [], "gens": [1]},
         {"variant": "free_product", "H": [1], "K": {"variant": "cyclic", "n": 2, "gens": [1]}},
-    ], ids=["list", "order-text", "gens-int", "abelian-gen-int", "factor-list"])
+        {"variant": "cyclic", "n": 4, "gens": [1], "letter": 5},
+        {"variant": "cyclic", "n": 4, "gens": [1.5]},
+        {"variant": "cyclic", "n": 4, "gens": [True]},
+        {"variant": "cyclic", "n": 4.0, "gens": [1]},
+        {"variant": "cyclic", "n": True, "gens": []},
+        {"variant": "abelian", "rank": True, "moduli": [], "gens": [[1]]},
+        {"variant": "abelian", "rank": 0, "moduli": [4.0], "gens": [[1]]},
+        {"variant": "abelian", "rank": 1, "moduli": [], "gens": [[1.5]]},
+        {"variant": "abelian", "rank": 1, "moduli": [], "gens": [[True]]},
+    ], ids=["list", "order-text", "gens-int", "abelian-gen-int", "factor-list", "letter-int",
+            "gen-float", "gen-bool", "order-float", "order-bool", "rank-bool", "modulus-float",
+            "abelian-gen-float", "abelian-gen-bool"])
     def test_bad_group_spec(self, specs, tmp_path, spec):
         # the spec alone, and as the base of a lamplighter spec
         path, ll_path = tmp_path / "g.json", tmp_path / "ll.json"
@@ -819,12 +841,33 @@ class TestExportGraph:
         rc, _, err = run(["export-graph", "--group", specs["z.json"]])
         assert rc == 2
 
-    def test_finite_abelian_needs_radius(self, specs):
-        # a rank-0 abelian group is finite, yet only cyclic specs export whole
-        rc, out, err = run(["export-graph", "--group", specs["z4_rank0.json"]])
-        assert (rc, out) == (2, "")
-        assert err == "usage error: only cyclic group specs export without --radius, not abelian\n"
-        assert run(["export-graph", "--group", specs["z4_rank0.json"], "--radius", "2"])[0] == 0
+    @pytest.mark.parametrize("moduli, gens", [([4], [[1]]), ([2, 3], [[1, 0], [0, 1]]),
+                                              ([2, 4], [[1, 1], [0, 1]])])
+    def test_finite_abelian_exports_whole(self, tmp_path, moduli, gens):
+        # a rank-0 abelian group exports whole, as its ball of radius |G| - 1
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"variant": "abelian", "rank": 0, "moduli": moduli, "gens": gens}))
+        rc, out, err = run(["export-graph", "--group", str(path), "--format", "adj"])
+        assert rc == 0, err
+        model = cli.groups.make_abelian(0, moduli, gens)
+        rows = out.splitlines()
+        assert len(rows) == math.prod(moduli)
+        assert all(len(row.split(":")[1].split()) == len(model.gens) for row in rows)
+        assert out == run(["export-graph", "--group", str(path), "--format", "adj",
+                           "--radius", str(math.prod(moduli))])[1]
+
+    @pytest.mark.parametrize("argv", [["hamdiff", "--group", "big.json"],
+                                      ["qh", "--group", "big.json", "--nmax", "1"],
+                                      ["export-graph", "--group", "big.json"]],
+                             ids=["hamdiff", "qh", "export-graph"])
+    def test_cyclic_order_over_the_ball_cap_refused(self, tmp_path, argv):
+        # Z/10^6 is refused when its model is built, before any work on it
+        (tmp_path / "big.json").write_text(json.dumps({"variant": "cyclic", "n": 10**6, "gens": [1]}))
+        start = time.perf_counter()
+        rc, out, err = run([str(tmp_path / a) if a.endswith(".json") else a for a in argv])
+        assert time.perf_counter() - start < 2
+        assert (rc, out) == (3, "")
+        assert err == "resource cap: CAYLEY_BALL_CAP = 200000 exceeded by group order 1000000\n"
 
 
 class TestDeterminism:

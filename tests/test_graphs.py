@@ -9,7 +9,7 @@ import pytest
 from lamplighter import graphs as Gr, groups as G
 from lamplighter.errors import ResourceCapError, VerificationError
 from lamplighter.limits import CAPS
-from oracles import two_pass_cayley_ball
+from oracles import FiniteGroupTable, TableModel, two_pass_cayley_ball
 
 
 def edge_count(g):
@@ -70,7 +70,7 @@ def _s3_model():
     index = {p: i for i, p in enumerate(perms)}
     mul = tuple(tuple(index[tuple(p[q[i]] for i in range(3))] for q in perms) for p in perms)
     inv = tuple(index[tuple(sorted(range(3), key=lambda i: p[i]))] for p in perms)
-    return G.FiniteModel(G.FiniteGroupTable(6, mul, 0, inv, name="S3"), [1, 4])
+    return TableModel(FiniteGroupTable(6, mul, 0, inv, name="S3"), [1, 4])
 
 
 BALL_MODELS = {

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from lamplighter import groups as G
 from lamplighter.errors import ResourceCapError
 from lamplighter.limits import CAPS
+from lamplighter.graphs import finite_cayley_graph
+from oracles import FiniteGroupTable, TableModel, cyclic_table, direct_product_table
 
 
 @pytest.fixture(scope="module")
@@ -27,13 +29,12 @@ def fp82(c8, c2):
 
 class TestFiniteTables:
     def test_cyclic_table_laws(self, c8):
-        t = c8.table
-        assert t.order == 8 and t.identity == 0
-        assert t.mul[3][5] == 0 and t.inv[3] == 5
+        assert c8.order == 8 and c8.identity_payload() == 0
+        assert c8.mul_payload(3, 5) == 0 and c8.inv_payload(3) == 5
 
     @pytest.mark.parametrize("n", [1, 2, 7, 16, 65])
     def test_cyclic_table_is_addition_mod_n(self, n):
-        t = G.cyclic_table(n)
+        t = cyclic_table(n)
         assert t.mul == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
         assert t.inv == tuple((-i) % n for i in range(n))
 
@@ -44,13 +45,13 @@ class TestFiniteTables:
 
     def test_bad_table_rejected(self):
         with pytest.raises(ValueError):
-            G.FiniteGroupTable(2, ((0, 0), (1, 1)), 0, (0, 1))
+            FiniteGroupTable(2, ((0, 0), (1, 1)), 0, (0, 1))
 
     def test_repeated_column_rejected(self):
         # every row is a permutation, but column 0 holds 0 three times
         rows = ((0, 1, 2),) * 3
         with pytest.raises(ValueError, match=r"\(column\)"):
-            G.FiniteGroupTable(3, rows, 0, (0, 2, 1))
+            FiniteGroupTable(3, rows, 0, (0, 2, 1))
 
     def test_nonassociative_loop_rejected(self):
         # a Latin square with identity 0 and x * x = 0 for every x: it passes
@@ -59,10 +60,10 @@ class TestFiniteTables:
         # such square of order 5
         rows = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
         with pytest.raises(ValueError, match="associativity"):
-            G.FiniteGroupTable(5, rows, 0, (0, 1, 2, 3, 4))
+            FiniteGroupTable(5, rows, 0, (0, 1, 2, 3, 4))
 
     def test_direct_product(self):
-        t = G.direct_product_table(G.cyclic_table(2), G.cyclic_table(3))
+        t = direct_product_table(cyclic_table(2), cyclic_table(3))
         assert t.order == 6 and t.is_abelian()
 
     def test_make_cyclic_rejects_nongenerating(self):
@@ -71,6 +72,44 @@ class TestFiniteTables:
 
     def test_make_cyclic_symmetrizes(self, c8):
         assert set(c8.gens) == {1, 7}
+
+
+class TestArithmeticCyclicAgainstTable:
+    """The arithmetic Z/n against the table model of cyclic_table(n), under
+    the generator sets {1}, {1, 2} and {2, 3} wherever they generate."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_same_group(self, n):
+        gen_sets = [g for g in ([1], [1, 2], [2, 3]) if all(x % n for x in g) and math.gcd(n, *g) == 1]
+        for gens in gen_sets or [[]]:
+            for letter in "abc":
+                m = G.make_cyclic(n, gens, letter=letter)
+                t = TableModel(cyclic_table(n, letter=letter), [x % n for x in gens])
+                assert (m.order, m.name, m.gens) == (t.order, t.name, t.gens)
+                assert m.identity_payload() == t.identity_payload() == 0
+                for a in range(n):
+                    assert [m.mul_payload(a, b) for b in range(n)] == [t.mul_payload(a, b) for b in range(n)]
+                    assert m.inv_payload(a) == t.inv_payload(a)
+                    assert m.length_payload(a) == t.length_payload(a)
+                    assert m.payload_str(a) == t.payload_str(a)
+                    assert m.parse_payload(t.payload_str(a)) == a
+                for text in ["e", letter, f"{letter}0", f"{letter}1", f"{letter}{n - 1}", f"{letter}{n}",
+                             "0", "1", str(n - 1), str(n), "-1", "x1", f"{letter}02"]:
+                    assert _parsed(m, text) == _parsed(t, text), text
+                gm, gt = finite_cayley_graph(m), finite_cayley_graph(t)
+                assert (gm.n, gm.adj, gm.labels) == (gt.n, gt.adj, gt.labels)
+                spec = G.group_spec_of(m)
+                assert spec == {"variant": "cyclic", "n": n, "gens": list(m.gens), "letter": letter}
+                rebuilt = G.parse_group_spec(spec)
+                assert G.group_spec_of(rebuilt) == spec and rebuilt.gens == m.gens
+
+
+def _parsed(model, text):
+    """model.parse_payload(text), or ValueError when it refuses text."""
+    try:
+        return model.parse_payload(text)
+    except ValueError:
+        return ValueError
 
 
 class TestMultiplyInvert:
@@ -179,7 +218,7 @@ class TestJsonSpecs:
 def _assert_same_model(a, b):
     assert type(a) is type(b) and a.gens == b.gens
     if isinstance(a, G.FiniteModel):
-        assert a.table == b.table
+        assert (a.order, a.name, a.letter) == (b.order, b.name, b.letter)
     elif isinstance(a, G.AbelianModel):
         assert (a.rank, a.moduli) == (b.rank, b.moduli)
     elif isinstance(a, G.FreeModel):
@@ -264,7 +303,7 @@ class TestProperties:
         for (f1, x1), (f2, _x2) in zip(nf, nf[1:]):
             assert f1 != f2
         for f, x in nf:
-            assert x != fp.factors[f].table.identity
+            assert x != fp.factors[f].identity_payload()
 
     def test_normal_form_length_matches_bfs(self):
         # free-product lengths agree with breadth-first enumeration to radius 6

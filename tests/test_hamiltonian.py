@@ -11,6 +11,7 @@ import pytest
 from lamplighter import graphs as Gr, groups as G, hamiltonian as H, tsp as T
 from lamplighter.errors import ResourceCapError, VerificationError
 from lamplighter.limits import CAPS
+from oracles import TableModel, abelian_table, cyclic_table
 
 
 def _random_connected(rng, n):
@@ -253,15 +254,15 @@ def _analyze_digest():
     # every Cayley graph of an abelian group of order 3..8 on a set of
     # generator classes, then Cube(3, 4): one line per graph with its
     # decisions, then one line per witness path in endpoint order
-    tables = [G.cyclic_table(n) for n in range(3, 9)]
-    tables += [G.abelian_table(m) for m in ([2, 2], [2, 4], [2, 2, 2])]
+    tables = [cyclic_table(n) for n in range(3, 9)]
+    tables += [abelian_table(m) for m in ([2, 2], [2, 4], [2, 2, 2])]
     graphs = []
     for table in tables:
         reps = sorted({min(x, table.inv[x]) for x in range(table.order) if x != table.identity})
         for r in range(1, len(reps) + 1):
             for combo in itertools.combinations(reps, r):
                 try:
-                    graphs.append(Gr.finite_cayley_graph(G.FiniteModel(table, list(combo))))
+                    graphs.append(Gr.finite_cayley_graph(TableModel(table, list(combo))))
                 except ValueError:
                     continue
     graphs.append(Gr.cube_graph([3, 4]))
