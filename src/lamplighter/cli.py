@@ -332,6 +332,8 @@ def cmd_export_graph(args) -> int:
             graph = graphs.cayley_ball(model, math.prod(model.moduli) - 1).graph
         else:
             raise UsageError(f"only finite group specs export without --radius, not {model.variant}")
+    if args.verify:
+        graph.validate()
     if args.format == "adj":
         _emit(graph.to_adjacency_text(), args.out)
     else:

@@ -707,31 +707,48 @@ class ProfileRows(abc.Sequence):
 def _body_text(model: LamplighterModel) -> Callable[[int], str]:
     """The body of a configuration id: `model._lamps_str` of its lamps plus
     `;`.  The lamps go in payload order, by a rank of the position payloads
-    made once, and each `value@name` is built once per (position id, value)."""
+    made once.  Each position's name is built once, at its rank, and each
+    lamp value's `value@` prefix once, when first met."""
     payloads = model._positions.payloads
+    order = sorted(range(len(payloads)), key=payloads.__getitem__)
     rank = [0] * len(payloads)
-    for r, p in enumerate(sorted(range(len(payloads)), key=payloads.__getitem__)):
+    for r, p in enumerate(order):
         rank[p] = r
-    lamp_str, name = model.lamps.payload_str, model._base_str
-    lamp = functools.lru_cache(maxsize=None)(lambda p, v: f"{lamp_str(v)}@{name(payloads[p])}")
+    names = [model._base_str(payloads[p]) for p in order]
+    prefixes = _Prefixes(model.lamps.payload_str)
 
     def body(c: int) -> str:
         config = model._configs[c]
-        ordered = sorted(zip(map(rank.__getitem__, config[::2]), config[::2], config[1::2]))
-        return ("+".join([lamp(p, v) for _r, p, v in ordered]) or "-") + ";"
+        ordered = sorted(zip(map(rank.__getitem__, config[::2]), config[1::2]))
+        return ("+".join([prefixes[v] + names[r] for r, v in ordered]) or "-") + ";"
 
     return body
+
+
+class _Prefixes(dict):
+    """Lamp value -> `value@`, each built on its first lookup."""
+
+    def __init__(self, lamp_str: Callable[[Payload], str]):
+        self._lamp_str = lamp_str
+
+    def __missing__(self, v: Payload) -> str:
+        text = self[v] = self._lamp_str(v) + "@"
+        return text
 
 
 def _ranked(ids: Set[int], size: int, text, shift: int = 0) -> Tuple[List[str], List[int]]:
     """The strings text(i) of ids in sorted order, and a list of `size`
     slots holding the rank of each id's string, shifted left by `shift`, at
-    the id."""
-    pairs = sorted([(text(i), i) for i in ids])
+    the id.  Each string is built once, into the slot of its id, and the
+    ids are sorted with it as the key."""
+    texts: List[Optional[str]] = [None] * size
+    for i in ids:
+        texts[i] = text(i)
+    order = sorted(ids, key=texts.__getitem__)
     rank = [0] * size
-    for r, (_t, i) in enumerate(pairs):
+    for r, i in enumerate(order):
         rank[i] = r << shift
-    return [t for t, _i in pairs], rank
+    return [texts[i] for i in order], rank
 
 
 @dataclass(frozen=True)
@@ -879,11 +896,12 @@ def depth_profile(model: LamplighterModel, radius: int, k_max: int, cap: Optiona
     as rows are read or written.
 
     The ball comes as one sorted array of state ints per shell, its
-    distance dict already gone.  The last shell is priced one lamp
-    configuration at a time from its array, where the states of one
-    configuration are adjacent, in one _config_lengths call, which splits
-    the configuration's support once.  The petal memo is cleared before the
-    rows are built.
+    distance dict already gone.  The last shell is priced in one pass over
+    its array, where the states of one configuration are adjacent:
+    _config_ends collects each configuration's position ids, and one
+    _config_lengths call prices them, splitting the configuration's support
+    once; only a mismatch walks its states, in array order, to name the
+    first wrong one.  The petal memo is cleared before the rows are built.
     """
     _require_exact(model)
     shells, stuck, cut = _ball_shells(model, radius, cap)
@@ -893,12 +911,12 @@ def depth_profile(model: LamplighterModel, radius: int, k_max: int, cap: Optiona
     # goes while the memo grows; both are as before once the memo is cleared
     model._config_ids = None
     try:
-        for c, states in _config_runs(shells[reached]):
-            lengths = _config_lengths(model, c, [s & _POS_MASK for s in states])
+        for c, ends in _config_ends(shells[reached]):
+            lengths = _config_lengths(model, c, ends)
             # one count compares every state; the loop runs on a mismatch
-            if lengths.count(reached) != len(states):
-                for s, L in zip(states, lengths):
-                    _check_formula(model, s, L, reached)
+            if lengths.count(reached) != len(ends):
+                for p, L in zip(ends, lengths):
+                    _check_formula(model, c << 32 | p, L, reached)
     finally:
         model._ts_fp_memo.clear()
         model._config_ids = {config: c for c, config in enumerate(model._configs)}
@@ -940,15 +958,17 @@ def _shell_arrays(dist: Dict[int, int], sizes: Sequence[int]) -> List[array]:
     return shells
 
 
-def _config_runs(states: Sequence[int]) -> Iterator[Tuple[int, Sequence[int]]]:
-    """(config id, its states) per lamp configuration of the sorted states,
-    in which the states of one configuration are adjacent."""
-    i = 0
-    while i < len(states):
-        c = states[i] >> 32
-        j = bisect.bisect_left(states, c + 1 << 32, i)
-        yield c, states[i:j]
-        i = j
+def _config_ends(states: Sequence[int]) -> Iterator[Tuple[int, List[int]]]:
+    """(config id, the position ids of its states) per lamp configuration
+    of the sorted, non-empty states, in which the states of one
+    configuration are adjacent: one pass over the states."""
+    c, ends = states[0] >> 32, []
+    for s in states:
+        if s >> 32 != c:
+            yield c, ends
+            c, ends = s >> 32, []
+        ends.append(s & _POS_MASK)
+    yield c, ends
 
 
 def _search(model: LamplighterModel, s: int, L: int, k_max: int) -> DepthReport:

@@ -869,6 +869,24 @@ class TestExportGraph:
         assert (rc, out) == (3, "")
         assert err == "resource cap: CAYLEY_BALL_CAP = 200000 exceeded by group order 1000000\n"
 
+    @pytest.mark.parametrize("argv", [["--cube", "4,3"], ["--group", "c8.json"],
+                                      ["--group", "c8.json", "--radius", "2", "--format", "adj"],
+                                      ["--group", "z2.json", "--radius", "3"]],
+                             ids=["cube", "cyclic", "cyclic-ball-adj", "z2-ball"])
+    def test_verify_passes_with_same_bytes(self, specs, argv):
+        argv = ["export-graph", *(specs.get(a, a) for a in argv)]
+        rc, out, err = run(argv)
+        assert (rc, err) == (0, "") and out
+        assert run(argv + ["--verify"]) == (0, out, "")
+
+    def test_verify_refuses_a_broken_graph(self, monkeypatch):
+        # a graph whose only edge is listed on one side is emitted as built,
+        # and refused with --verify, with nothing on stdout
+        monkeypatch.setattr(cli.graphs, "cube_graph", lambda dims: cli.graphs.FiniteGraph(2, ((1,), ())))
+        assert run(["export-graph", "--cube", "2"])[0] == 0
+        rc, out, err = run(["export-graph", "--cube", "2", "--verify"])
+        assert (rc, out) == (4, "") and err == "verification failure: asymmetric adjacency\n"
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, specs):
@@ -935,6 +953,20 @@ print(sys.flags.optimize, rc_ok, cli.main(argv))
 PETAL_OFF_BY_ONE = """
 exact = tsp.ts_free_product_ends
 tsp.ts_free_product_ends = lambda *a: [ts + 1 for ts in exact(*a)]
+"""
+
+# the first configuration priced with three or more states and two or more
+# lit lamps gets its second length one too long; the memo's lists are not
+# written to
+ONE_LAST_SHELL_LENGTH_OFF = """
+exact, met = wreath._config_lengths, []
+def off(m, c, ends):
+    lengths = list(exact(m, c, ends))
+    if len(ends) >= 3 and len(m._configs[c]) >= 4 and not met:
+        met.append(c)
+        lengths[1] += 1
+    return lengths
+wreath._config_lengths = off
 """
 
 # every factor TS of the petal recursion one too long: the walk no longer
@@ -1031,6 +1063,16 @@ class TestVerificationUnderOptimize:
         monkeypatch.setattr(cli.wreath, "depth_profile", broken)
         rc, _, err = run(["depth-profile", "--group", specs["ll_line.json"], "--radius", "1"])
         assert rc == 5 and "internal error: broken invariant" in err
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "python-O"])
+    def test_one_wrong_last_shell_length_names_its_state(self, specs, optimize):
+        # one configuration of the radius-8 last shell priced with one
+        # length too long, at the second of its states: the check names that
+        # state, not the first of its configuration
+        argv = ["depth-profile", "--group", specs["ll_fp82.json"], "--radius", "8", "--kmax", "22"]
+        proc = _run_script(PATCHED_SCRIPT, ONE_LAST_SHELL_LENGTH_OFF, json.dumps(argv), optimize=optimize)
+        assert proc.stdout.split() == [str(int(optimize)), "0", "4"], proc.stderr
+        assert proc.stderr == "verification failure: formula gives 9 but BFS distance is 8 for a@e+a@b;b6.c.b\n"
 
     @pytest.mark.parametrize("patch, argv, message", [
         (PETAL_OFF_BY_ONE, ["depth-profile", "--group", "ll_fp82.json", "--radius", "3",

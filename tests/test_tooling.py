@@ -75,7 +75,6 @@ KEPT_UNNAMED = {
     "wreath.cleary_taback_witness": "the Cleary-Taback deep element the tests check",
     "wreath.bounded_depth_constant": "Theorem B's depth bound the acceptance tests check",
     "wreath.DepthProfile.max_depth": "the profile maximum the acceptance tests compare",
-    "graphs.FiniteGraph.validate": "the graph invariants of the graphs docstring, which the tests check",
 }
 
 

@@ -867,12 +867,15 @@ class TestProfileLookup:
             model._encode(g): d for g, d in dist.items()
             if all(dist.get(h, d + 1) != d + 1 for _label, h in _payload_steps(oracle, g))
         }
+        # the grouping of the last-shell pass, on every shell: each
+        # configuration once, and its position ids give back every state
+        # once, in array order
         for shell in shells:
-            runs = list(W._config_runs(shell))
-            configs = [c for c, _states in runs]
+            groups = list(W._config_ends(shell))
+            configs = [c for c, _ends in groups]
             assert len(configs) == len(set(configs))
-            assert [s for _c, states in runs for s in states] == list(shell)
-            assert all(s >> 32 == c for c, states in runs for s in states)
+            assert all(0 <= p <= W._POS_MASK for _c, ends in groups for p in ends)
+            assert [c << 32 | p for c, ends in groups for p in ends] == list(shell)
 
     @pytest.mark.parametrize("key, radius, k_max, cap", PROFILE_CASES)
     def test_bodies_from_cached_lamp_strings(self, key, radius, k_max, cap):
